@@ -70,65 +70,64 @@ def fringed_noise_spectrum(
     return main + cross
 
 
+def _shared_arm(link: LinkConfig, what: str) -> tuple[HarmonicModulation, complex]:
+    """The common arm modulation and the scheme's arm amplitude k."""
+    m1, m2, k = build_scheme(link.scheme)
+    if m1.coeffs != m2.coeffs:
+        raise ConfigurationError(f"{what} needs identical arms")
+    return m1, k
+
+
+def _continuum_terms(link: LinkConfig, m: HarmonicModulation, f, exact: bool) -> dict:
+    """Per cyclic order s: |C_s(v)|^2 times the fringed spectrum at f + s f_m."""
+    v = 2.0 * np.pi * link.phi * f
+    return {
+        s: np.abs(cyclic_autocorrelation(m, s, v)) ** 2
+        * np.real(
+            fringed_noise_spectrum(
+                link.spectrum, link.delay, link.carrier_phase, f + s * m.f_m, exact=exact
+            )
+        )
+        for s in cyclic_orders(m)
+    }
+
+
+def _line_weights(link: LinkConfig, m: HarmonicModulation, orders) -> list[float]:
+    """Line powers |H(v_s)|^2 |C_s(v_s)|^2 at -s f_m for each cyclic order s."""
+    weights = []
+    for s in orders:
+        v_line = 2.0 * np.pi * link.phi * (-s * m.f_m)
+        h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_line)
+        weights.append(
+            float(np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(m, s, v_line)) ** 2)
+        )
+    return weights
+
+
 def shared_modulator_decomposition(
     link: LinkConfig, f_grid: np.ndarray, exact: bool = True
 ) -> SpectralDecomposition:
     """Line/continuum intensity PSD when both arms share one modulator."""
-    m1, m2, k = build_scheme(link.scheme)
-    if m1.coeffs != m2.coeffs:
-        raise ConfigurationError("shared-modulator closed form needs identical arms")
+    m, k = _shared_arm(link, "shared-modulator closed form")
     if abs(k - 1.0) > 1e-12 or abs(link.interferometer.arm_ratio_k - 1.0) > 1e-12:
         raise ConfigurationError("shared-modulator closed form assumes balanced arms")
-    spectrum = link.spectrum
-    d = link.delay
-    phase = link.carrier_phase
-    f_m = m1.f_m
-    phi = link.phi
-
-    f_grid = np.asarray(f_grid, dtype=float)
-    continuum = np.zeros_like(f_grid)
-    line_freqs = []
-    line_powers = []
-    v_grid = 2.0 * np.pi * phi * f_grid
-    for s in cyclic_orders(m1):
-        weight = np.abs(cyclic_autocorrelation(m1, s, v_grid)) ** 2
-        continuum += weight * np.real(
-            fringed_noise_spectrum(spectrum, d, phase, f_grid + s * f_m, exact=exact)
-        )
-        f_line = -s * f_m
-        v_line = 2.0 * np.pi * phi * f_line
-        h = interference_kernel(spectrum, d, phase, v_line)
-        w_line = float(
-            np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(m1, s, v_line)) ** 2
-        )
-        line_freqs.append(f_line)
-        line_powers.append(w_line)
-
-    decomp = SpectralDecomposition(
+    orders = cyclic_orders(m)
+    return SpectralDecomposition(
         frequencies=f_grid,
-        continuum=continuum,
-        line_frequencies=np.array(line_freqs),
-        line_powers=np.array(line_powers),
-        metadata={"path": "closed-form", "exact": exact, "f_m": f_m},
+        continuum=noise_psd_shared(link, f_grid, exact=exact),
+        line_frequencies=np.array([-s * m.f_m for s in orders]),
+        line_powers=np.array(_line_weights(link, m, orders)),
+        metadata={"path": "closed-form", "exact": exact, "f_m": m.f_m},
     )
-    return decomp
 
 
 def noise_psd_shared(link: LinkConfig, f, exact: bool = True):
     """Continuum intensity-noise PSD for a shared-modulator scheme."""
-    m1, m2, _ = build_scheme(link.scheme)
-    if m1.coeffs != m2.coeffs:
-        raise ConfigurationError("shared-modulator noise PSD needs identical arms")
+    m, _ = _shared_arm(link, "shared-modulator noise PSD")
     f = np.asarray(f, dtype=float)
-    v = 2.0 * np.pi * link.phi * f
     out = np.zeros(f.shape)
-    for s in cyclic_orders(m1):
-        weight = np.abs(cyclic_autocorrelation(m1, s, v)) ** 2
-        out += weight * np.real(
-            fringed_noise_spectrum(
-                link.spectrum, link.delay, link.carrier_phase, f + s * m1.f_m, exact=exact
-            )
-        )
+    for term in _continuum_terms(link, m, f, exact).values():
+        out += term
     return out if out.ndim else float(out)
 
 
@@ -137,58 +136,56 @@ def scheme_line_power(link: LinkConfig, f_m: float) -> float:
     m1, m2, k = build_scheme(link.scheme)
     if m1.coeffs != m2.coeffs or abs(k - 1.0) > 1e-12:
         raise ConfigurationError("scheme_line_power needs a shared-modulator scheme")
-    m1 = HarmonicModulation(f_m, m1.coeffs)
-    total = 0.0
-    for s in (-1, 1):
-        f_line = -s * f_m
-        v_line = 2.0 * np.pi * link.phi * f_line
-        h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_line)
-        total += float(
-            np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(m1, s, v_line)) ** 2
-        )
-    return total
+    minus, plus = _line_weights(link, HarmonicModulation(f_m, m1.coeffs), (-1, 1))
+    return minus + plus
 
 
-def signal_power_ssb(link: LinkConfig, f_m: float | None = None, flat: bool = False) -> float:
+def signal_power_ssb(link: LinkConfig, f_m=None, flat: bool = False):
     """Single-sideband detected signal power at f_m.
 
     ``flat=True`` selects the passband approximation 2 (gamma/2)^2 R0(0)^2,
     exact only at the passband center with strong fringe suppression.
+    ``f_m`` may be an array; a scalar returns a float.
     """
     if link.scheme.kind is not ModulationKind.SSB:
         raise ConfigurationError("signal_power_ssb requires an SSB scheme")
     gamma = link.scheme.gamma
     if f_m is None:
         f_m = link.scheme.f_m
+    f_m = np.asarray(f_m, dtype=float)
     if flat:
-        return 2.0 * (gamma / 2.0) ** 2 * float(link.spectrum.total_power()) ** 2
-    v_m = 2.0 * np.pi * link.phi * f_m
-    h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
-    return 2.0 * (gamma / 2.0) ** 2 * float(np.abs(h) ** 2)
+        power = np.full(f_m.shape, 2.0 * (gamma / 2.0) ** 2 * float(link.spectrum.total_power()) ** 2)
+    else:
+        v_m = 2.0 * np.pi * link.phi * f_m
+        h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
+        power = 2.0 * (gamma / 2.0) ** 2 * np.abs(h) ** 2
+    return power if f_m.ndim else float(power)
 
 
-def signal_power_dsb(link: LinkConfig, f_m: float | None = None, convention: str = "exact") -> float:
+def signal_power_dsb(link: LinkConfig, f_m=None, convention: str = "exact"):
     """Double-sideband detected signal power at f_m.
 
     ``convention="exact"`` sums the +-f_m line weights,
     8 (gamma/2)^2 cos^2(pi f_m v_m) |H(v_m)|^2.  ``convention="response"``
     returns one quarter of that (a per-sideband normalization that leaves
     any normalized response curve unchanged); see the README notes.
+    ``f_m`` may be an array; a scalar returns a float.
     """
     if link.scheme.kind is not ModulationKind.DSB:
         raise ConfigurationError("signal_power_dsb requires a DSB scheme")
+    if convention not in ("exact", "response"):
+        raise ConfigurationError("convention must be 'exact' or 'response'")
     gamma = link.scheme.gamma
     if f_m is None:
         f_m = link.scheme.f_m
+    f_m = np.asarray(f_m, dtype=float)
     v_m = 2.0 * np.pi * link.phi * f_m
     h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
-    fading = math.cos(math.pi * f_m * v_m) ** 2
-    exact = 8.0 * (gamma / 2.0) ** 2 * fading * float(np.abs(h) ** 2)
-    if convention == "exact":
-        return exact
+    fading = np.cos(math.pi * f_m * v_m) ** 2
+    power = 8.0 * (gamma / 2.0) ** 2 * fading * np.abs(h) ** 2
     if convention == "response":
-        return exact / 4.0
-    raise ConfigurationError("convention must be 'exact' or 'response'")
+        power = power / 4.0
+    return power if f_m.ndim else float(power)
 
 
 def dsb_fading_null_frequency(phi: float, order: int = 0) -> float:
@@ -231,26 +228,11 @@ def _cos_fringe_argument(f_c: float, phi: float) -> float:
 
 
 def _ssb_noise_terms(link: LinkConfig, f_c: float, exact: bool) -> dict:
-    v_c = 2.0 * np.pi * link.phi * f_c
+    """Noise at +-f_c per cyclic order: the main band and the two images."""
     m1, _, _ = build_scheme(link.scheme)
-
-    def sh(f):
-        return float(
-            np.real(
-                fringed_noise_spectrum(
-                    link.spectrum, link.delay, link.carrier_phase, f, exact=exact
-                )
-            )
-        )
-
-    w0 = abs(cyclic_autocorrelation(m1, 0, v_c)) ** 2
-    wp = abs(cyclic_autocorrelation(m1, 1, v_c)) ** 2
-    wm = abs(cyclic_autocorrelation(m1, -1, v_c)) ** 2
-    return {
-        "main_band": 2.0 * w0 * sh(f_c),
-        "upconverted_sum": 2.0 * wp * sh(f_c + m1.f_m),
-        "upconverted_baseband": 2.0 * wm * sh(f_c - m1.f_m),
-    }
+    terms = _continuum_terms(link, m1, np.asarray(f_c, dtype=float), exact)
+    parts = {"main_band": 0, "upconverted_sum": 1, "upconverted_baseband": -1}
+    return {name: 2.0 * float(terms.get(s, 0.0)) for name, s in parts.items()}
 
 
 def noise_power_ssb_at(
@@ -334,17 +316,17 @@ def frequency_response_sweep(
     f_grid = np.asarray(f_grid, dtype=float)
     kind = link.scheme.kind
     if kind is ModulationKind.SSB:
-        power = np.array([signal_power_ssb(link, f) for f in f_grid])
+        power = signal_power_ssb(link, f_grid)
     elif kind is ModulationKind.DSB:
-        power = np.array([signal_power_dsb(link, f) for f in f_grid])
+        power = signal_power_dsb(link, f_grid)
     elif kind is ModulationKind.PM:
         from .pm import signal_power_pm
 
-        power = np.array([signal_power_pm(link, f) for f in f_grid])
+        power = signal_power_pm(link, f_grid)
     elif kind is ModulationKind.CUSTOM:
         from .engine import fundamental_line_power
 
-        power = np.array([fundamental_line_power(link, f) for f in f_grid])
+        power = fundamental_line_power(link, f_grid)
     else:
         raise ConfigurationError(f"no frequency response for scheme {kind}")
     if not normalize_db:

@@ -51,9 +51,6 @@ class LinkConfig:
             raise NoPassbandError("configuration has no positive-frequency passband")
         return f_c
 
-    def modulation_frequency(self) -> float:
-        return self.scheme.f_m
-
     def with_delay_for_center(self, f_c: float) -> "LinkConfig":
         d = delay_for_center(f_c, self.phi)
         return replace(self, interferometer=replace(self.interferometer, delay_d=d))

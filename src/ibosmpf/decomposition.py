@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
 
 @dataclass
 class SpectralDecomposition:
@@ -28,9 +30,6 @@ class SpectralDecomposition:
         self.line_frequencies = np.asarray(self.line_frequencies, dtype=float)[order]
         self.line_powers = np.asarray(self.line_powers, dtype=float)[order]
 
-    def continuum_at(self, f: float) -> float:
-        return float(np.interp(f, self.frequencies, self.continuum))
-
     def line_power_at(self, f: float, rtol: float = 1e-9, atol: float = 1.0) -> float:
         """Total power of lines within a tolerance of ``f`` (0 if none)."""
         sel = np.isclose(self.line_frequencies, f, rtol=rtol, atol=atol)
@@ -43,3 +42,21 @@ class SpectralDecomposition:
         self.continuum = np.clip(self.continuum, floor_scale, None)
         self.metadata["continuum_min_before_clamp"] = min_value
         self.metadata["continuum_clamped_points"] = clipped
+
+
+def real_line_powers(weights: np.ndarray, line_freqs: np.ndarray) -> np.ndarray:
+    """Real parts of complex line weights, clamped at zero.
+
+    Each weight is a sum of conjugate term pairs, so an imaginary part
+    above 1e-9 of the real part means a faulty source or modulation model;
+    it raises :class:`DomainError` with the worst residual.
+    """
+    scale = np.maximum(np.abs(weights.real), 1e-300)
+    if np.any(np.abs(weights.imag) > 1e-9 * scale):
+        residual = np.abs(weights.imag) / scale
+        worst = np.unravel_index(np.argmax(residual), weights.shape)
+        raise DomainError(
+            f"line weight at {line_freqs[worst]:.6g} Hz not real: "
+            f"{complex(weights[worst]):.6g}, |imag|/|real| = {residual[worst]:.3g}"
+        )
+    return np.maximum(weights.real, 0.0)

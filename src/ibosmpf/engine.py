@@ -25,8 +25,8 @@ import numpy as np
 
 from ._quad import band_correlation
 from .config import LinkConfig
-from .decomposition import SpectralDecomposition
-from .errors import ConfigurationError
+from .decomposition import SpectralDecomposition, real_line_powers
+from .errors import ConfigurationError, DomainError
 from .modulation import build_scheme
 from .spectrum import OpticalSpectrum
 
@@ -93,6 +93,32 @@ def _arm_modulations(link: LinkConfig):
     return dict(m1.coeffs), m2_coeffs, m1.f_m
 
 
+def _line_weights(link: LinkConfig, tables, orders, f_m) -> np.ndarray:
+    """Line powers at k * f_m for each k in ``orders`` (rows) and each f_m.
+
+    Only the lag-independent parts enter, evaluated at v = 2 pi (k f_m) phi.
+    """
+    f_m = np.asarray(f_m, dtype=float)
+    d = link.delay
+    theta0 = link.carrier_phase
+    omega = 2.0 * math.pi * f_m
+    r0 = link.spectrum.autocorrelation
+    weights = np.zeros((len(orders),) + f_m.shape, dtype=complex)
+    for i, k_u in enumerate(orders):
+        v_line = 2.0 * np.pi * link.phi * (k_u * f_m)
+        for slots in _SLOT_ASSIGNMENTS:
+            entries = [(k_v, c) for (k_v, kk_u), c in tables[slots].items() if kk_u == k_u]
+            if not entries:
+                continue
+            va, vb, _, _, n = _term_geometry(slots)
+            a_part = r0(v_line + va * d) * np.conj(r0(v_line + vb * d))
+            phase = np.exp(1j * n * theta0)
+            for k_v, coeff in entries:
+                weights[i] += coeff * phase * np.exp(1j * omega * k_v * v_line) * a_part
+    line_freqs = np.multiply.outer(np.asarray(orders, dtype=float), f_m)
+    return real_line_powers(weights, line_freqs)
+
+
 def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecomposition:
     """Exact line/continuum intensity PSD for any configured scheme.
 
@@ -113,25 +139,20 @@ def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecom
                 f"step {max_step:.3g} Hz exceeds f_m/2"
             )
 
+    orders = sorted({k_u for table in tables.values() for _, k_u in table})
     spectrum = link.spectrum
     d = link.delay
     theta0 = link.carrier_phase
-    phi = link.phi
     omega = 2.0 * math.pi * f_m
 
     # continuum: cache the spectral correlations per (lag multiple, k_u)
-    v_grid = 2.0 * np.pi * phi * f_grid
+    v_grid = 2.0 * np.pi * link.phi * f_grid
     corr_cache: dict[tuple[int, int], np.ndarray] = {}
     continuum = np.zeros(f_grid.shape, dtype=complex)
-    line_orders: set[int] = set()
     for slots in _SLOT_ASSIGNMENTS:
         va, vb, ua, ub, n = _term_geometry(slots)
-        table = tables[slots]
-        if not table:
-            continue
         phase = np.exp(1j * n * theta0)
-        for (k_v, k_u), coeff in table.items():
-            line_orders.add(k_u)
+        for (k_v, k_u), coeff in tables[slots].items():
             key = (ua - ub, k_u)
             if key not in corr_cache:
                 corr_cache[key] = _spectral_correlation(
@@ -145,63 +166,31 @@ def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecom
     imag_peak = float(np.max(np.abs(continuum.imag), initial=0.0))
     real_peak = float(np.max(np.abs(continuum.real), initial=0.0))
     if imag_peak > 1e-9 * max(real_peak, 1e-300):
-        raise AssertionError("continuum has a non-negligible imaginary part")
-
-    # lines: lag-independent parts evaluated at v = 2 pi (k_u f_m) phi
-    r0 = spectrum.autocorrelation
-    line_freqs = []
-    line_powers = []
-    for k_u in sorted(line_orders):
-        f_line = k_u * f_m
-        v_line = 2.0 * np.pi * phi * f_line
-        weight = 0.0 + 0.0j
-        for slots in _SLOT_ASSIGNMENTS:
-            va, vb, ua, ub, n = _term_geometry(slots)
-            table = tables[slots]
-            a_part = r0(v_line + va * d) * np.conj(r0(v_line + vb * d))
-            phase = np.exp(1j * n * theta0)
-            for (k_v, kk_u), coeff in table.items():
-                if kk_u != k_u:
-                    continue
-                weight += coeff * phase * np.exp(1j * omega * k_v * v_line) * a_part
-        if abs(weight.imag) > 1e-9 * max(abs(weight.real), 1e-300):
-            raise AssertionError(f"line weight at {f_line} Hz not real: {weight}")
-        line_freqs.append(f_line)
-        line_powers.append(max(weight.real, 0.0))
+        raise DomainError(
+            "continuum has a non-negligible imaginary part: "
+            f"peak |imag| {imag_peak:.3g} against peak |real| {real_peak:.3g}"
+        )
 
     decomp = SpectralDecomposition(
         frequencies=f_grid,
         continuum=continuum.real,
-        line_frequencies=np.array(line_freqs),
-        line_powers=np.array(line_powers),
+        line_frequencies=np.array([k_u * f_m for k_u in orders]),
+        line_powers=_line_weights(link, tables, orders, f_m),
         metadata={"path": "general-engine", "f_m": f_m},
     )
     decomp.clamp_continuum()
     return decomp
 
 
-def fundamental_line_power(link: LinkConfig, f_m: float) -> float:
-    """Detected RF power at +-f_m from the general line machinery."""
-    base = link.with_modulation_frequency(f_m)
-    m1c, m2c, f_m = _arm_modulations(base)
-    tables = _modulation_tables(m1c, m2c)
-    spectrum = base.spectrum
-    d = base.delay
-    theta0 = base.carrier_phase
-    omega = 2.0 * math.pi * f_m
-    r0 = spectrum.autocorrelation
-    total = 0.0
-    for target in (-1, 1):
-        f_line = target * f_m
-        v_line = 2.0 * np.pi * base.phi * f_line
-        weight = 0.0 + 0.0j
-        for slots in _SLOT_ASSIGNMENTS:
-            va, vb, ua, ub, n = _term_geometry(slots)
-            a_part = r0(v_line + va * d) * np.conj(r0(v_line + vb * d))
-            phase = np.exp(1j * n * theta0)
-            for (k_v, k_u), coeff in tables[slots].items():
-                if k_u != target:
-                    continue
-                weight += coeff * phase * np.exp(1j * omega * k_v * v_line) * a_part
-        total += max(weight.real, 0.0)
-    return total
+def fundamental_line_power(link: LinkConfig, f_m):
+    """Detected RF power at +-f_m from the general line machinery.
+
+    ``f_m`` may be an array; a scalar returns a float.
+    """
+    f = np.asarray(f_m, dtype=float)
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise ConfigurationError("modulation fundamental must be finite and >= 0")
+    m1c, m2c, _ = _arm_modulations(link)
+    minus, plus = _line_weights(link, _modulation_tables(m1c, m2c), (-1, 1), f)
+    total = minus + plus
+    return total if f.ndim else float(total)

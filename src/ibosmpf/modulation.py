@@ -14,37 +14,12 @@ from enum import Enum
 from typing import Mapping, Optional
 
 import numpy as np
+from scipy import special
 
 from .errors import ConfigurationError
 
 MAX_HARMONIC_ORDER = 8
 _SMALL_SIGNAL_GAMMA_MAX = 1.5
-
-
-def bessel_j0(x: float) -> float:
-    """J0 by ascending series; converges to 1e-12 well past |x| = 1.5."""
-    q = x * x / 4.0
-    term = 1.0
-    total = 1.0
-    for k in range(1, 40):
-        term *= -q / (k * k)
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
-
-
-def bessel_j1(x: float) -> float:
-    """J1 by ascending series; same accuracy regime as :func:`bessel_j0`."""
-    q = x * x / 4.0
-    term = x / 2.0
-    total = term
-    for k in range(1, 40):
-        term *= -q / (k * (k + 1))
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
 
 
 class ModulationKind(str, Enum):
@@ -82,9 +57,6 @@ class HarmonicModulation:
 
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
-
-    def max_order(self) -> int:
-        return max((abs(n) for n in self.coeffs), default=0)
 
     def is_constant(self) -> bool:
         return all(n == 0 for n in self.coeffs)
@@ -163,8 +135,8 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
         m = HarmonicModulation(f_m, {0: 1.0, 1: gamma / 2.0})
         return m, m, 1.0 + 0.0j
     if kind is ModulationKind.PM:
-        j0 = bessel_j0(gamma)
-        j1 = bessel_j1(gamma)
+        j0 = float(special.j0(gamma))
+        j1 = float(special.j1(gamma))
         m1 = HarmonicModulation(f_m, {-1: -j1, 0: j0, 1: j1})
         m2 = HarmonicModulation(f_m, {0: 1.0})
         return m1, m2, complex(cfg.arm_ratio_k)
@@ -177,8 +149,8 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
 
 def polarization_modulator_scheme(gamma: float, f_m: float) -> SchemeConfig:
     """Single-arm equivalent of the polarization-modulator setup."""
-    j0 = bessel_j0(gamma)
-    j1 = bessel_j1(gamma)
+    j0 = float(special.j0(gamma))
+    j1 = float(special.j1(gamma))
     return SchemeConfig(
         kind=ModulationKind.CUSTOM,
         f_m=f_m,
@@ -191,8 +163,8 @@ def polarization_modulator_scheme(gamma: float, f_m: float) -> SchemeConfig:
 
 def dual_input_mzm_scheme(gamma: float, f_m: float) -> SchemeConfig:
     """Single-arm equivalent of the quadrature-biased dual-input modulator."""
-    j0 = bessel_j0(gamma)
-    j1 = bessel_j1(gamma)
+    j0 = float(special.j0(gamma))
+    j1 = float(special.j1(gamma))
     return SchemeConfig(
         kind=ModulationKind.CUSTOM,
         f_m=f_m,

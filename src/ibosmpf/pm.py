@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .closed_forms import SnrReport, _cos_fringe_argument
 from .config import LinkConfig
-from .decomposition import SpectralDecomposition
+from .decomposition import SpectralDecomposition, real_line_powers
 from .errors import ConfigurationError
-from .modulation import ModulationKind, bessel_j0, bessel_j1
+from .modulation import ModulationKind
 from .spectrum import RectangularSpectrum
 
 # Term table: (A-part shifts, B-part shifts, carrier-phase exponent).
@@ -93,11 +94,11 @@ def _pm_parameters(link: LinkConfig):
     ) > 1e-12:
         raise ConfigurationError("phase-modulation closed forms assume balanced arms")
     gamma = link.scheme.gamma
-    return bessel_j0(gamma), bessel_j1(gamma)
+    return float(special.j0(gamma)), float(special.j1(gamma))
 
 
-def pm_continuum(link: LinkConfig, f, f_m: float | None = None, exact: bool = True):
-    """Continuum intensity-noise PSD of the phase-modulated link at f."""
+def _continuum_terms(link: LinkConfig, f, f_m, exact: bool, group) -> dict:
+    """Continuum terms at the frequencies f, summed per ``group(ua, ub, k)`` label."""
     j0, j1 = _pm_parameters(link)
     if f_m is None:
         f_m = link.scheme.f_m
@@ -105,9 +106,8 @@ def pm_continuum(link: LinkConfig, f, f_m: float | None = None, exact: bool = Tr
     d = link.delay
     theta0 = link.carrier_phase
     spectrum = link.spectrum
-    f = np.atleast_1d(np.asarray(f, dtype=float))
     v = 2.0 * np.pi * link.phi * f
-    total = np.zeros(f.shape, dtype=complex)
+    totals: dict = {}
     for va, vb, ua, ub, n, mf in _TERMS:
         if not exact and ua != ub:
             continue
@@ -115,68 +115,59 @@ def pm_continuum(link: LinkConfig, f, f_m: float | None = None, exact: bool = Tr
         phase = np.exp(1j * n * theta0)
         for k, coeff in table.items():
             base = spectrum.lag_product_spectrum(f - k * f_m, ua * d, ub * d)
-            total += coeff * phase * base
-    out = np.real(total)
+            label = group(ua, ub, k)
+            totals[label] = totals.get(label, 0.0) + coeff * phase * base
+    return totals
+
+
+def pm_continuum(link: LinkConfig, f, f_m: float | None = None, exact: bool = True):
+    """Continuum intensity-noise PSD of the phase-modulated link at f."""
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    totals = _continuum_terms(link, f, f_m, exact, lambda ua, ub, k: "total")
+    out = np.real(totals["total"])
     return out if out.size > 1 else float(out[0])
+
+
+def _physical_group(ua: int, ub: int, k: int) -> str:
+    if ua != ub:
+        return "interferometric_cross"
+    if k == 0:
+        return "main_band"
+    return "upconverted" if abs(k) == 1 else "second_harmonic"
 
 
 def pm_continuum_grouped(link: LinkConfig, f: float, f_m: float | None = None) -> dict:
     """Continuum at one frequency, split into physically labelled parts."""
+    totals = _continuum_terms(link, np.atleast_1d(float(f)), f_m, True, _physical_group)
+    names = ("main_band", "upconverted", "second_harmonic", "interferometric_cross")
+    return {name: float(totals[name].real[0]) for name in names}
+
+
+def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dict:
+    """Discrete line powers at k * f_m for each k in ``orders``.
+
+    ``f_m`` may be an array; each weight is then an array over it.
+    """
     j0, j1 = _pm_parameters(link)
     if f_m is None:
         f_m = link.scheme.f_m
-    omega = 2.0 * math.pi * f_m
-    d = link.delay
-    theta0 = link.carrier_phase
-    spectrum = link.spectrum
-    v = 2.0 * np.pi * link.phi * f
-    groups = {
-        "main_band": 0.0 + 0.0j,
-        "upconverted": 0.0 + 0.0j,
-        "second_harmonic": 0.0 + 0.0j,
-        "interferometric_cross": 0.0 + 0.0j,
-    }
-    for va, vb, ua, ub, n, mf in _TERMS:
-        table = _harmonic_table(mf, np.asarray(v), omega, j0, j1)
-        phase = np.exp(1j * n * theta0)
-        for k, coeff in table.items():
-            base = spectrum.lag_product_spectrum(np.asarray(f - k * f_m), ua * d, ub * d)
-            term = complex(coeff * phase * base)
-            if ua != ub:
-                groups["interferometric_cross"] += term
-            elif k == 0:
-                groups["main_band"] += term
-            elif abs(k) == 1:
-                groups["upconverted"] += term
-            else:
-                groups["second_harmonic"] += term
-    return {name: value.real for name, value in groups.items()}
-
-
-def pm_line_weights(link: LinkConfig, f_m: float | None = None) -> dict[int, float]:
-    """Discrete line powers at k * f_m for k in -2..2."""
-    j0, j1 = _pm_parameters(link)
-    if f_m is None:
-        f_m = link.scheme.f_m
+    f_m = np.asarray(f_m, dtype=float)
     omega = 2.0 * math.pi * f_m
     d = link.delay
     theta0 = link.carrier_phase
     r0 = link.spectrum.autocorrelation
-    weights: dict[int, complex] = {k: 0.0 + 0.0j for k in range(-2, 3)}
-    for k in weights:
+    weights = np.zeros((len(orders),) + f_m.shape, dtype=complex)
+    for i, k in enumerate(orders):
         v_k = 2.0 * np.pi * link.phi * (k * f_m)
         for va, vb, ua, ub, n, mf in _TERMS:
-            table = _harmonic_table(mf, np.asarray(v_k), omega, j0, j1)
+            table = _harmonic_table(mf, v_k, omega, j0, j1)
             if k not in table:
                 continue
             a_part = r0(v_k + va * d) * np.conj(r0(v_k + vb * d))
-            weights[k] += complex(table[k]) * np.exp(1j * n * theta0) * complex(a_part)
-    out = {}
-    for k, w in weights.items():
-        if abs(w.imag) > 1e-9 * max(abs(w.real), 1e-300):
-            raise AssertionError(f"line weight at k={k} not real: {w}")
-        out[k] = max(w.real, 0.0)
-    return out
+            weights[i] += table[k] * np.exp(1j * n * theta0) * a_part
+    line_freqs = np.multiply.outer(np.asarray(orders, dtype=float), f_m)
+    powers = real_line_powers(weights, line_freqs)
+    return {k: (p if f_m.ndim else float(p)) for k, p in zip(orders, powers)}
 
 
 def pm_decomposition(link: LinkConfig, f_grid: np.ndarray, exact: bool = True) -> SpectralDecomposition:
@@ -194,33 +185,36 @@ def pm_decomposition(link: LinkConfig, f_grid: np.ndarray, exact: bool = True) -
     return decomp
 
 
-def signal_power_pm(link: LinkConfig, f_m: float | None = None, printed: bool = False) -> float:
+def signal_power_pm(link: LinkConfig, f_m=None, printed: bool = False):
     """Detected RF power at f_m for phase modulation.
 
     The default sums the exact +-f_m line weights.  ``printed=True``
     selects the dominant-term form
     8 J0^2 J1^2 sin^2(pi f_m v_m) |R0(v_m)|^2
     + 2 J1^2 [|R0(v_m + d)|^2 + |R0(v_m - d)|^2].
+    ``f_m`` may be an array; a scalar returns a float.
     """
     j0, j1 = _pm_parameters(link)
     if f_m is None:
         f_m = link.scheme.f_m
-    if printed:
-        v_m = 2.0 * np.pi * link.phi * f_m
-        r0 = link.spectrum.autocorrelation
-        lowpass = (
-            8.0
-            * j0**2
-            * j1**2
-            * math.sin(math.pi * f_m * v_m) ** 2
-            * abs(r0(v_m)) ** 2
-        )
-        bandpass = 2.0 * j1**2 * (
-            abs(r0(v_m + link.delay)) ** 2 + abs(r0(v_m - link.delay)) ** 2
-        )
-        return lowpass + bandpass
-    weights = pm_line_weights(link, f_m=f_m)
-    return weights[1] + weights[-1]
+    if not printed:
+        weights = pm_line_weights(link, f_m=f_m, orders=(-1, 1))
+        return weights[1] + weights[-1]
+    f_m = np.asarray(f_m, dtype=float)
+    v_m = 2.0 * np.pi * link.phi * f_m
+    r0 = link.spectrum.autocorrelation
+    lowpass = (
+        8.0
+        * j0**2
+        * j1**2
+        * np.sin(math.pi * f_m * v_m) ** 2
+        * np.abs(r0(v_m)) ** 2
+    )
+    bandpass = 2.0 * j1**2 * (
+        np.abs(r0(v_m + link.delay)) ** 2 + np.abs(r0(v_m - link.delay)) ** 2
+    )
+    power = lowpass + bandpass
+    return power if f_m.ndim else float(power)
 
 
 def noise_power_pm_at(link: LinkConfig, f_c: float | None = None, flat: bool = False) -> float:

@@ -39,14 +39,6 @@ def sinc(x):
     return out
 
 
-@dataclass(frozen=True)
-class AutocorrSample:
-    """One source-autocorrelation sample: R0 at a given lag."""
-
-    lag: float  # [s]
-    value: complex  # [W]
-
-
 class OpticalSpectrum:
     """Common interface of the spectrum models (see module docstring)."""
 
@@ -74,10 +66,6 @@ class OpticalSpectrum:
         """Transform of R0(u + a) R0*(u + b) evaluated at frequency f."""
         f = np.asarray(f, dtype=float)
         return np.exp(2j * np.pi * f * b) * self.cross_spectrum(f, a - b)
-
-    def autocorrelation_samples(self, lags) -> list[AutocorrSample]:
-        values = np.atleast_1d(self.autocorrelation(np.atleast_1d(np.asarray(lags, dtype=float))))
-        return [AutocorrSample(lag=float(u), value=complex(v)) for u, v in zip(np.atleast_1d(lags), values)]
 
     def with_unit_scale(self) -> "OpticalSpectrum":
         """Copy rescaled to a canonical PSD level (for scale-free ratios)."""

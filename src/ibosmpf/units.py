@@ -20,13 +20,6 @@ def optical_bandwidth_to_hz(delta_lambda: float, wavelength: float) -> float:
     return C * delta_lambda / wavelength**2
 
 
-def optical_bandwidth_to_m(delta_f: float, wavelength: float) -> float:
-    """Convert a frequency span (Hz) around ``wavelength`` (m) to meters."""
-    if wavelength <= 0:
-        raise ConfigurationError("wavelength must be positive")
-    return delta_f * wavelength**2 / C
-
-
 def wavelength_to_frequency(wavelength: float) -> float:
     if wavelength <= 0:
         raise ConfigurationError("wavelength must be positive")
@@ -42,12 +35,3 @@ def watts_to_dbm(p_w: float) -> float:
         raise ConfigurationError("power must be positive")
     return 10.0 * math.log10(p_w / 1e-3)
 
-
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ConfigurationError("value must be positive for dB conversion")
-    return 10.0 * math.log10(x)

@@ -21,6 +21,9 @@ from ibosmpf import (
     snr_ssb,
 )
 from ibosmpf.closed_forms import scheme_line_power
+from ibosmpf.engine import fundamental_line_power
+from ibosmpf.modulation import polarization_modulator_scheme
+from ibosmpf.pm import signal_power_pm
 from ibosmpf.units import dbm_to_watts
 
 B = 399.30733219562956e9  # 3.2 nm at 1550 nm
@@ -346,3 +349,33 @@ def test_single_point_sweep():
 def test_response_rejects_unmodulated():
     with pytest.raises(ConfigurationError):
         frequency_response_sweep(reference_link(scheme_kind="unmodulated"), np.array([1e9, 2e9]))
+
+
+def _custom_link():
+    base = reference_link().with_delay_for_center(4e9)
+    return replace(base, scheme=polarization_modulator_scheme(0.41, base.scheme.f_m))
+
+
+_SCALAR_POWER = {
+    "ssb": (reference_link, signal_power_ssb),
+    "dsb": (lambda: reference_link(scheme_kind="dsb"), signal_power_dsb),
+    "pm": (lambda: reference_link(scheme_kind="pm", gamma=0.41), signal_power_pm),
+    "custom": (_custom_link, fundamental_line_power),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALAR_POWER))
+def test_sweep_matches_scalar_loop(kind):
+    make_link, scalar_power = _SCALAR_POWER[kind]
+    link = make_link()
+    grid = np.linspace(2e9, 16e9, 57)
+    swept = frequency_response_sweep(link, grid, normalize_db=False)
+    points = [scalar_power(link, f) for f in grid]
+    assert all(isinstance(p, float) for p in points)
+    np.testing.assert_allclose(swept, points, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("f_m", [-1e9, math.nan])
+def test_custom_sweep_rejects_invalid_frequency(f_m):
+    with pytest.raises(ConfigurationError):
+        frequency_response_sweep(_custom_link(), np.array([2e9, f_m]))

@@ -16,23 +16,12 @@ from ibosmpf import (
     gamma_from_csr,
 )
 from ibosmpf.modulation import (
-    bessel_j0,
-    bessel_j1,
     cyclic_orders,
     dual_input_mzm_scheme,
     polarization_modulator_scheme,
 )
 
 F_M = 10e9
-
-
-# --- Bessel series -------------------------------------------------------
-
-
-@pytest.mark.parametrize("x", [0.0, 0.1, 0.39, 0.41, 0.8, 1.5])
-def test_bessel_series_against_scipy(x):
-    assert bessel_j0(x) == pytest.approx(scipy_j0(x), abs=1e-13)
-    assert bessel_j1(x) == pytest.approx(scipy_j1(x), abs=1e-13)
 
 
 # --- scheme construction ---------------------------------------------------

@@ -197,3 +197,15 @@ def test_pm_passband_peaks_flat():
 def test_pm_forms_reject_other_schemes():
     with pytest.raises(ConfigurationError):
         snr_pm(reference_link(scheme_kind="ssb"))
+
+
+def test_line_weights_order_subset(link):
+    grid = np.array([2e9, 7.5e9, link.passband_center(), 15e9])
+    for f_m in (link.passband_center(), grid):
+        full = pm_line_weights(link, f_m=f_m)
+        pair = pm_line_weights(link, f_m=f_m, orders=(-1, 1))
+        assert sorted(pair) == [-1, 1]
+        for k in (-1, 1):
+            np.testing.assert_array_equal(pair[k], full[k])
+    scalar = [pm_line_weights(link, f_m=f)[1] for f in grid]
+    np.testing.assert_allclose(pm_line_weights(link, f_m=grid)[1], scalar, rtol=1e-12, atol=0.0)

@@ -185,13 +185,6 @@ def test_tabulated_hermitian_for_asymmetric_spectrum():
     assert np.all(np.abs(fwd) <= abs(spec.autocorrelation(0.0)) * (1 + 1e-12))
 
 
-def test_autocorrelation_samples_helper():
-    spec = make_rect()
-    samples = spec.autocorrelation_samples([-2e-12, 0.0, 2e-12])
-    assert samples[1].value.real == pytest.approx(N0 * B)
-    assert samples[0].value == pytest.approx(np.conj(samples[2].value))
-
-
 def test_unit_scale_copy():
     spec = make_rect(n0=7.5)
     unit = spec.with_unit_scale()
