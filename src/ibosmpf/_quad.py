@@ -10,45 +10,23 @@ accuracy.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    return x, w
+# 16-point Gauss-Legendre rule on [-1, 1], mapped onto every panel
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _unit_panel_rule(n_panels: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_panel_rule(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule on [0, 1]: node positions and weights."""
-    x, w = _gauss_rule(n_points)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 / n_panels
     centers = edges[:-1] + half
-    nodes = (centers[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w[None, :], (n_panels, n_points)).ravel()
+    nodes = (centers[:, None] + half * _NODES[None, :]).ravel()
+    weights = np.broadcast_to(half * _WEIGHTS[None, :], (n_panels, _NODES.size)).ravel()
     return nodes, weights.copy()
-
-
-def band_integral(
-    w: Callable[[np.ndarray], np.ndarray],
-    support: tuple[float, float],
-    cycle_rate: float,
-    n_points: int = 16,
-    min_panels: int = 4,
-) -> complex:
-    """Integrate a band-limited weight over its support."""
-    lo, hi = support
-    width = hi - lo
-    if width <= 0:
-        return 0.0 + 0.0j
-    n_panels = int(np.ceil(width * abs(cycle_rate) / 1.5)) + min_panels
-    nodes, weights = _unit_panel_rule(n_panels, n_points)
-    values = np.asarray(w(lo + width * nodes), dtype=complex)
-    return complex(np.dot(values, weights) * width)
 
 
 def band_correlation(
@@ -58,14 +36,12 @@ def band_correlation(
     support2: tuple[float, float],
     shifts: np.ndarray,
     cycle_rate: float,
-    n_points: int = 16,
-    min_panels: int = 4,
 ) -> np.ndarray:
     """Evaluate ``int w1(v) * w2(v - g) dv`` for every shift g.
 
     ``w1``/``w2`` must vanish outside their supports; only the overlap is
     integrated.  ``cycle_rate`` bounds the oscillation of the combined
-    integrand in cycles per hertz.
+    integrand in cycles per hertz; four panels are added to that count.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     lo1, hi1 = support1
@@ -78,8 +54,8 @@ def band_correlation(
     if max_width == 0.0:
         return np.zeros(shifts.shape, dtype=complex)
 
-    n_panels = int(np.ceil(max_width * abs(cycle_rate) / 1.5)) + min_panels
-    unit_nodes, unit_weights = _unit_panel_rule(n_panels, n_points)
+    n_panels = int(np.ceil(max_width * abs(cycle_rate) / 1.5)) + 4
+    unit_nodes, unit_weights = _unit_panel_rule(n_panels)
 
     nodes = lo[:, None] + width[:, None] * unit_nodes[None, :]
     weights = width[:, None] * unit_weights[None, :]

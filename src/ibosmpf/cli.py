@@ -27,7 +27,7 @@ from .closed_forms import (
 from .errors import ConfigurationError, DomainError
 from .modulation import ModulationKind
 from .montecarlo import SimulationGrid, WelchConfig, estimate_snr
-from .oeo import oeo_phase_noise
+from .oeo import noise_to_signal_ratio, oeo_phase_noise
 from .pm import snr_pm
 from .scenario import Scenario, load_scenario
 from .spectrum import RectangularSpectrum
@@ -253,8 +253,7 @@ def run_oeo(args, scenario: Scenario) -> int:
     spec = scenario.oeo
     delta = spec.delta
     if spec.from_link:
-        report = _snr_report(scenario.link)
-        delta = 1.0 / report.snr_linear
+        delta = noise_to_signal_ratio(_snr_report(scenario.link))
     tau = spec.tau
     if scenario.sweep is not None and scenario.sweep.variable == "f_offset":
         f_offsets = scenario.sweep.values()

@@ -162,19 +162,15 @@ def signal_power_ssb(link: LinkConfig, f_m=None, flat: bool = False):
     return power if f_m.ndim else float(power)
 
 
-def signal_power_dsb(link: LinkConfig, f_m=None, convention: str = "exact"):
+def signal_power_dsb(link: LinkConfig, f_m=None):
     """Double-sideband detected signal power at f_m.
 
-    ``convention="exact"`` sums the +-f_m line weights,
-    8 (gamma/2)^2 cos^2(pi f_m v_m) |H(v_m)|^2.  ``convention="response"``
-    returns one quarter of that (a per-sideband normalization that leaves
-    any normalized response curve unchanged); see the README notes.
+    The sum of the +-f_m line weights,
+    8 (gamma/2)^2 cos^2(pi f_m v_m) |H(v_m)|^2; see the README notes.
     ``f_m`` may be an array; a scalar returns a float.
     """
     if link.scheme.kind is not ModulationKind.DSB:
         raise ConfigurationError("signal_power_dsb requires a DSB scheme")
-    if convention not in ("exact", "response"):
-        raise ConfigurationError("convention must be 'exact' or 'response'")
     gamma = link.scheme.gamma
     if f_m is None:
         f_m = link.scheme.f_m
@@ -183,8 +179,6 @@ def signal_power_dsb(link: LinkConfig, f_m=None, convention: str = "exact"):
     h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
     fading = np.cos(math.pi * f_m * v_m) ** 2
     power = 8.0 * (gamma / 2.0) ** 2 * fading * np.abs(h) ** 2
-    if convention == "response":
-        power = power / 4.0
     return power if f_m.ndim else float(power)
 
 

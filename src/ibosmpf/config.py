@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import NoPassbandError
@@ -60,9 +59,6 @@ class LinkConfig:
 
     def with_spectrum(self, spectrum: OpticalSpectrum) -> "LinkConfig":
         return replace(self, spectrum=spectrum)
-
-    def at_passband_center(self) -> "LinkConfig":
-        return self.with_modulation_frequency(self.passband_center())
 
 
 def reference_link(

@@ -30,16 +30,16 @@ class SpectralDecomposition:
         self.line_frequencies = np.asarray(self.line_frequencies, dtype=float)[order]
         self.line_powers = np.asarray(self.line_powers, dtype=float)[order]
 
-    def line_power_at(self, f: float, rtol: float = 1e-9, atol: float = 1.0) -> float:
-        """Total power of lines within a tolerance of ``f`` (0 if none)."""
-        sel = np.isclose(self.line_frequencies, f, rtol=rtol, atol=atol)
+    def line_power_at(self, f: float) -> float:
+        """Total power of lines within 1 Hz + 1e-9 relative of ``f`` (0 if none)."""
+        sel = np.isclose(self.line_frequencies, f, rtol=1e-9, atol=1.0)
         return float(self.line_powers[sel].sum())
 
-    def clamp_continuum(self, floor_scale: float = 0.0) -> None:
-        """Clamp tiny negative continuum values, recording the excursion."""
+    def clamp_continuum(self) -> None:
+        """Clamp tiny negative continuum values to 0, recording the excursion."""
         min_value = float(self.continuum.min(initial=0.0))
-        clipped = int(np.count_nonzero(self.continuum < floor_scale))
-        self.continuum = np.clip(self.continuum, floor_scale, None)
+        clipped = int(np.count_nonzero(self.continuum < 0.0))
+        self.continuum = np.clip(self.continuum, 0.0, None)
         self.metadata["continuum_min_before_clamp"] = min_value
         self.metadata["continuum_clamped_points"] = clipped
 

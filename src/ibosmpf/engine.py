@@ -9,8 +9,9 @@ coefficient pair (and arm amplitude ratio) is supported.
 
 Discrete lines come from the lag-independent parts evaluated directly from
 the autocorrelation; the continuum requires transforms of shifted
-autocorrelation products, computed here as numeric spectral correlation
-integrals (Gauss-Legendre panels over the band overlap).  That numeric
+autocorrelation products, computed as numeric spectral correlation
+integrals (:func:`ibosmpf.spectrum.spectral_correlation`, Gauss-Legendre
+panels over the band overlap) for every spectrum model.  That numeric
 route is deliberately independent of the per-scheme closed forms, which use
 the analytic transforms instead; the two are cross-checked in the tests.
 """
@@ -23,12 +24,11 @@ from typing import Mapping
 
 import numpy as np
 
-from ._quad import band_correlation
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition, real_line_powers
 from .errors import ConfigurationError, DomainError
 from .modulation import build_scheme
-from .spectrum import OpticalSpectrum
+from .spectrum import spectral_correlation
 
 # Slot assignments (a, b, c, e): which arm feeds each of the four field
 # factors E_a*(t) E_b(t+v) E_c*(t+v+u) E_e(t+u).  Arm 1 is undelayed, arm 2
@@ -71,19 +71,6 @@ def _modulation_tables(
                     table[key] = table.get(key, 0.0 + 0.0j) + coeff
         tables[slots] = table
     return tables
-
-
-def _spectral_correlation(
-    spectrum: OpticalSpectrum, shifts: np.ndarray, lag_offset: float
-) -> np.ndarray:
-    """int G(v) G(v - g) exp(j 2 pi v lag_offset) dv for each shift g."""
-    sup = spectrum.support()
-    if lag_offset == 0.0:
-        w1 = spectrum.psd
-    else:
-        def w1(v):
-            return spectrum.psd(v) * np.exp(2j * np.pi * v * lag_offset)
-    return band_correlation(w1, spectrum.psd, sup, sup, shifts, cycle_rate=abs(lag_offset))
 
 
 def _arm_modulations(link: LinkConfig):
@@ -155,7 +142,7 @@ def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecom
         for (k_v, k_u), coeff in tables[slots].items():
             key = (ua - ub, k_u)
             if key not in corr_cache:
-                corr_cache[key] = _spectral_correlation(
+                corr_cache[key] = spectral_correlation(
                     spectrum, f_grid - k_u * f_m, (ua - ub) * d
                 )
             base = (

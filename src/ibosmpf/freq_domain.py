@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._quad import band_correlation, band_integral
+from ._quad import band_correlation
 from .config import LinkConfig
 from .errors import ConfigurationError
 from .modulation import ModulationKind
@@ -74,7 +74,8 @@ def freq_domain_signal_power(link: LinkConfig, f_m: float | None = None) -> floa
     if f_m is None:
         f_m = link.scheme.f_m
     x1, x3, y2, y5, sup1, sup3, rate = _weights(link, f_m)
-    q = band_integral(y2, sup1, rate)
+    # int y2(v) dv: the correlation with a unit weight at zero shift
+    q = band_correlation(y2, np.ones_like, sup1, sup1, 0.0, rate)[0]
     return 2.0 * (gamma / 2.0) ** 2 * abs(q) ** 2
 
 

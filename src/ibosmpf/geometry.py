@@ -29,17 +29,14 @@ class DispersionSpec:
     """Accumulated dispersion of the link after the modulator."""
 
     phi: float  # group-delay dispersion, beta0'' * z [s^2]
-    group_delay: float = 0.0  # overall beta0' * z [s]; pure time shift, no PSD effect
 
     def __post_init__(self):
         if not math.isfinite(self.phi):
             raise ConfigurationError("phi must be finite")
 
     @classmethod
-    def from_dispersion_parameter(
-        cls, dispersion: float, wavelength: float, group_delay: float = 0.0
-    ) -> "DispersionSpec":
-        return cls(phi=phi_from_dispersion(dispersion, wavelength), group_delay=group_delay)
+    def from_dispersion_parameter(cls, dispersion: float, wavelength: float) -> "DispersionSpec":
+        return cls(phi=phi_from_dispersion(dispersion, wavelength))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import welch as _welch
 
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition
@@ -74,18 +73,13 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
 @dataclass(frozen=True)
 class WelchConfig:
-    """Averaged-periodogram settings (density-calibrated, two-sided)."""
+    """Averaged-periodogram segment length (Hann window, 50 % overlap)."""
 
     nperseg: int = 32768
-    overlap: float = 0.5
-    window: str = "hann"
-    detrend: str = "constant"
 
     def __post_init__(self):
         if self.nperseg < 16:
             raise ConfigurationError("nperseg too small")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ConfigurationError("overlap must be in [0, 1)")
 
     def bin_width(self, dt: float) -> float:
         return 1.0 / (self.nperseg * dt)
@@ -138,60 +132,51 @@ def propagate(field: np.ndarray, link: LinkConfig, grid: SimulationGrid) -> np.n
 
 
 def estimate_psd(
-    intensity: np.ndarray,
-    grid: SimulationGrid,
-    welch: WelchConfig = WelchConfig(),
-    line_frequencies: tuple[float, ...] = (),
+    intensity: np.ndarray, grid: SimulationGrid, welch: WelchConfig = WelchConfig()
 ) -> SpectralDecomposition:
-    """Two-sided Welch density plus integrated powers of expected lines."""
+    """Two-sided Welch density: Hann window, 50 % overlap, constant detrend.
+
+    The returned decomposition carries no lines; :func:`extract_line`
+    integrates a tone from its continuum.
+    """
+    from scipy.signal import welch as _welch
+
     if welch.nperseg > intensity.size:
         raise ConfigurationError("Welch segment longer than the record")
     freqs, density = _welch(
         intensity,
         fs=grid.sample_rate,
-        window=welch.window,
+        window="hann",
         nperseg=welch.nperseg,
-        noverlap=int(welch.nperseg * welch.overlap),
-        detrend=welch.detrend,
+        noverlap=welch.nperseg // 2,
+        detrend="constant",
         return_onesided=False,
         scaling="density",
     )
-    freqs = np.fft.fftshift(freqs)
-    density = np.fft.fftshift(density)
-    line_powers = []
-    for f_line in line_frequencies:
-        power, _ = extract_line(freqs, density, f_line, welch.bin_width(grid.dt))
-        line_powers.append(power)
     return SpectralDecomposition(
-        frequencies=freqs,
-        continuum=density,
-        line_frequencies=np.asarray(line_frequencies, dtype=float),
-        line_powers=np.asarray(line_powers, dtype=float),
+        frequencies=np.fft.fftshift(freqs),
+        continuum=np.fft.fftshift(density),
+        line_frequencies=np.empty(0),
+        line_powers=np.empty(0),
         metadata={"path": "welch", "nperseg": welch.nperseg},
     )
 
 
 def extract_line(
-    freqs: np.ndarray,
-    density: np.ndarray,
-    f_line: float,
-    df: float,
-    halfwidth: int = 2,
-    floor_gap: int = 3,
-    floor_span: int = 8,
+    freqs: np.ndarray, density: np.ndarray, f_line: float, df: float
 ) -> tuple[float, float]:
     """Integrated line power and the local floor density around one tone.
 
-    Integrates +-``halfwidth`` bins and subtracts the median floor taken
-    from the bins ``floor_gap+1 .. floor_span`` on both sides.
+    Integrates the 5 bins centred on the tone and subtracts the median
+    floor taken from bins 4 .. 8 away on both sides.
     """
     idx = int(np.argmin(np.abs(freqs - f_line)))
-    lo, hi = idx - halfwidth, idx + halfwidth + 1
+    lo, hi = idx - 2, idx + 3
     if lo < 0 or hi > density.size:
         raise ConfigurationError("line too close to the grid edge")
     core = density[lo:hi].sum()
-    floor = floor_density(freqs, density, f_line, floor_gap, floor_span, statistic="median")
-    power = (core - floor * (2 * halfwidth + 1)) * df
+    floor = floor_density(freqs, density, f_line, 3, 8, statistic="median")
+    power = (core - floor * 5) * df
     return power, floor
 
 

@@ -44,10 +44,3 @@ def noise_to_signal_ratio(report: SnrReport) -> float:
     if report.snr_linear <= 0:
         raise DomainError("SNR must be positive")
     return 1.0 / report.snr_linear
-
-
-def loop_mode_offsets(tau: float, k_max: int) -> np.ndarray:
-    """Offsets k / tau of the phase-noise maxima, k = 0..k_max."""
-    if tau <= 0:
-        raise DomainError("loop delay tau must be positive")
-    return np.arange(k_max + 1) / tau

@@ -3,7 +3,8 @@
 A scenario describes one link in engineering units, at most one sweep axis,
 an optional Monte-Carlo block, optional expectations for ``--compare``, and
 output settings.  Ambiguous quantities (bare numbers where a unit is
-required) are rejected rather than guessed.
+required) are rejected rather than guessed, and so is any key the loader
+does not read, at the top level or inside a section.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def parse_db(name: str, raw: Any) -> float:
     parts = str(raw).strip().split()
     if len(parts) != 2 or parts[1].lower() != "db":
         raise ConfigurationError(f"field {name}: expected 'value dB'")
-    return float(parts[0])
+    try:
+        return float(parts[0])
+    except ValueError as exc:
+        raise ConfigurationError(f"field {name}: bad number in {raw!r}") from exc
 
 
 def _parse_bandwidth(name: str, raw: Any, wavelength: float) -> float:
@@ -151,12 +155,46 @@ _SWEEP_UNIT_KIND = {
 }
 
 
-def _build_link(data: dict) -> tuple[LinkConfig, float]:
-    if "link" not in data:
-        raise ConfigurationError("field link: missing section")
-    raw = data["link"]
+# keys each level of a scenario may hold; anything else is rejected
+_TOP_KEYS = ("link", "sweep", "mc", "oeo", "rf_input_power", "expect", "outputs")
+_SECTION_KEYS = {
+    "link": (
+        "scheme", "center_wavelength", "bandwidth", "psd_level", "gdd", "dispersion",
+        "delay", "center_frequency", "gamma", "csr", "rf_frequency",
+    ),
+    "sweep": ("variable", "start", "stop", "points"),
+    "mc": ("dt", "samples", "realizations", "seed"),
+    "oeo": ("tau", "delta", "from_link", "f_max", "points"),
+    "expect": ("snr_db_hz",),
+    "outputs": ("path", "format"),
+}
+
+
+def _reject_unknown(raw: dict, allowed, prefix: str) -> None:
+    for key in raw:
+        if key not in allowed:
+            raise ConfigurationError(
+                f"field {prefix}{key}: unknown key (allowed: {', '.join(allowed)})"
+            )
+
+
+def _section(data: dict, name: str) -> Optional[dict]:
+    """The mapping under ``name`` (None if absent, {} if empty), keys checked."""
+    if name not in data:
+        return None
+    raw = data[name]
+    if raw is None:
+        raw = {}
     if not isinstance(raw, dict):
-        raise ConfigurationError("field link: must be a mapping")
+        raise ConfigurationError(f"field {name}: must be a mapping")
+    _reject_unknown(raw, _SECTION_KEYS[name], f"{name}.")
+    return raw
+
+
+def _build_link(data: dict) -> tuple[LinkConfig, float]:
+    raw = _section(data, "link")
+    if raw is None:
+        raise ConfigurationError("field link: missing section")
 
     kind_name = str(raw.get("scheme", "ssb")).lower()
     try:
@@ -222,9 +260,9 @@ def _build_link(data: dict) -> tuple[LinkConfig, float]:
 
 
 def _build_sweep(data: dict, wavelength: float) -> Optional[SweepSpec]:
-    if "sweep" not in data:
+    raw = _section(data, "sweep")
+    if raw is None:
         return None
-    raw = data["sweep"]
     for key in ("variable", "start", "stop", "points"):
         if key not in raw:
             raise ConfigurationError(f"field sweep.{key}: missing")
@@ -252,9 +290,9 @@ def _build_sweep(data: dict, wavelength: float) -> Optional[SweepSpec]:
 
 
 def _build_mc(data: dict) -> Optional[McSpec]:
-    if "mc" not in data:
+    raw = _section(data, "mc")
+    if raw is None:
         return None
-    raw = data["mc"]
     dt = parse_time("mc.dt", raw.get("dt", "0.25 ps"))
     n_samples = raw.get("samples", 2**20)
     realizations = raw.get("realizations", 64)
@@ -266,9 +304,9 @@ def _build_mc(data: dict) -> Optional[McSpec]:
 
 
 def _build_oeo(data: dict) -> Optional[OeoSpec]:
-    if "oeo" not in data:
+    raw = _section(data, "oeo")
+    if raw is None:
         return None
-    raw = data["oeo"]
     if "tau" not in raw:
         raise ConfigurationError("field oeo.tau: missing")
     tau = parse_time("oeo.tau", raw["tau"])
@@ -294,6 +332,7 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigurationError(f"scenario parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError("scenario must be a mapping")
+    _reject_unknown(data, _TOP_KEYS, "")
     link, wavelength = _build_link(data)
     sweep = _build_sweep(data, wavelength)
     mc = _build_mc(data)
@@ -301,11 +340,15 @@ def load_scenario(path: str) -> Scenario:
     rf_power = None
     if "rf_input_power" in data:
         rf_power = parse_power_w("rf_input_power", data["rf_input_power"])
-    expect = data.get("expect", {}) or {}
-    if not isinstance(expect, dict):
-        raise ConfigurationError("field expect: must be a mapping")
-    outputs = data.get("outputs", {}) or {}
+    expect = _section(data, "expect") or {}
+    if "snr_db_hz" in expect:
+        value = expect["snr_db_hz"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigurationError("field expect.snr_db_hz: must be a plain number")
+    outputs = _section(data, "outputs") or {}
     output_path = outputs.get("path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigurationError("field outputs.path: must be a string")
     output_format = str(outputs.get("format", "csv")).lower()
     if output_format not in ("csv", "json"):
         raise ConfigurationError("field outputs.format: must be csv or json")

@@ -25,6 +25,9 @@ from ._quad import band_correlation
 from .errors import ConfigurationError
 
 _SINC_SERIES_CUTOFF = 1e-4
+# complex values per lag x grid block of the tabulated transform; a grid
+# longer than this is transformed one lag at a time
+_ACORR_BLOCK = 2**20
 
 
 def sinc(x):
@@ -179,10 +182,13 @@ class TabulatedSpectrum(OpticalSpectrum):
         scalar = np.ndim(lag) == 0
         lag = np.atleast_1d(np.asarray(lag, dtype=float))
         step = self.step
-        series = np.empty(lag.shape, dtype=complex)
-        for i, u in enumerate(lag):  # lag-wise to bound memory on fine grids
-            series[i] = np.exp(2j * np.pi * u * self.grid) @ self.values
-        out = step * sinc(np.pi * step * lag) ** 2 * series
+        flat = lag.ravel()
+        series = np.empty(flat.shape, dtype=complex)
+        rows = max(1, _ACORR_BLOCK // self.grid.size)
+        for start in range(0, flat.size, rows):
+            block = flat[start : start + rows, None]
+            series[start : start + rows] = np.exp(2j * np.pi * block * self.grid) @ self.values
+        out = step * sinc(np.pi * step * lag) ** 2 * series.reshape(lag.shape)
         return complex(out[0]) if scalar else out
 
     def _hat_correlation_coeffs(self) -> np.ndarray:
@@ -213,14 +219,7 @@ class TabulatedSpectrum(OpticalSpectrum):
         return out if out.size > 1 else float(out[0])
 
     def cross_spectrum(self, f, shift):
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        sup = self.support()
-        if shift == 0.0:
-            w1 = self.psd
-        else:
-            def w1(v):
-                return self.psd(v) * np.exp(2j * np.pi * v * shift)
-        out = band_correlation(w1, self.psd, sup, sup, f, cycle_rate=abs(shift))
+        out = spectral_correlation(self, f, shift)
         return out if out.size > 1 else complex(out[0])
 
     def support(self) -> tuple[float, float]:
@@ -247,11 +246,25 @@ def _hat_autocorrelation(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def tabulate(spectrum: OpticalSpectrum, n_points: int, pad: float = 0.0) -> TabulatedSpectrum:
-    """Sample any spectrum model onto a uniform grid (testing aid)."""
+def spectral_correlation(spectrum: OpticalSpectrum, f, shift: float) -> np.ndarray:
+    """``int G(v) G(v - f) exp(j 2 pi v shift) dv`` for each f, by quadrature.
+
+    Needs only the model's PSD and support, so it serves any model; the
+    array is returned even for a single f.
+    """
+    sup = spectrum.support()
+    if shift == 0.0:
+        w1 = spectrum.psd
+    else:
+        def w1(v):
+            return spectrum.psd(v) * np.exp(2j * np.pi * v * shift)
+    return band_correlation(w1, spectrum.psd, sup, sup, f, cycle_rate=abs(shift))
+
+
+def tabulate(spectrum: OpticalSpectrum, n_points: int) -> TabulatedSpectrum:
+    """Sample any spectrum model onto a uniform grid over its support."""
     lo, hi = spectrum.support()
-    span = hi - lo
-    grid = np.linspace(lo - pad * span, hi + pad * span, n_points)
+    grid = np.linspace(lo, hi, n_points)
     return TabulatedSpectrum(
         grid=grid,
         values=np.asarray(spectrum.psd(grid), dtype=float),

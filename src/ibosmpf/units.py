@@ -7,8 +7,6 @@ with the exact vacuum light speed.
 
 from __future__ import annotations
 
-import math
-
 from .constants import C
 from .errors import ConfigurationError
 
@@ -28,10 +26,3 @@ def wavelength_to_frequency(wavelength: float) -> float:
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(p_w: float) -> float:
-    if p_w <= 0:
-        raise ConfigurationError("power must be positive")
-    return 10.0 * math.log10(p_w / 1e-3)
-

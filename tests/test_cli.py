@@ -59,10 +59,38 @@ def test_sign_mismatch_exit_3(tmp_path):
     scenario = write(
         tmp_path,
         "neg.yaml",
-        BASE_LINK.format(scheme="ssb", gamma=0.39).replace("79.4 ps", "-79.4 ps")
-        + "link_extra: null\n",
+        BASE_LINK.format(scheme="ssb", gamma=0.39).replace("79.4 ps", "-79.4 ps"),
     )
     assert main(["snr", "--scenario", scenario]) == 3
+
+
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        ("sweep: 5\n", "sweep"),
+        ("mc: 3\n", "mc"),
+        ("outputs: 5\n", "outputs"),
+        ("oeo: 7\n", "oeo"),
+        ("expect: 94.9\n", "expect"),
+        ("mcc:\n  seed: 1\n", "mcc"),
+        ("  colour: red\n", "link.colour"),
+        ("sweep:\n  variable: gamma\n  start: 0.1\n  stop: 0.2\n  points: 2\n  step: 1\n", "sweep.step"),
+        ("mc:\n  seeds: 3\n", "mc.seeds"),
+        ("oeo:\n  tau: 1 us\n  from_link: true\n  taus: 2 us\n", "oeo.taus"),
+        ("expect:\n  snr_db_hz: high\n", "expect.snr_db_hz"),
+        ("outputs:\n  path: 5\n", "outputs.path"),
+    ],
+)
+def test_malformed_section_exit_2(tmp_path, capsys, extra, field):
+    scenario = write(tmp_path, "sec.yaml", BASE_LINK.format(scheme="ssb", gamma=0.39) + extra)
+    assert main(["snr", "--scenario", scenario]) == 2
+    assert f"field {field}:" in capsys.readouterr().err
+
+
+def test_bad_csr_number_exit_2(tmp_path, capsys):
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39).replace("gamma: 0.39", "csr: abc dB")
+    assert main(["snr", "--scenario", write(tmp_path, "csr.yaml", text)]) == 2
+    assert "field link.csr:" in capsys.readouterr().err
 
 
 def test_oeo_domain_exit_3(tmp_path):

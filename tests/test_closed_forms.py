@@ -114,9 +114,6 @@ def test_dsb_power_at_dc_conventions(dsb):
     assert signal_power_dsb(dsb, 0.0) == pytest.approx(
         8.0 * (gamma / 2) ** 2 * abs(h0) ** 2, rel=1e-12
     )
-    assert signal_power_dsb(dsb, 0.0, convention="response") == pytest.approx(
-        2.0 * (gamma / 2) ** 2 * abs(h0) ** 2, rel=1e-12
-    )
 
 
 def test_dsb_fading_null(dsb):
@@ -142,9 +139,6 @@ def test_dsb_ssb_fading_ratio(f_m):
     fading = math.cos(math.pi * f_m * v_m) ** 2
     p_ssb = signal_power_ssb(ssb, f_m)
     assert signal_power_dsb(dsb, f_m) / p_ssb == pytest.approx(4.0 * fading, rel=1e-9)
-    assert signal_power_dsb(dsb, f_m, convention="response") / p_ssb == pytest.approx(
-        fading, rel=1e-9
-    )
 
 
 # --- SSB ---------------------------------------------------------------------

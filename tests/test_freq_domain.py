@@ -35,7 +35,8 @@ def random_ssb_link(rng) -> LinkConfig:
 
 
 def test_bench_point_cross_path_equality():
-    link = reference_link().at_passband_center()
+    link = reference_link()
+    link = link.with_modulation_frequency(link.passband_center())
     f_c = link.scheme.f_m
     sig_td = signal_power_ssb(link, f_c)
     sig_fd = freq_domain_signal_power(link)

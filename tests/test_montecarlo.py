@@ -128,9 +128,10 @@ def test_sinusoid_line_power_calibration():
     rng = realization_rng(77, 0)
     amplitude = 3.0
     x = amplitude * np.cos(2 * np.pi * f0 * t) + 0.05 * rng.standard_normal(grid.n_samples)
-    decomp = estimate_psd(x, grid, welch, line_frequencies=(f0,))
+    decomp = estimate_psd(x, grid, welch)
+    power, _ = extract_line(decomp.frequencies, decomp.continuum, f0, welch.bin_width(grid.dt))
     # two-sided: the +f0 line carries a quarter of the amplitude squared
-    assert decomp.line_powers[0] == pytest.approx(amplitude**2 / 4.0, rel=0.01)
+    assert power == pytest.approx(amplitude**2 / 4.0, rel=0.01)
 
 
 def test_white_noise_density_calibration():

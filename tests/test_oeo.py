@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ibosmpf import DomainError, noise_to_signal_ratio, oeo_phase_noise, reference_link, snr_ssb
-from ibosmpf.oeo import loop_mode_offsets
 
 TAU = 1e-6
 DELTA = 1e-12  # delta/tau = 1e-6
@@ -21,7 +20,7 @@ def test_low_offset_plateau():
 
 def test_maxima_exactly_at_loop_modes():
     f = np.linspace(0.05 / TAU, 3.45 / TAU, 1000 * 7 + 1)
-    modes = loop_mode_offsets(TAU, 3)[1:]
+    modes = np.arange(1, 4) / TAU  # loop modes k / tau
     grid = np.unique(np.concatenate([f, modes]))
     s = oeo_phase_noise(DELTA, TAU, grid)
     for mode in modes:

@@ -75,6 +75,16 @@ def test_tabulated_autocorrelation_matches_rect_sinc():
     assert np.max(np.abs(got - want)) < 1e-6 * N0 * B
 
 
+def test_tabulated_autocorrelation_blocks_match_per_lag_sum():
+    spec = tabulate(make_rect(), 4096)  # 256 lags per block
+    lags = np.linspace(-4.0 / B, 4.0 / B, 700)
+    series = np.array([np.exp(2j * np.pi * u * spec.grid) @ spec.values for u in lags])
+    want = spec.step * sinc(np.pi * spec.step * lags) ** 2 * series
+    got = spec.autocorrelation(lags)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_array_equal(spec.autocorrelation(lags.reshape(7, 100)), got.reshape(7, 100))
+
+
 def test_tabulated_autoconvolution_matches_triangle():
     spec = tabulate(make_rect(), 4097)
     f = np.linspace(-1.2 * B, 1.2 * B, 101)

@@ -16,7 +16,6 @@ from ibosmpf.geometry import DispersionSpec, InterferometerSpec
 from ibosmpf.units import (
     dbm_to_watts,
     optical_bandwidth_to_hz,
-    watts_to_dbm,
     wavelength_to_frequency,
 )
 
@@ -96,13 +95,12 @@ def test_bandwidth_conversion():
 
 def test_power_conversions():
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert watts_to_dbm(dbm_to_watts(6.0)) == pytest.approx(6.0, abs=1e-12)
+    assert dbm_to_watts(6.0) == pytest.approx(10.0**0.6 * 1e-3, rel=1e-12)
 
 
 def test_dispersion_spec_from_parameter():
     spec = DispersionSpec.from_dispersion_parameter(BENCH_D, BENCH_LAMBDA)
     assert spec.phi == pytest.approx(BENCH_PHI, rel=1e-12)
-    assert spec.group_delay == 0.0
 
 
 def test_interferometer_validation():
