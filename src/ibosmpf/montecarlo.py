@@ -1,11 +1,16 @@
 """Stochastic-field oracle: synthesize, propagate, detect, estimate.
 
 Incoherent light is synthesized in the frequency domain (independent
-circular Gaussian variates per bin, scaled by sqrt(G df)), pushed through
-the interferometer / modulator / dispersion chain sample-by-sample, and
-square-law detected.  Welch-averaged periodograms calibrated in power/Hz
-then estimate the intensity PSD; discrete lines are integrated over a few
-bins with the local floor subtracted.
+circular Gaussian variates per bin, scaled by sqrt(G df / 2)), pushed
+through the interferometer / modulator / dispersion chain with the delay
+and the dispersion applied as exact frequency-domain phases, and
+square-law detected.  The factors that depend only on the link and the
+grid (synthesis amplitude, delay phase, both arm waveforms, dispersion
+all-pass) are computed once per ensemble and shared by its realizations.
+Welch-averaged periodograms of the real intensity, calibrated in power/Hz
+and mirrored onto negative frequencies, then estimate the two-sided
+intensity PSD; discrete lines are integrated over a few bins with the
+local floor subtracted.
 
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), so ensembles are order-independent and parallel-safe.
@@ -15,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition
 from .errors import ConfigurationError
-from .modulation import build_scheme
+from .modulation import _phasor, build_scheme
 from .spectrum import OpticalSpectrum
 
 
@@ -94,41 +100,88 @@ def realization_rng(root_seed: int, realization: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(root_seed), int(realization))))
 
 
-def synthesize_field(
-    spectrum: OpticalSpectrum, grid: SimulationGrid, rng: np.random.Generator
-) -> np.ndarray:
-    """Complex envelope with PSD G: per-bin circular Gaussian synthesis."""
-    freqs = grid.frequencies()
-    amplitude = np.sqrt(np.asarray(spectrum.psd(freqs), dtype=float) * grid.df)
+class _Plan(NamedTuple):
+    """Factors of one (link, grid) pair that no realization changes."""
+
+    amplitude: np.ndarray  # sqrt(G df / 2) per FFT bin
+    delay_phase: np.ndarray  # exp(-j 2 pi f tau)
+    arm1: np.ndarray  # m1(t)
+    arm2: np.ndarray  # k_total exp(-j theta) m2(t)
+    dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2)
+
+
+def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid) -> np.ndarray:
+    """Per-bin synthesis amplitude sqrt(G df / 2) of circular Gaussian variates."""
     if 0.5 * grid.sample_rate < spectrum.support()[1]:
         raise ConfigurationError("grid violates the spectrum's Nyquist limit")
-    noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
-    xhat = amplitude * noise * math.sqrt(0.5)
-    return np.fft.ifft(xhat, norm="forward")
+    psd = np.asarray(spectrum.psd(grid.frequencies()), dtype=float)
+    return np.sqrt(psd * (0.5 * grid.df))
 
 
-def propagate(field: np.ndarray, link: LinkConfig, grid: SimulationGrid) -> np.ndarray:
+def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
+    """Build the grid-only factors once; every realization of an ensemble reuses them."""
+    freqs = grid.frequencies()
+    m1, m2, k_scheme = build_scheme(link.scheme)
+    k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
+    t = grid.times()
+    arm1 = m1.evaluate(t)
+    arm2 = (arm1 if m2 is m1 else m2.evaluate(t)) * (k_total * np.exp(-1j * link.carrier_phase))
+    return _Plan(
+        amplitude=_amplitude(link.spectrum, grid),
+        delay_phase=_phasor(-2.0 * np.pi * freqs * link.delay),
+        arm1=arm1,
+        arm2=arm2,
+        dispersion=_phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2),
+    )
+
+
+def synthesize_field(
+    spectrum: OpticalSpectrum,
+    grid: SimulationGrid,
+    rng: np.random.Generator,
+    *,
+    plan: _Plan | None = None,
+) -> np.ndarray:
+    """Complex envelope with PSD G: per-bin circular Gaussian synthesis.
+
+    ``plan`` must come from a link whose spectrum is ``spectrum``.
+    """
+    # scipy.fft gives numpy.fft's values but allocates one work buffer per
+    # transform where numpy.fft allocates two; at 2^20 points the page
+    # faults on the second cost about a fifth of the transform's time
+    from scipy import fft as sp_fft
+
+    amplitude = _amplitude(spectrum, grid) if plan is None else plan.amplitude
+    xhat = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
+    xhat *= amplitude
+    return sp_fft.ifft(xhat, norm="forward", overwrite_x=True)
+
+
+def propagate(
+    field: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, plan: _Plan | None = None
+) -> np.ndarray:
     """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
 
     The differential delay is applied as an exact frequency-domain phase
     (no sample rounding); dispersion is one all-pass multiplication.
+    ``plan`` must come from ``_plan(link, grid)``.
     """
+    from scipy import fft as sp_fft
+
     if field.shape != (grid.n_samples,):
         raise ConfigurationError("field length does not match the grid")
-    freqs = grid.frequencies()
-    fhat = np.fft.fft(field)
-    delayed = np.fft.ifft(fhat * np.exp(-2j * np.pi * freqs * link.delay))
-
-    m1, m2, k_scheme = build_scheme(link.scheme)
-    k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
-    t = grid.times()
-    arm1 = field * m1.evaluate(t)
-    arm2 = delayed * m2.evaluate(t) * (k_total * np.exp(-1j * link.carrier_phase))
-    combined = arm1 + arm2
-
-    dispersion_phase = np.exp(-1j * link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
-    detected = np.fft.ifft(np.fft.fft(combined) * dispersion_phase)
-    return np.abs(detected) ** 2
+    if plan is None:
+        plan = _plan(link, grid)
+    delayed = sp_fft.fft(field)
+    delayed *= plan.delay_phase
+    delayed = sp_fft.ifft(delayed, overwrite_x=True)
+    delayed *= plan.arm2
+    combined = field * plan.arm1
+    combined += delayed
+    combined = sp_fft.fft(combined, overwrite_x=True)
+    combined *= plan.dispersion
+    combined = sp_fft.ifft(combined, overwrite_x=True)
+    return np.abs(combined) ** 2
 
 
 def estimate_psd(
@@ -136,8 +189,10 @@ def estimate_psd(
 ) -> SpectralDecomposition:
     """Two-sided Welch density: Hann window, 50 % overlap, constant detrend.
 
-    The returned decomposition carries no lines; :func:`extract_line`
-    integrates a tone from its continuum.
+    The intensity is real, so the density is computed one-sided and
+    mirrored onto the negative frequencies.  The returned decomposition
+    carries no lines; :func:`extract_line` integrates a tone from its
+    continuum.
     """
     from scipy.signal import welch as _welch
 
@@ -150,12 +205,17 @@ def estimate_psd(
         nperseg=welch.nperseg,
         noverlap=welch.nperseg // 2,
         detrend="constant",
-        return_onesided=False,
+        return_onesided=True,
         scaling="density",
     )
+    # one-sided bins carry both signs: halve all but DC and, for an even
+    # segment, the Nyquist bin, which the two-sided grid holds once (at -fs/2)
+    even = welch.nperseg % 2 == 0
+    density[1 : density.size - even] *= 0.5
+    positive = slice(0, freqs.size - even)
     return SpectralDecomposition(
-        frequencies=np.fft.fftshift(freqs),
-        continuum=np.fft.fftshift(density),
+        frequencies=np.concatenate((-freqs[:0:-1], freqs[positive])),
+        continuum=np.concatenate((density[:0:-1], density[positive])),
         line_frequencies=np.empty(0),
         line_powers=np.empty(0),
         metadata={"path": "welch", "nperseg": welch.nperseg},
@@ -245,6 +305,8 @@ def estimate_snr(
     """
     if n_realizations < 8:
         raise ConfigurationError("at least 8 realizations are required")
+    if welch.nperseg > grid.n_samples:
+        raise ConfigurationError("Welch segment longer than the record")
     if f_m is None:
         f_m = link.passband_center()
     f_m = welch.snap_frequency(f_m, grid.dt)
@@ -257,10 +319,11 @@ def estimate_snr(
     floors = np.empty(n_realizations)
     snrs = np.empty(n_realizations)
     probes = {f: np.empty(n_realizations) for f in probe_frequencies}
+    plan = _plan(link, grid)
     for r in range(n_realizations):
         rng = realization_rng(seed, r)
-        field_r = synthesize_field(link.spectrum, grid, rng)
-        intensity = propagate(field_r, link, grid)
+        field_r = synthesize_field(link.spectrum, grid, rng, plan=plan)
+        intensity = propagate(field_r, link, grid, plan=plan)
         decomp = estimate_psd(intensity, grid, welch)
         line, _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
         floor = floor_density(decomp.frequencies, decomp.continuum, f_m)

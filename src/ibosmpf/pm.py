@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .closed_forms import SnrReport, _cos_fringe_argument
 from .config import LinkConfig
@@ -93,6 +92,8 @@ def _pm_parameters(link: LinkConfig):
         complex(link.scheme.arm_ratio_k) - 1.0
     ) > 1e-12:
         raise ConfigurationError("phase-modulation closed forms assume balanced arms")
+    from scipy import special
+
     gamma = link.scheme.gamma
     return float(special.j0(gamma)), float(special.j1(gamma))
 

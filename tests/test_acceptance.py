@@ -78,6 +78,7 @@ def test_c01_ssb_absolute_snr():
     )
 
 
+@pytest.mark.slow
 def test_c02_bandwidth_doubling_law(mc_runs):
     step = 10 * math.log10(2.0)
     for kind, gamma in (("ssb", 0.39), ("pm", 0.41)):
@@ -150,6 +151,7 @@ def test_c05_general_evaluator_oracle_equivalence():
     _report("C5", f"engine vs closed forms, 4 schemes, 1024-point grids, worst {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_c06_monte_carlo_convergence(mc_runs):
     lines = []
     for key in ("ssb32", "pm32", "ssb64", "pm64"):
@@ -161,6 +163,7 @@ def test_c06_monte_carlo_convergence(mc_runs):
     _report("C6", "MC vs exact SNR: " + "; ".join(lines))
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("bandwidth_nm", [3.2, 6.4])
 def test_c07_passband_shape(bandwidth_nm):
     welch = WelchConfig(nperseg=2**18)
@@ -196,6 +199,7 @@ def test_c07_passband_shape(bandwidth_nm):
     )
 
 
+@pytest.mark.slow
 def test_c08_scale_invariance(mc_runs):
     reports = {
         alpha: snr_ssb(reference_link(n0=alpha)) for alpha in (1e-3, 1.0, 1e3)

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import welch as scipy_welch
 from scipy.stats import kurtosis, skew
 
 from ibosmpf import (
@@ -18,8 +21,9 @@ from ibosmpf import (
 )
 from ibosmpf.closed_forms import noise_psd_shared, scheme_line_power
 from ibosmpf.engine import fundamental_line_power
-from ibosmpf.modulation import polarization_modulator_scheme
-from ibosmpf.montecarlo import extract_line, realization_rng
+from ibosmpf import montecarlo
+from ibosmpf.modulation import HarmonicModulation, build_scheme, polarization_modulator_scheme
+from ibosmpf.montecarlo import _plan, extract_line, realization_rng
 
 SMALL_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**16)
 MID_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**18)
@@ -35,6 +39,7 @@ def _ensemble(fn, n, seed=0):
 # --- synthesis statistics -----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_autocorrelation_at_zero_converges():
     def one(rng):
         field = synthesize_field(SPEC, SMALL_GRID, rng)
@@ -44,6 +49,7 @@ def test_autocorrelation_at_zero_converges():
     assert abs(mean - SPEC.total_power()) <= 3 * se
 
 
+@pytest.mark.slow
 def test_autocorrelation_first_null_converges():
     lag_samples = int(round(1.0 / SPEC.b / SMALL_GRID.dt))
     assert lag_samples * SMALL_GRID.dt == pytest.approx(1.0 / SPEC.b)
@@ -56,6 +62,7 @@ def test_autocorrelation_first_null_converges():
     assert abs(mean) <= 3 * se
 
 
+@pytest.mark.slow
 def test_fourth_moment_gaussianity():
     def one(rng):
         field = synthesize_field(SPEC, SMALL_GRID, rng)
@@ -91,6 +98,7 @@ def test_propagate_coherent_sum_without_delay_or_dispersion():
     np.testing.assert_allclose(intensity, np.abs(2.0 * field) ** 2, rtol=1e-9)
 
 
+@pytest.mark.slow
 def test_propagate_mean_intensity_with_delay():
     link = reference_link(scheme_kind="unmodulated", f_m=0.0)
 
@@ -104,6 +112,55 @@ def test_propagate_mean_intensity_with_delay():
         r0(link.delay) * np.exp(-1j * link.carrier_phase)
     )
     assert abs(mean - want) <= 3 * se
+
+
+def _reference_chain(link, grid, rng):
+    """Field and intensity computed factor by factor, without a plan (five FFTs)."""
+    freqs = grid.frequencies()
+    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=float) * grid.df)
+    noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
+    field = np.fft.ifft(amplitude * noise * math.sqrt(0.5), norm="forward")
+    delayed = np.fft.ifft(np.fft.fft(field) * np.exp(-2j * np.pi * freqs * link.delay))
+    m1, m2, k_scheme = build_scheme(link.scheme)
+    k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
+    t = grid.times()
+
+    def evaluate(m):
+        return sum(c * np.exp(2j * np.pi * n * m.f_m * t) for n, c in m.coeffs.items())
+
+    combined = field * evaluate(m1) + delayed * evaluate(m2) * (
+        k_total * np.exp(-1j * link.carrier_phase)
+    )
+    dispersion = np.exp(-1j * link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
+    return field, np.abs(np.fft.ifft(np.fft.fft(combined) * dispersion)) ** 2
+
+
+def _polarization_link():
+    base = reference_link()
+    link = replace(base, scheme=polarization_modulator_scheme(0.6, base.scheme.f_m))
+    return replace(link, interferometer=replace(link.interferometer, arm_ratio_k=0.6))
+
+
+@pytest.mark.parametrize(
+    "link",
+    [
+        reference_link(scheme_kind="ssb"),
+        reference_link(scheme_kind="dsb"),
+        reference_link(scheme_kind="pm", gamma=0.41),
+        _polarization_link(),
+    ],
+    ids=["ssb", "dsb", "pm", "polarization"],
+)
+def test_plan_matches_reference_chain(link):
+    # a carrier phase away from 0 and pi checks the k_total exp(-j theta) folding
+    assert abs(math.sin(link.carrier_phase)) > 0.1
+    field_want, intensity_want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
+    plan = _plan(link, SMALL_GRID)
+    for kwargs in ({}, {"plan": plan}):
+        field = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
+        np.testing.assert_allclose(field, field_want, rtol=1e-12, atol=0)
+        intensity = propagate(field, link, SMALL_GRID, **kwargs)
+        np.testing.assert_allclose(intensity, intensity_want, rtol=1e-12, atol=0)
 
 
 def test_dispersion_step_conserves_energy():
@@ -156,6 +213,25 @@ def test_density_symmetric_for_real_input():
         plus = decomp.continuum[np.argmin(np.abs(freqs - f))]
         minus = decomp.continuum[np.argmin(np.abs(freqs + f))]
         assert plus == pytest.approx(minus, rel=1e-9)
+
+
+@pytest.mark.parametrize("nperseg", [2048, 2047])
+def test_estimate_psd_matches_two_sided_welch(nperseg):
+    grid = SMALL_GRID
+    x = 1.0 + realization_rng(80, 0).standard_normal(grid.n_samples) ** 2
+    freqs, density = scipy_welch(
+        x,
+        fs=grid.sample_rate,
+        window="hann",
+        nperseg=nperseg,
+        noverlap=nperseg // 2,
+        detrend="constant",
+        return_onesided=False,
+        scaling="density",
+    )
+    decomp = estimate_psd(x, grid, WelchConfig(nperseg=nperseg))
+    np.testing.assert_array_equal(decomp.frequencies, np.fft.fftshift(freqs))
+    np.testing.assert_allclose(decomp.continuum, np.fft.fftshift(density), rtol=1e-12, atol=0)
 
 
 def test_estimate_psd_rejects_long_segment():
@@ -275,6 +351,46 @@ def test_estimate_snr_deterministic():
     assert a.quantities == b.quantities
     c = estimate_snr(link, grid, n_realizations=8, seed=6, welch=welch)
     assert a.quantities != c.quantities
+
+
+# --- stage structure ----------------------------------------------------------------
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count the stage calls ``estimate_snr`` makes through the module namespace."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("synthesize_field", "propagate", "estimate_psd"):
+        monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
+    monkeypatch.setattr(HarmonicModulation, "evaluate", counting("evaluate", HarmonicModulation.evaluate))
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["ssb", "pm"])
+def test_estimate_snr_runs_each_stage_once_per_realization(monkeypatch, kind):
+    welch = WelchConfig(nperseg=4096)
+    link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), SMALL_GRID, welch)
+    counts = _count_calls(monkeypatch)
+    estimate_snr(link, SMALL_GRID, n_realizations=8, seed=2, welch=welch)
+    stages = {name: counts[name] for name in ("synthesize_field", "propagate", "estimate_psd")}
+    assert stages == {"synthesize_field": 8, "propagate": 8, "estimate_psd": 8}
+    assert 1 <= counts["evaluate"] <= 2
+
+
+def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    with pytest.raises(ConfigurationError):
+        estimate_snr(
+            reference_link(), SMALL_GRID, n_realizations=8, welch=WelchConfig(nperseg=2 * SMALL_GRID.n_samples)
+        )
+    assert counts["synthesize_field"] == 0 and counts["evaluate"] == 0
 
 
 # --- validation -------------------------------------------------------------------

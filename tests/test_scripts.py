@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 CURVE_FILES = [
     "response_dsb.csv",
@@ -41,8 +43,9 @@ def test_mc_validation_runs(tmp_path):
     assert "bandwidth-doubling law" in done.stdout
 
 
-def test_import_does_not_load_scipy_signal(tmp_path):
-    code = "import sys, ibosmpf; print('scipy.signal' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.special", "scipy.fft"])
+def test_import_does_not_load(tmp_path, module):
+    code = f"import sys, ibosmpf; print({module!r} in sys.modules)"
     done = _python("-c", code, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
