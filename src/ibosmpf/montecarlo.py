@@ -1,28 +1,38 @@
 """Stochastic-field oracle: synthesize, propagate, detect, estimate.
 
 Incoherent light is synthesized in the frequency domain (independent
-circular Gaussian variates per bin, scaled by sqrt(G df / 2)), pushed
-through the interferometer / modulator / dispersion chain with the delay
-and the dispersion applied as exact frequency-domain phases, and
-square-law detected.  The factors that depend only on the link and the
-grid (synthesis amplitude, delay phase, both arm waveforms, dispersion
-all-pass) are computed once per ensemble and shared by its realizations.
-Welch-averaged periodograms of the real intensity, calibrated in power/Hz
-and mirrored onto negative frequencies, then estimate the two-sided
-intensity PSD; discrete lines are integrated over a few bins with the
-local floor subtracted.
+circular Gaussian variates per bin, scaled by sqrt(G df / 2)), and the
+stages pass the field on as that spectrum S, in the normalization where
+the time-domain field is ``ifft(S, norm="forward")``.  The interferometer
+is a spectral filter on it: an arm with modulator m, delay tau and complex
+amplitude c contributes m(t) ifft(S c exp(-j 2 pi f tau)), so arms that
+share one modulator are one filter and one inverse transform.  The sum of
+the arms is transformed back, multiplied by the dispersion all-pass,
+transformed to time and square-law detected: three transforms per
+realization when the arms share a modulator or one arm is unmodulated,
+four when both arms carry different modulations.  The factors that depend
+only on the link and the grid (synthesis amplitude, arm filters and
+waveforms, dispersion all-pass) are computed once per ensemble and shared
+by its realizations.  Welch-averaged periodograms of the real intensity,
+calibrated in power/Hz and mirrored onto negative frequencies, then
+estimate the two-sided intensity PSD; discrete lines are integrated over
+a few bins with the local floor subtracted.
 
 Reproducibility: realization r of root seed s draws from the stream
-seeded by (s, r), so ensembles are order-independent and parallel-safe.
+seeded by (s, r), and writes only its own result slot, so an ensemble's
+values do not depend on the order or the threads its realizations run on.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition
@@ -76,6 +86,14 @@ class SimulationGrid:
 # bench default: 4 THz sample rate, 2**20 samples per realization
 DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
+# intensity samples per batched transform in estimate_psd
+_WELCH_BLOCK = 2**19
+# grid samples that the concurrent realizations of one estimate_snr call may
+# hold together; a realization holds up to about 64 bytes per sample (the
+# spectrum, a second arm, a transform work buffer, the intensity), so this
+# keeps them under about 256 MB
+_INFLIGHT_SAMPLES = 2**22
+
 
 @dataclass(frozen=True)
 class WelchConfig:
@@ -100,13 +118,21 @@ def realization_rng(root_seed: int, realization: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(root_seed), int(realization))))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 class _Plan(NamedTuple):
     """Factors of one (link, grid) pair that no realization changes."""
 
     amplitude: np.ndarray  # sqrt(G df / 2) per FFT bin
-    delay_phase: np.ndarray  # exp(-j 2 pi f tau)
-    arm1: np.ndarray  # m1(t)
-    arm2: np.ndarray  # k_total exp(-j theta) m2(t)
+    # (spectral filter, waveform m(t)) per distinct modulator; an unmodulated
+    # arm has waveform None and its constant folded into the filter
+    arms: tuple[tuple[np.ndarray | float, np.ndarray | None], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2)
 
 
@@ -123,14 +149,13 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     freqs = grid.frequencies()
     m1, m2, k_scheme = build_scheme(link.scheme)
     k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
+    delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
+    delayed *= k_total * np.exp(-1j * link.carrier_phase)
     t = grid.times()
-    arm1 = m1.evaluate(t)
-    arm2 = (arm1 if m2 is m1 else m2.evaluate(t)) * (k_total * np.exp(-1j * link.carrier_phase))
+    pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(1.0, m1), (delayed, m2)]
     return _Plan(
         amplitude=_amplitude(link.spectrum, grid),
-        delay_phase=_phasor(-2.0 * np.pi * freqs * link.delay),
-        arm1=arm1,
-        arm2=arm2,
+        arms=tuple((f * m.coefficient(0), None) if m.is_constant() else (f, m.evaluate(t)) for f, m in pairs),
         dispersion=_phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2),
     )
 
@@ -142,45 +167,57 @@ def synthesize_field(
     *,
     plan: _Plan | None = None,
 ) -> np.ndarray:
-    """Complex envelope with PSD G: per-bin circular Gaussian synthesis.
+    """Spectrum S of a complex envelope with PSD G: per-bin circular Gaussian draws.
 
+    S is in FFT bin order; the time-domain field is
+    ``scipy.fft.ifft(S, norm="forward")``.  No transform runs here.
     ``plan`` must come from a link whose spectrum is ``spectrum``.
+    """
+    amplitude = _amplitude(spectrum, grid) if plan is None else plan.amplitude
+    xhat = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
+    xhat *= amplitude
+    return xhat
+
+
+def propagate(
+    spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, plan: _Plan | None = None
+) -> np.ndarray:
+    """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
+
+    ``spectrum`` is a field spectrum as :func:`synthesize_field` returns
+    it, and is overwritten (as scipy's ``overwrite_x`` does): pass a copy
+    to keep it.  The differential delay is applied as an exact
+    frequency-domain phase (no sample rounding), as part of one spectral
+    filter per distinct arm modulator; dispersion is one all-pass
+    multiplication.  ``plan`` must come from ``_plan(link, grid)``.
     """
     # scipy.fft gives numpy.fft's values but allocates one work buffer per
     # transform where numpy.fft allocates two; at 2^20 points the page
     # faults on the second cost about a fifth of the transform's time
     from scipy import fft as sp_fft
 
-    amplitude = _amplitude(spectrum, grid) if plan is None else plan.amplitude
-    xhat = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
-    xhat *= amplitude
-    return sp_fft.ifft(xhat, norm="forward", overwrite_x=True)
-
-
-def propagate(
-    field: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, plan: _Plan | None = None
-) -> np.ndarray:
-    """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
-
-    The differential delay is applied as an exact frequency-domain phase
-    (no sample rounding); dispersion is one all-pass multiplication.
-    ``plan`` must come from ``_plan(link, grid)``.
-    """
-    from scipy import fft as sp_fft
-
-    if field.shape != (grid.n_samples,):
+    if spectrum.shape != (grid.n_samples,):
         raise ConfigurationError("field length does not match the grid")
     if plan is None:
         plan = _plan(link, grid)
-    delayed = sp_fft.fft(field)
-    delayed *= plan.delay_phase
-    delayed = sp_fft.ifft(delayed, overwrite_x=True)
-    delayed *= plan.arm2
-    combined = field * plan.arm1
-    combined += delayed
-    combined = sp_fft.fft(combined, overwrite_x=True)
+    unmodulated = modulated = None
+    last = len(plan.arms) - 1
+    for k, (spectral_filter, waveform) in enumerate(plan.arms):
+        arm = np.multiply(spectrum, spectral_filter, out=spectrum if k == last else None)
+        if waveform is None:  # m(t) is a constant: no round trip through time
+            unmodulated = arm if unmodulated is None else np.add(unmodulated, arm, out=unmodulated)
+            continue
+        arm = sp_fft.ifft(arm, norm="forward", overwrite_x=True)
+        arm *= waveform
+        modulated = arm if modulated is None else np.add(modulated, arm, out=modulated)
+    if modulated is None:
+        combined = unmodulated
+    else:
+        combined = sp_fft.fft(modulated, norm="forward", overwrite_x=True)
+        if unmodulated is not None:
+            combined += unmodulated
     combined *= plan.dispersion
-    combined = sp_fft.ifft(combined, overwrite_x=True)
+    combined = sp_fft.ifft(combined, norm="forward", overwrite_x=True)
     return np.abs(combined) ** 2
 
 
@@ -189,29 +226,32 @@ def estimate_psd(
 ) -> SpectralDecomposition:
     """Two-sided Welch density: Hann window, 50 % overlap, constant detrend.
 
-    The intensity is real, so the density is computed one-sided and
-    mirrored onto the negative frequencies.  The returned decomposition
-    carries no lines; :func:`extract_line` integrates a tone from its
-    continuum.
+    The segments and the scaling are those of ``scipy.signal.welch``.  The
+    intensity is real, so the periodograms are one-sided and mirrored onto
+    the negative frequencies.  The returned decomposition carries no
+    lines; :func:`extract_line` integrates a tone from its continuum.
     """
-    from scipy.signal import welch as _welch
+    from scipy import fft as sp_fft
 
-    if welch.nperseg > intensity.size:
+    nperseg = welch.nperseg
+    if nperseg > intensity.size:
         raise ConfigurationError("Welch segment longer than the record")
-    freqs, density = _welch(
-        intensity,
-        fs=grid.sample_rate,
-        window="hann",
-        nperseg=welch.nperseg,
-        noverlap=welch.nperseg // 2,
-        detrend="constant",
-        return_onesided=True,
-        scaling="density",
-    )
-    # one-sided bins carry both signs: halve all but DC and, for an even
-    # segment, the Nyquist bin, which the two-sided grid holds once (at -fs/2)
-    even = welch.nperseg % 2 == 0
-    density[1 : density.size - even] *= 0.5
+    segments = sliding_window_view(intensity, nperseg)[:: nperseg - nperseg // 2]
+    # periodic Hann window, computed as scipy.signal.get_window("hann", nperseg)
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    power = np.zeros(nperseg // 2 + 1)
+    rows = max(1, _WELCH_BLOCK // nperseg)
+    for start in range(0, len(segments), rows):
+        block = segments[start : start + rows]
+        block = block - block.mean(axis=1, keepdims=True)
+        block *= window
+        spectra = sp_fft.rfft(block, axis=1)
+        power += (spectra.real**2 + spectra.imag**2).sum(axis=0)
+    # each one-sided bin is the two-sided density at +f and at -f; for an
+    # even segment the Nyquist bin is held once, at -fs/2
+    density = power / (len(segments) * grid.sample_rate * (window * window).sum())
+    freqs = sp_fft.rfftfreq(nperseg, 1.0 / grid.sample_rate)
+    even = nperseg % 2 == 0
     positive = slice(0, freqs.size - even)
     return SpectralDecomposition(
         frequencies=np.concatenate((-freqs[:0:-1], freqs[positive])),
@@ -320,10 +360,12 @@ def estimate_snr(
     snrs = np.empty(n_realizations)
     probes = {f: np.empty(n_realizations) for f in probe_frequencies}
     plan = _plan(link, grid)
-    for r in range(n_realizations):
-        rng = realization_rng(seed, r)
-        field_r = synthesize_field(link.spectrum, grid, rng, plan=plan)
-        intensity = propagate(field_r, link, grid, plan=plan)
+
+    def realization(r: int) -> None:
+        # nested so that no name holds the spectrum once propagate has used it
+        intensity = propagate(
+            synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=plan), link, grid, plan=plan
+        )
         decomp = estimate_psd(intensity, grid, welch)
         line, _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
         floor = floor_density(decomp.frequencies, decomp.continuum, f_m)
@@ -332,6 +374,12 @@ def estimate_snr(
         snrs[r] = line / floor
         for f_probe in probe_frequencies:
             probes[f_probe][r] = floor_density(decomp.frequencies, decomp.continuum, f_probe)
+
+    # the draws, transforms and array arithmetic release the interpreter
+    # lock, so realizations overlap on threads; the width bounds their memory
+    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_SAMPLES // grid.n_samples))
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        list(pool.map(realization, range(n_realizations)))  # raises what a realization raised
 
     def _stats(values: np.ndarray) -> tuple[float, float]:
         return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))

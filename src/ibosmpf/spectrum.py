@@ -194,10 +194,14 @@ class TabulatedSpectrum(OpticalSpectrum):
     def _hat_correlation_coeffs(self) -> np.ndarray:
         cached = self._acorr_coeffs
         if cached is None:
-            from scipy.signal import fftconvolve
+            from scipy import fft as sp_fft
 
-            # c[m] = sum_k v[k] v[k－m], m = -(N-1)..(N-1)
-            cached = fftconvolve(self.values, self.values[::-1])
+            # c[m] = sum_k v[k] v[k－m], m = -(N-1)..(N-1), as a zero-padded
+            # real-FFT product (the steps of scipy.signal.fftconvolve)
+            size = 2 * self.values.size - 1
+            n_fft = sp_fft.next_fast_len(size, True)
+            product = sp_fft.rfft(self.values, n_fft) * sp_fft.rfft(self.values[::-1], n_fft)
+            cached = sp_fft.irfft(product, n_fft)[:size]
             object.__setattr__(self, "_acorr_coeffs", cached)
         return cached
 

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import welch as scipy_welch
 from scipy.stats import kurtosis, skew
 
@@ -22,12 +25,23 @@ from ibosmpf import (
 from ibosmpf.closed_forms import noise_psd_shared, scheme_line_power
 from ibosmpf.engine import fundamental_line_power
 from ibosmpf import montecarlo
-from ibosmpf.modulation import HarmonicModulation, build_scheme, polarization_modulator_scheme
-from ibosmpf.montecarlo import _plan, extract_line, realization_rng
+from ibosmpf.modulation import (
+    HarmonicModulation,
+    ModulationKind,
+    SchemeConfig,
+    build_scheme,
+    polarization_modulator_scheme,
+)
+from ibosmpf.montecarlo import _plan, extract_line, floor_density, realization_rng
 
 SMALL_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**16)
 MID_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**18)
 SPEC = RectangularSpectrum(n0=1.0, b=400e9, carrier_f0=193.4e12)
+
+
+def _field(spectrum, grid, rng):
+    """Time-domain field of one synthesized spectrum."""
+    return scipy.fft.ifft(synthesize_field(spectrum, grid, rng), norm="forward")
 
 
 def _ensemble(fn, n, seed=0):
@@ -42,7 +56,7 @@ def _ensemble(fn, n, seed=0):
 @pytest.mark.slow
 def test_autocorrelation_at_zero_converges():
     def one(rng):
-        field = synthesize_field(SPEC, SMALL_GRID, rng)
+        field = _field(SPEC, SMALL_GRID, rng)
         return np.mean(np.abs(field) ** 2)
 
     mean, se = _ensemble(one, 64)
@@ -55,7 +69,7 @@ def test_autocorrelation_first_null_converges():
     assert lag_samples * SMALL_GRID.dt == pytest.approx(1.0 / SPEC.b)
 
     def one(rng):
-        field = synthesize_field(SPEC, SMALL_GRID, rng)
+        field = _field(SPEC, SMALL_GRID, rng)
         return np.mean(field[lag_samples:] * np.conj(field[:-lag_samples])).real
 
     mean, se = _ensemble(one, 64)
@@ -65,7 +79,7 @@ def test_autocorrelation_first_null_converges():
 @pytest.mark.slow
 def test_fourth_moment_gaussianity():
     def one(rng):
-        field = synthesize_field(SPEC, SMALL_GRID, rng)
+        field = _field(SPEC, SMALL_GRID, rng)
         return np.mean(np.abs(field) ** 4)
 
     mean, se = _ensemble(one, 64)
@@ -75,7 +89,7 @@ def test_fourth_moment_gaussianity():
 
 def test_field_moments_near_gaussian():
     rng = realization_rng(123, 0)
-    field = synthesize_field(SPEC, MID_GRID, rng)
+    field = _field(SPEC, MID_GRID, rng)
     for part in (field.real, field.imag):
         assert abs(skew(part)) <= 0.1
         assert abs(kurtosis(part)) <= 0.2
@@ -92,9 +106,9 @@ def test_propagate_coherent_sum_without_delay_or_dispersion():
         dispersion=link.dispersion.__class__(phi=0.0),
         scheme=link.scheme,
     )
-    rng = realization_rng(5, 0)
-    field = synthesize_field(link.spectrum, SMALL_GRID, rng)
-    intensity = propagate(field, link, SMALL_GRID)
+    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(5, 0))
+    field = scipy.fft.ifft(spectrum, norm="forward")
+    intensity = propagate(spectrum, link, SMALL_GRID)
     np.testing.assert_allclose(intensity, np.abs(2.0 * field) ** 2, rtol=1e-9)
 
 
@@ -103,8 +117,8 @@ def test_propagate_mean_intensity_with_delay():
     link = reference_link(scheme_kind="unmodulated", f_m=0.0)
 
     def one(rng):
-        field = synthesize_field(link.spectrum, SMALL_GRID, rng)
-        return propagate(field, link, SMALL_GRID).mean()
+        spectrum = synthesize_field(link.spectrum, SMALL_GRID, rng)
+        return propagate(spectrum, link, SMALL_GRID).mean()
 
     mean, se = _ensemble(one, 64)
     r0 = link.spectrum.autocorrelation
@@ -115,11 +129,12 @@ def test_propagate_mean_intensity_with_delay():
 
 
 def _reference_chain(link, grid, rng):
-    """Field and intensity computed factor by factor, without a plan (five FFTs)."""
+    """Field spectrum and intensity computed factor by factor, without a plan (five FFTs)."""
     freqs = grid.frequencies()
     amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=float) * grid.df)
     noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
-    field = np.fft.ifft(amplitude * noise * math.sqrt(0.5), norm="forward")
+    spectrum = amplitude * noise * math.sqrt(0.5)
+    field = np.fft.ifft(spectrum, norm="forward")
     delayed = np.fft.ifft(np.fft.fft(field) * np.exp(-2j * np.pi * freqs * link.delay))
     m1, m2, k_scheme = build_scheme(link.scheme)
     k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
@@ -132,7 +147,7 @@ def _reference_chain(link, grid, rng):
         k_total * np.exp(-1j * link.carrier_phase)
     )
     dispersion = np.exp(-1j * link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
-    return field, np.abs(np.fft.ifft(np.fft.fft(combined) * dispersion)) ** 2
+    return spectrum, np.abs(np.fft.ifft(np.fft.fft(combined) * dispersion)) ** 2
 
 
 def _polarization_link():
@@ -141,31 +156,45 @@ def _polarization_link():
     return replace(link, interferometer=replace(link.interferometer, arm_ratio_k=0.6))
 
 
-@pytest.mark.parametrize(
-    "link",
-    [
-        reference_link(scheme_kind="ssb"),
-        reference_link(scheme_kind="dsb"),
-        reference_link(scheme_kind="pm", gamma=0.41),
-        _polarization_link(),
-    ],
-    ids=["ssb", "dsb", "pm", "polarization"],
-)
+def _two_modulated_arms_link():
+    """Custom scheme whose arms carry different, non-constant modulations."""
+    base = reference_link()
+    scheme = SchemeConfig(
+        kind=ModulationKind.CUSTOM,
+        f_m=base.scheme.f_m,
+        gamma=0.3,
+        arm_ratio_k=0.7,
+        m1_coeffs={-1: 0.1j, 0: 0.9, 1: 0.2},
+        m2_coeffs={0: 1.0, 1: 0.15},
+    )
+    return replace(base, scheme=scheme)
+
+
+LINKS = {
+    "ssb": reference_link(scheme_kind="ssb"),
+    "dsb": reference_link(scheme_kind="dsb"),
+    "pm": reference_link(scheme_kind="pm", gamma=0.41),
+    "polarization": _polarization_link(),
+    "two_modulated_arms": _two_modulated_arms_link(),
+}
+
+
+@pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
 def test_plan_matches_reference_chain(link):
     # a carrier phase away from 0 and pi checks the k_total exp(-j theta) folding
     assert abs(math.sin(link.carrier_phase)) > 0.1
-    field_want, intensity_want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
+    spectrum_want, intensity_want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
     plan = _plan(link, SMALL_GRID)
     for kwargs in ({}, {"plan": plan}):
-        field = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
-        np.testing.assert_allclose(field, field_want, rtol=1e-12, atol=0)
-        intensity = propagate(field, link, SMALL_GRID, **kwargs)
+        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
+        np.testing.assert_allclose(spectrum, spectrum_want, rtol=1e-12, atol=0)
+        intensity = propagate(spectrum, link, SMALL_GRID, **kwargs)
         np.testing.assert_allclose(intensity, intensity_want, rtol=1e-12, atol=0)
 
 
 def test_dispersion_step_conserves_energy():
     rng = realization_rng(9, 0)
-    field = synthesize_field(SPEC, SMALL_GRID, rng)
+    field = _field(SPEC, SMALL_GRID, rng)
     freqs = SMALL_GRID.frequencies()
     phase = np.exp(-1j * 1.26e-21 * 0.5 * (2 * np.pi * freqs) ** 2)
     out = np.fft.ifft(np.fft.fft(field) * phase)
@@ -219,6 +248,29 @@ def test_density_symmetric_for_real_input():
 def test_estimate_psd_matches_two_sided_welch(nperseg):
     grid = SMALL_GRID
     x = 1.0 + realization_rng(80, 0).standard_normal(grid.n_samples) ** 2
+    freqs, density = scipy_welch(
+        x,
+        fs=grid.sample_rate,
+        window="hann",
+        nperseg=nperseg,
+        noverlap=nperseg // 2,
+        detrend="constant",
+        return_onesided=False,
+        scaling="density",
+    )
+    decomp = estimate_psd(x, grid, WelchConfig(nperseg=nperseg))
+    np.testing.assert_array_equal(decomp.frequencies, np.fft.fftshift(freqs))
+    np.testing.assert_allclose(decomp.continuum, np.fft.fftshift(density), rtol=1e-12, atol=0)
+
+
+def test_estimate_psd_matches_welch_across_transform_blocks():
+    # several batched-transform blocks, the last one partial, and a segment
+    # length that divides neither the record nor the block
+    nperseg = 3000
+    x = 1.0 + realization_rng(81, 0).standard_normal(2 * montecarlo._WELCH_BLOCK + 777) ** 2
+    n_segments = (x.size - nperseg) // (nperseg - nperseg // 2) + 1
+    assert n_segments > 2 * (montecarlo._WELCH_BLOCK // nperseg)
+    grid = MID_GRID
     freqs, density = scipy_welch(
         x,
         fs=grid.sample_rate,
@@ -314,9 +366,8 @@ def test_mc_unmodulated_has_no_line():
     welch = WelchConfig(nperseg=8192)
     link, f_m = _retuned(reference_link(scheme_kind="unmodulated"), grid, welch)
     df = welch.bin_width(grid.dt)
-    rng = realization_rng(21, 0)
-    field = synthesize_field(link.spectrum, grid, rng)
-    intensity = propagate(field, link, grid)
+    spectrum = synthesize_field(link.spectrum, grid, realization_rng(21, 0))
+    intensity = propagate(spectrum, link, grid)
     decomp = estimate_psd(intensity, grid, welch)
     line, floor = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
     assert abs(line) < 5.0 * floor * df
@@ -359,10 +410,12 @@ def test_estimate_snr_deterministic():
 def _count_calls(monkeypatch) -> Counter:
     """Count the stage calls ``estimate_snr`` makes through the module namespace."""
     counts = Counter()
+    lock = threading.Lock()  # the stages run on worker threads
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -382,6 +435,59 @@ def test_estimate_snr_runs_each_stage_once_per_realization(monkeypatch, kind):
     stages = {name: counts[name] for name in ("synthesize_field", "propagate", "estimate_psd")}
     assert stages == {"synthesize_field": 8, "propagate": 8, "estimate_psd": 8}
     assert 1 <= counts["evaluate"] <= 2
+
+
+@pytest.mark.parametrize("kind", ["ssb", "polarization"])
+def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
+    welch = WelchConfig(nperseg=4096)
+    link, f_m = _retuned(LINKS[kind], SMALL_GRID, welch)
+    n, seed = 8, 4
+    lines, floors = np.empty(n), np.empty(n)
+    for r in range(n):
+        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(seed, r))
+        decomp = estimate_psd(propagate(spectrum, link, SMALL_GRID), SMALL_GRID, welch)
+        lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, welch.bin_width(SMALL_GRID.dt))
+        floors[r] = floor_density(decomp.frequencies, decomp.continuum, f_m)
+
+    def stats(values):
+        return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+
+    # more workers than this machine may have CPUs and frequent thread
+    # switches, so that realizations interleave
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = estimate_snr(link, SMALL_GRID, n_realizations=n, seed=seed, welch=welch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert est.quantities == {
+        "line_power": stats(lines),
+        "noise_psd": stats(floors),
+        "snr_linear": stats(lines / floors),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, transforms",
+    [("ssb", 3), ("dsb", 3), ("pm", 3), ("polarization", 3), ("two_modulated_arms", 4)],
+)
+def test_full_length_transform_counts(monkeypatch, kind, transforms):
+    link = LINKS[kind]
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+
+        def counting(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+            if np.size(x) == SMALL_GRID.n_samples:
+                calls["full"] += 1
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    plan = _plan(link, SMALL_GRID)
+    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
+    assert calls["full"] == 0
+    propagate(spectrum, link, SMALL_GRID, plan=plan)
+    assert calls["full"] == transforms
 
 
 def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):

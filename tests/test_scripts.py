@@ -49,3 +49,16 @@ def test_import_does_not_load(tmp_path, module):
     done = _python("-c", code, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_estimate_snr_does_not_load_scipy_signal(tmp_path):
+    code = (
+        "import sys\n"
+        "from ibosmpf import SimulationGrid, WelchConfig, estimate_snr, reference_link\n"
+        "grid = SimulationGrid(dt=0.25e-12, n_samples=2**16)\n"
+        "estimate_snr(reference_link(), grid, n_realizations=8, seed=1, welch=WelchConfig(nperseg=4096))\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    done = _python("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
