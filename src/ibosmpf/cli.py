@@ -29,8 +29,7 @@ from .modulation import ModulationKind
 from .montecarlo import SimulationGrid, WelchConfig, estimate_snr
 from .oeo import noise_to_signal_ratio, oeo_phase_noise
 from .pm import snr_pm
-from .scenario import Scenario, load_scenario
-from .spectrum import RectangularSpectrum
+from .scenario import SWEEP_AXES, Scenario, load_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +110,7 @@ def _effective_seed(args, scenario: Scenario):
 def _mc_setup(args, scenario: Scenario):
     if scenario.mc is None:
         raise ConfigurationError("field mc: block required for --mc")
-    grid = SimulationGrid(dt=scenario.mc.dt, n_samples=scenario.mc.n_samples)
+    grid = SimulationGrid(dt=scenario.mc.dt, n_samples=scenario.mc.samples)
     seed = _effective_seed(args, scenario)
     return grid, scenario.mc.realizations, seed
 
@@ -124,9 +123,15 @@ def _snr_report(link):
     raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
 
 
+def _check_axis(command: str, scenario: Scenario) -> None:
+    """Reject a sweep over an axis ``command`` does not sweep, or no sweep where one is needed."""
+    axes = [axis for axis, (owner, *_) in SWEEP_AXES.items() if owner == command]
+    variable = scenario.sweep.variable if scenario.sweep is not None else None
+    if variable not in axes and (variable is not None or command in ("response", "passband")):
+        raise ConfigurationError(f"field sweep.variable: {command} sweeps {' or '.join(axes)}")
+
+
 def run_response(args, scenario: Scenario) -> int:
-    if scenario.sweep is None or scenario.sweep.variable != "f_m":
-        raise ConfigurationError("field sweep.variable: response sweeps f_m")
     f_grid = scenario.sweep.values()
     normalize = not getattr(args, "absolute", False)
     values = frequency_response_sweep(scenario.link, f_grid, normalize_db=normalize)
@@ -152,17 +157,8 @@ def _swept_links(scenario: Scenario):
             yield float(x), replace(link, scheme=replace(link.scheme, gamma=float(x)))
         elif sweep.variable == "f_c":
             yield float(x), link.with_delay_for_center(float(x)).with_modulation_frequency(float(x))
-        elif sweep.variable == "bandwidth":
-            spectrum = link.spectrum
-            if not isinstance(spectrum, RectangularSpectrum):
-                raise ConfigurationError("bandwidth sweeps need a rectangular spectrum")
-            yield float(x), link.with_spectrum(
-                RectangularSpectrum(n0=spectrum.n0, b=float(x), carrier_f0=spectrum.carrier_f0)
-            )
-        else:
-            raise ConfigurationError(
-                f"field sweep.variable: snr does not sweep {sweep.variable!r}"
-            )
+        else:  # bandwidth; a scenario's spectrum is always rectangular
+            yield float(x), link.with_spectrum(replace(link.spectrum, b=float(x)))
 
 
 def run_snr(args, scenario: Scenario) -> int:
@@ -209,8 +205,6 @@ def run_snr(args, scenario: Scenario) -> int:
 
 
 def run_passband(args, scenario: Scenario) -> int:
-    if scenario.sweep is None or scenario.sweep.variable != "detuning":
-        raise ConfigurationError("field sweep.variable: passband sweeps detuning")
     link = scenario.link
     f_c = link.passband_center()
     detunings = scenario.sweep.values()
@@ -255,7 +249,7 @@ def run_oeo(args, scenario: Scenario) -> int:
     if spec.from_link:
         delta = noise_to_signal_ratio(_snr_report(scenario.link))
     tau = spec.tau
-    if scenario.sweep is not None and scenario.sweep.variable == "f_offset":
+    if scenario.sweep is not None:
         f_offsets = scenario.sweep.values()
     else:
         f_max = spec.f_max if spec.f_max is not None else 3.0 / tau
@@ -284,12 +278,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError("--seed: must be a non-negative integer")
+        if not 0 <= args.tol_db < math.inf:
+            raise ConfigurationError("--tol-db: must be finite and >= 0")
         scenario = load_scenario(args.scenario)
+        _check_axis(args.command, scenario)
         return _RUNNERS[args.command](args, scenario)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, ArithmeticError) as exc:  # ArithmeticError: float overflow or 0 division
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

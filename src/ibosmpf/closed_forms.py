@@ -23,7 +23,7 @@ import numpy as np
 from .config import LinkConfig
 from .constants import K_B, T_STANDARD
 from .decomposition import SpectralDecomposition
-from .errors import ConfigurationError, NoPassbandError
+from .errors import ConfigurationError, DomainError, NoPassbandError
 from .modulation import (
     HarmonicModulation,
     ModulationKind,
@@ -277,6 +277,8 @@ def snr_ssb(link: LinkConfig) -> SnrReport:
         approx = b / denom
     else:
         approx = snr_linear
+    if not (snr_linear > 0 and approx > 0):
+        raise DomainError("SNR underflows to zero at this operating point")
     return SnrReport(
         scheme="ssb",
         center_frequency=f_c,

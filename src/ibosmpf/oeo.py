@@ -36,7 +36,10 @@ def oeo_phase_noise(delta: float, tau: float, f_offsets) -> np.ndarray:
     s = math.sqrt(1.0 - x)
     one_minus_s = x / (1.0 + s)
     denom = one_minus_s**2 + 4.0 * s * np.sin(np.pi * f_offsets * tau) ** 2
-    return delta / denom
+    values = delta / denom
+    if not np.all(values > 0):
+        raise DomainError("phase noise underflows to zero at these offsets")
+    return values
 
 
 def noise_to_signal_ratio(report: SnrReport) -> float:

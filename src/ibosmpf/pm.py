@@ -19,7 +19,7 @@ import numpy as np
 from .closed_forms import SnrReport, _cos_fringe_argument
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition, real_line_powers
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .modulation import ModulationKind
 from .spectrum import RectangularSpectrum
 
@@ -269,6 +269,8 @@ def snr_pm(link: LinkConfig) -> SnrReport:
         approx = b / denom
     else:
         approx = snr_linear
+    if not (snr_linear > 0 and approx > 0):
+        raise DomainError("SNR underflows to zero at this operating point")
     return SnrReport(
         scheme="pm",
         center_frequency=f_c,

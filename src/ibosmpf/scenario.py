@@ -2,9 +2,9 @@
 
 A scenario describes one link in engineering units, at most one sweep axis,
 an optional Monte-Carlo block, optional expectations for ``--compare``, and
-output settings.  Ambiguous quantities (bare numbers where a unit is
-required) are rejected rather than guessed, and so is any key the loader
-does not read, at the top level or inside a section.
+output settings.  ``_SCHEMA`` gives each key's kind, default and range.
+Bare numbers where a unit is required, unknown keys and out-of-range values
+are rejected rather than guessed, with a message naming the field.
 """
 
 from __future__ import annotations
@@ -27,76 +27,159 @@ from .modulation import ModulationKind, SchemeConfig, gamma_from_csr
 from .spectrum import RectangularSpectrum
 from .units import dbm_to_watts, optical_bandwidth_to_hz, wavelength_to_frequency
 
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12, "fs": 1e-15}
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
-_DISPERSION_UNITS = {"ps/nm": 1e-12 / 1e-9, "s/m": 1.0}
-_GDD_UNITS = {"s^2": 1.0, "s2": 1.0, "ps^2": 1e-24, "ps2": 1e-24}
-_PSD_UNITS = {"w/hz": 1.0, "mw/hz": 1e-3}
+# A unit table maps a lower-case unit to its SI factor, or to a conversion
+# called with the number and the values of the section parsed so far.
+_TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12, "fs": 1e-15}
+_FREQ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
+_LENGTH = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
+_DISPERSION = {"ps/nm": 1e-12 / 1e-9, "s/m": 1.0}
+_GDD = {"s^2": 1.0, "s2": 1.0, "ps^2": 1e-24, "ps2": 1e-24}
+_PSD = {"w/hz": 1.0, "mw/hz": 1e-3}
+_DB = {"db": 1.0}
+_POWER = {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "dbm": lambda value, seen: dbm_to_watts(value)}
 
 
-def _parse_quantity(field_name: str, raw: Any, units: dict[str, float]) -> float:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        raise ConfigurationError(
-            f"field {field_name}: unit suffix required (got bare number {raw!r})"
-        )
-    if not isinstance(raw, str):
-        raise ConfigurationError(f"field {field_name}: expected 'value unit' string")
-    parts = raw.strip().split()
-    if len(parts) != 2:
-        raise ConfigurationError(f"field {field_name}: expected 'value unit', got {raw!r}")
+def _span(factor: float):
+    """A wavelength-span unit, converted to hertz at the link's center wavelength."""
+    return lambda value, seen: optical_bandwidth_to_hz(value * factor, seen["center_wavelength"])
+
+
+_BANDWIDTH = {**_FREQ, **{unit: _span(factor) for unit, factor in _LENGTH.items()}}
+
+# Closed ranges; the smallest positive float as lower bound means "> 0".
+_POSITIVE = (math.ulp(0.0), math.inf)
+_NON_NEGATIVE = (0, math.inf)
+_MAX_POINTS = 100_000
+
+_REQUIRED = object()  # default of a key the file must give
+_POW2 = object()  # kind: an integer power of two
+_AXIS = object()  # kind: that of the swept axis, from SWEEP_AXES
+
+# swept axis -> (the one command that sweeps it, kind, range of start and stop)
+SWEEP_AXES = {
+    "f_m": ("response", _FREQ, _NON_NEGATIVE),
+    "detuning": ("passband", _FREQ, None),
+    "f_offset": ("oeo", _FREQ, None),
+    "gamma": ("snr", float, _NON_NEGATIVE),
+    "f_c": ("snr", _FREQ, None),
+    "bandwidth": ("snr", _BANDWIDTH, _POSITIVE),
+}
+
+# section -> key -> (kind, default, range).  A kind is a unit table (a
+# 'number unit' string), a tuple of choices, float (a plain number), int,
+# bool, str, _POW2 or _AXIS.  A default of None makes the key optional with
+# no value; a range is a closed (low, high) pair, or None for any value.
+# The one top-level scalar, rf_input_power, maps straight to its rule.
+_SCHEMA = {
+    "link": {
+        "scheme": (("dsb", "ssb", "pm", "unmodulated"), "ssb", None),
+        "center_wavelength": (_LENGTH, "1550 nm", _POSITIVE),
+        "bandwidth": (_BANDWIDTH, _REQUIRED, _POSITIVE),
+        "psd_level": (_PSD, "1 W/Hz", _POSITIVE),
+        "gdd": (_GDD, None, None),
+        "dispersion": (_DISPERSION, None, None),
+        "delay": (_TIME, None, None),
+        "center_frequency": (_FREQ, None, _NON_NEGATIVE),
+        "gamma": (float, None, _NON_NEGATIVE),
+        "csr": (_DB, None, _NON_NEGATIVE),  # below 0 dB, gamma would exceed 2
+        "rf_frequency": (_FREQ, None, _NON_NEGATIVE),
+    },
+    "sweep": {
+        "variable": (tuple(SWEEP_AXES), _REQUIRED, None),
+        "start": (_AXIS, _REQUIRED, None),
+        "stop": (_AXIS, _REQUIRED, None),
+        "points": (int, _REQUIRED, (1, _MAX_POINTS)),
+    },
+    "mc": {
+        "dt": (_TIME, "0.25 ps", _POSITIVE),
+        "samples": (_POW2, 2**20, (2, 2**22)),
+        "realizations": (int, 64, (1, 4096)),
+        "seed": (int, 0, _NON_NEGATIVE),
+    },
+    "oeo": {
+        "tau": (_TIME, _REQUIRED, _POSITIVE),
+        "delta": (_TIME, None, _POSITIVE),
+        "from_link": (bool, False, None),
+        "f_max": (_FREQ, None, _POSITIVE),
+        "points": (int, 2001, (2, _MAX_POINTS)),
+    },
+    "rf_input_power": (_POWER, None, _POSITIVE),
+    "expect": {"snr_db_hz": (float, None, None)},
+    "outputs": {"path": (str, None, None), "format": (("csv", "json"), "csv", None)},
+}
+
+
+def _number(where: str, raw: Any) -> float:
+    """A finite plain number; strings such as '1e-3', which YAML leaves unparsed, are read too."""
     try:
-        value = float(parts[0])
-    except ValueError as exc:
-        raise ConfigurationError(f"field {field_name}: bad number in {raw!r}") from exc
-    unit = parts[1].lower()
-    if unit not in units:
-        raise ConfigurationError(
-            f"field {field_name}: unknown unit {parts[1]!r} (allowed: {sorted(units)})"
-        )
+        value = math.nan if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
     if not math.isfinite(value):
-        raise ConfigurationError(f"field {field_name}: non-finite value")
-    return value * units[unit]
+        raise ConfigurationError(f"field {where}: must be a finite plain number, got {raw!r}")
+    return value
 
 
-def parse_time(name: str, raw: Any) -> float:
-    return _parse_quantity(name, raw, _TIME_UNITS)
-
-
-def parse_frequency(name: str, raw: Any) -> float:
-    return _parse_quantity(name, raw, _FREQ_UNITS)
-
-
-def parse_power_w(name: str, raw: Any) -> float:
-    if isinstance(raw, str) and raw.strip().lower().endswith("dbm"):
-        value = raw.strip()[:-3].strip()
+def _value(where: str, raw: Any, rule: tuple, seen: dict):
+    """``raw`` parsed by the kind of ``rule`` and checked against its range."""
+    kind, _, bounds = rule
+    if isinstance(kind, dict):
+        parts = raw.split() if isinstance(raw, str) else ()
+        if len(parts) != 2 or parts[1].lower() not in kind:
+            raise ConfigurationError(
+                f"field {where}: expected 'number unit' with a unit in {sorted(kind)}, got {raw!r}"
+            )
+        number, unit = _number(where, parts[0]), kind[parts[1].lower()]
         try:
-            return dbm_to_watts(float(value))
-        except ValueError as exc:
-            raise ConfigurationError(f"field {name}: bad dBm value {raw!r}") from exc
-    return _parse_quantity(name, raw, {"w": 1.0, "mw": 1e-3, "uw": 1e-6})
+            value = unit(number, seen) if callable(unit) else number * unit
+        except ArithmeticError:  # overflow, or a wavelength whose square is 0
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigurationError(f"field {where}: {raw!r} is out of floating-point range")
+    elif isinstance(kind, tuple):
+        value = str(raw).lower()
+        if value not in kind:
+            raise ConfigurationError(f"field {where}: {raw!r} is not one of {', '.join(kind)}")
+    elif kind is float:
+        value = _number(where, raw)
+    elif not isinstance(raw, int if kind is _POW2 else kind) or (kind is not bool and isinstance(raw, bool)):
+        name = getattr(kind, "__name__", "int")
+        raise ConfigurationError(f"field {where}: must be of type {name}, got {raw!r}")
+    elif kind is _POW2 and raw & (raw - 1):
+        raise ConfigurationError(f"field {where}: must be a power of two, got {raw!r}")
+    else:
+        value = raw
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        low = "(0" if bounds[0] == _POSITIVE[0] else f"[{bounds[0]}"
+        raise ConfigurationError(f"field {where}: must lie in {low}, {bounds[1]}], got {raw!r}")
+    return value
 
 
-def parse_db(name: str, raw: Any) -> float:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        raise ConfigurationError(f"field {name}: unit suffix required, write e.g. '13.2 dB'")
-    parts = str(raw).strip().split()
-    if len(parts) != 2 or parts[1].lower() != "db":
-        raise ConfigurationError(f"field {name}: expected 'value dB'")
-    try:
-        return float(parts[0])
-    except ValueError as exc:
-        raise ConfigurationError(f"field {name}: bad number in {raw!r}") from exc
+def _read(name: str, raw: Any, seen: dict) -> dict:
+    """Section ``name`` parsed into ``seen`` by its ``_SCHEMA`` rules.
 
-
-def _parse_bandwidth(name: str, raw: Any, wavelength: float) -> float:
-    """Bandwidth in Hz from either a wavelength span or a frequency span."""
-    if isinstance(raw, str):
-        unit = raw.strip().split()[-1].lower()
-        if unit in _LENGTH_UNITS:
-            span_m = _parse_quantity(name, raw, _LENGTH_UNITS)
-            return optical_bandwidth_to_hz(span_m, wavelength)
-    return parse_frequency(name, raw)
+    ``raw`` is the section's mapping (None when it is empty).  Unknown keys
+    are rejected, and an absent key takes its default, None if it has none.
+    """
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"field {name}: must be a mapping")
+    rules = _SCHEMA[name]
+    for key in raw:
+        if key not in rules:
+            raise ConfigurationError(f"field {name}.{key}: unknown key (allowed: {', '.join(rules)})")
+    for key, rule in rules.items():
+        where = f"{name}.{key}"
+        if rule[0] is _AXIS:
+            _, kind, bounds = SWEEP_AXES[seen["variable"]]
+            rule = (kind, rule[1], bounds)
+        if key in raw:
+            seen[key] = _value(where, raw[key], rule, seen)
+        elif rule[1] is _REQUIRED:
+            raise ConfigurationError(f"field {where}: missing")
+        else:
+            seen[key] = None if rule[1] is None else _value(where, rule[1], rule, seen)
+    return seen
 
 
 @dataclass
@@ -117,7 +200,7 @@ class SweepSpec:
 @dataclass
 class McSpec:
     dt: float
-    n_samples: int
+    samples: int
     realizations: int
     seed: int
 
@@ -125,10 +208,10 @@ class McSpec:
 @dataclass
 class OeoSpec:
     tau: float
-    delta: Optional[float] = None  # per-hertz noise-to-signal ratio [s]
-    from_link: bool = False
-    f_max: Optional[float] = None
-    points: int = 2001
+    delta: Optional[float]  # per-hertz noise-to-signal ratio [s]
+    from_link: bool
+    f_max: Optional[float]
+    points: int
 
 
 @dataclass
@@ -145,222 +228,78 @@ class Scenario:
     raw_text: str = ""
 
 
-_SWEEP_UNIT_KIND = {
-    "f_m": "frequency",
-    "f_c": "frequency",
-    "detuning": "frequency",
-    "f_offset": "frequency",
-    "gamma": "plain",
-    "bandwidth": "bandwidth",
-}
-
-
-# keys each level of a scenario may hold; anything else is rejected
-_TOP_KEYS = ("link", "sweep", "mc", "oeo", "rf_input_power", "expect", "outputs")
-_SECTION_KEYS = {
-    "link": (
-        "scheme", "center_wavelength", "bandwidth", "psd_level", "gdd", "dispersion",
-        "delay", "center_frequency", "gamma", "csr", "rf_frequency",
-    ),
-    "sweep": ("variable", "start", "stop", "points"),
-    "mc": ("dt", "samples", "realizations", "seed"),
-    "oeo": ("tau", "delta", "from_link", "f_max", "points"),
-    "expect": ("snr_db_hz",),
-    "outputs": ("path", "format"),
-}
-
-
-def _reject_unknown(raw: dict, allowed, prefix: str) -> None:
-    for key in raw:
-        if key not in allowed:
-            raise ConfigurationError(
-                f"field {prefix}{key}: unknown key (allowed: {', '.join(allowed)})"
-            )
-
-
-def _section(data: dict, name: str) -> Optional[dict]:
-    """The mapping under ``name`` (None if absent, {} if empty), keys checked."""
-    if name not in data:
-        return None
-    raw = data[name]
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"field {name}: must be a mapping")
-    _reject_unknown(raw, _SECTION_KEYS[name], f"{name}.")
-    return raw
-
-
-def _build_link(data: dict) -> tuple[LinkConfig, float]:
-    raw = _section(data, "link")
-    if raw is None:
-        raise ConfigurationError("field link: missing section")
-
-    kind_name = str(raw.get("scheme", "ssb")).lower()
-    try:
-        kind = ModulationKind(kind_name)
-    except ValueError as exc:
-        raise ConfigurationError(f"field link.scheme: unknown scheme {kind_name!r}") from exc
-
-    wavelength = _parse_quantity(
-        "link.center_wavelength", raw.get("center_wavelength", "1550 nm"), _LENGTH_UNITS
-    )
-    bandwidth_hz = _parse_bandwidth("link.bandwidth", raw["bandwidth"], wavelength) if "bandwidth" in raw else None
-    if bandwidth_hz is None:
-        raise ConfigurationError("field link.bandwidth: missing")
-    psd_level = 1.0
-    if "psd_level" in raw:
-        psd_level = _parse_quantity("link.psd_level", raw["psd_level"], _PSD_UNITS)
-
-    if "gdd" in raw and "dispersion" in raw:
-        raise ConfigurationError("field link: give either dispersion or gdd, not both")
-    if "gdd" in raw:
-        dispersion = DispersionSpec(phi=_parse_quantity("link.gdd", raw["gdd"], _GDD_UNITS))
-    elif "dispersion" in raw:
-        d_total = _parse_quantity("link.dispersion", raw["dispersion"], _DISPERSION_UNITS)
-        dispersion = DispersionSpec.from_dispersion_parameter(d_total, wavelength)
+def _link(s: dict) -> LinkConfig:
+    """The link from its parsed section: either/or pairs, derived delay and default f_m."""
+    for first, second in (("gdd", "dispersion"), ("delay", "center_frequency"), ("gamma", "csr")):
+        if s[first] is not None and s[second] is not None:
+            raise ConfigurationError(f"field link: give either {first} or {second}, not both")
+    wavelength = s["center_wavelength"]
+    if s["gdd"] is not None:
+        dispersion = DispersionSpec(phi=s["gdd"])
+    elif s["dispersion"] is not None:
+        dispersion = DispersionSpec.from_dispersion_parameter(s["dispersion"], wavelength)
     else:
         raise ConfigurationError("field link.dispersion: missing (or provide link.gdd)")
 
-    if "delay" in raw and "center_frequency" in raw:
-        raise ConfigurationError("field link: give either delay or center_frequency")
-    if "delay" in raw:
-        delay = parse_time("link.delay", raw["delay"])
-    elif "center_frequency" in raw:
-        f_c = parse_frequency("link.center_frequency", raw["center_frequency"])
-        delay = delay_for_center(f_c, dispersion.phi)
+    if s["delay"] is not None:
+        delay = s["delay"]
+    elif s["center_frequency"] is not None:
+        delay = delay_for_center(s["center_frequency"], dispersion.phi)
     else:
         raise ConfigurationError("field link.delay: missing (or provide link.center_frequency)")
+    gamma = gamma_from_csr(s["csr"]) if s["csr"] is not None else s["gamma"] or 0.0
 
-    if "gamma" in raw and "csr" in raw:
-        raise ConfigurationError("field link: give either gamma or csr")
-    if "csr" in raw:
-        gamma = gamma_from_csr(parse_db("link.csr", raw["csr"]))
-    else:
-        gamma = raw.get("gamma", 0.0)
-        if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
-            raise ConfigurationError("field link.gamma: must be a plain number")
-
-    f0 = wavelength_to_frequency(wavelength)
-    spectrum = RectangularSpectrum(n0=psd_level, b=bandwidth_hz, carrier_f0=f0)
-    interferometer = InterferometerSpec(delay_d=delay, carrier_f0=f0)
-
-    if "rf_frequency" in raw:
-        f_m = parse_frequency("link.rf_frequency", raw["rf_frequency"])
-    else:
+    f_m = s["rf_frequency"]
+    if f_m is None:
         f_m = center_frequency(delay, dispersion.phi) if dispersion.phi != 0 else 0.0
-    scheme = SchemeConfig(kind=kind, f_m=f_m, gamma=float(gamma))
-    link = LinkConfig(
-        spectrum=spectrum,
-        interferometer=interferometer,
+    f0 = wavelength_to_frequency(wavelength)
+    return LinkConfig(
+        spectrum=RectangularSpectrum(n0=s["psd_level"], b=s["bandwidth"], carrier_f0=f0),
+        interferometer=InterferometerSpec(delay_d=delay, carrier_f0=f0),
         dispersion=dispersion,
-        scheme=scheme,
+        scheme=SchemeConfig(kind=ModulationKind(s["scheme"]), f_m=f_m, gamma=gamma),
     )
-    return link, wavelength
-
-
-def _build_sweep(data: dict, wavelength: float) -> Optional[SweepSpec]:
-    raw = _section(data, "sweep")
-    if raw is None:
-        return None
-    for key in ("variable", "start", "stop", "points"):
-        if key not in raw:
-            raise ConfigurationError(f"field sweep.{key}: missing")
-    variable = str(raw["variable"])
-    if variable not in _SWEEP_UNIT_KIND:
-        raise ConfigurationError(
-            f"field sweep.variable: unknown axis {variable!r} (allowed: {sorted(_SWEEP_UNIT_KIND)})"
-        )
-    kind = _SWEEP_UNIT_KIND[variable]
-    if kind == "frequency":
-        start = parse_frequency("sweep.start", raw["start"])
-        stop = parse_frequency("sweep.stop", raw["stop"])
-    elif kind == "bandwidth":
-        start = _parse_bandwidth("sweep.start", raw["start"], wavelength)
-        stop = _parse_bandwidth("sweep.stop", raw["stop"], wavelength)
-    else:
-        start, stop = raw["start"], raw["stop"]
-        for name, value in (("start", start), ("stop", stop)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigurationError(f"field sweep.{name}: must be a plain number")
-    points = raw["points"]
-    if not isinstance(points, int) or points < 1:
-        raise ConfigurationError("field sweep.points: must be a positive integer")
-    return SweepSpec(variable=variable, start=float(start), stop=float(stop), points=points)
-
-
-def _build_mc(data: dict) -> Optional[McSpec]:
-    raw = _section(data, "mc")
-    if raw is None:
-        return None
-    dt = parse_time("mc.dt", raw.get("dt", "0.25 ps"))
-    n_samples = raw.get("samples", 2**20)
-    realizations = raw.get("realizations", 64)
-    seed = raw.get("seed", 0)
-    for name, value in (("samples", n_samples), ("realizations", realizations), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigurationError(f"field mc.{name}: must be an integer")
-    return McSpec(dt=dt, n_samples=n_samples, realizations=realizations, seed=seed)
-
-
-def _build_oeo(data: dict) -> Optional[OeoSpec]:
-    raw = _section(data, "oeo")
-    if raw is None:
-        return None
-    if "tau" not in raw:
-        raise ConfigurationError("field oeo.tau: missing")
-    tau = parse_time("oeo.tau", raw["tau"])
-    delta = None
-    if "delta" in raw:
-        delta = parse_time("oeo.delta", raw["delta"])
-    from_link = bool(raw.get("from_link", False))
-    if delta is None and not from_link:
-        raise ConfigurationError("field oeo: provide delta or from_link: true")
-    f_max = parse_frequency("oeo.f_max", raw["f_max"]) if "f_max" in raw else None
-    points = raw.get("points", 2001)
-    if not isinstance(points, int) or points < 2:
-        raise ConfigurationError("field oeo.points: must be an integer >= 2")
-    return OeoSpec(tau=tau, delta=delta, from_link=from_link, f_max=f_max, points=points)
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # ValueError: text that is not UTF-8, or an integer or date too big for Python
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"scenario parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError("scenario must be a mapping")
-    _reject_unknown(data, _TOP_KEYS, "")
-    link, wavelength = _build_link(data)
-    sweep = _build_sweep(data, wavelength)
-    mc = _build_mc(data)
-    oeo = _build_oeo(data)
-    rf_power = None
+    for key in data:
+        if key not in _SCHEMA:
+            raise ConfigurationError(f"field {key}: unknown key (allowed: {', '.join(_SCHEMA)})")
+    if "link" not in data:
+        raise ConfigurationError("field link: missing section")
+    link = _read("link", data["link"], {})
+    sweep = mc = oeo = rf_power = None
+    if "sweep" in data:
+        s = _read("sweep", data["sweep"], {"center_wavelength": link["center_wavelength"]})
+        sweep = SweepSpec(s["variable"], s["start"], s["stop"], s["points"])
+    if "mc" in data:
+        mc = McSpec(**_read("mc", data["mc"], {}))
+    if "oeo" in data:
+        oeo = OeoSpec(**_read("oeo", data["oeo"], {}))
+        if oeo.delta is None and not oeo.from_link:
+            raise ConfigurationError("field oeo: provide delta or from_link: true")
     if "rf_input_power" in data:
-        rf_power = parse_power_w("rf_input_power", data["rf_input_power"])
-    expect = _section(data, "expect") or {}
-    if "snr_db_hz" in expect:
-        value = expect["snr_db_hz"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError("field expect.snr_db_hz: must be a plain number")
-    outputs = _section(data, "outputs") or {}
-    output_path = outputs.get("path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigurationError("field outputs.path: must be a string")
-    output_format = str(outputs.get("format", "csv")).lower()
-    if output_format not in ("csv", "json"):
-        raise ConfigurationError("field outputs.format: must be csv or json")
+        rf_power = _value("rf_input_power", data["rf_input_power"], _SCHEMA["rf_input_power"], {})
+    expect = _read("expect", data.get("expect"), {})
+    outputs = _read("outputs", data.get("outputs"), {})
     return Scenario(
-        link=link,
-        wavelength=wavelength,
+        link=_link(link),
+        wavelength=link["center_wavelength"],
         sweep=sweep,
         mc=mc,
         oeo=oeo,
         rf_input_power_w=rf_power,
-        expect=expect,
-        output_path=output_path,
-        output_format=output_format,
+        expect={key: value for key, value in expect.items() if value is not None},
+        output_path=outputs["path"],
+        output_format=outputs["format"],
         raw_text=text,
     )

@@ -11,10 +11,6 @@ settings.register_profile(
 settings.load_profile("numeric")
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running Monte-Carlo checks")
-
-
 @pytest.fixture(scope="session")
 def ssb_bench():
     from ibosmpf import reference_link

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ibosmpf.cli import main
+from ibosmpf.errors import ConfigurationError
+from ibosmpf.scenario import SWEEP_AXES, load_scenario
 
 BASE_LINK = """link:
   scheme: {scheme}
@@ -79,12 +81,74 @@ def test_sign_mismatch_exit_3(tmp_path):
         ("oeo:\n  tau: 1 us\n  from_link: true\n  taus: 2 us\n", "oeo.taus"),
         ("expect:\n  snr_db_hz: high\n", "expect.snr_db_hz"),
         ("outputs:\n  path: 5\n", "outputs.path"),
+        ("mc:\n  seed: -1\n", "mc.seed"),
+        ("oeo:\n  tau: 0 s\n  from_link: true\n", "oeo.tau"),
+        ("sweep:\n  variable: gamma\n  start: 0.1\n  stop: 0.2\n  points: true\n", "sweep.points"),
+        ("oeo:\n  tau: 1 us\n  from_link: 'no'\n", "oeo.from_link"),
+        ("mc:\n  samples: 1000\n", "mc.samples"),
+        ("mc:\n  realizations: 0\n", "mc.realizations"),
+        ("rf_input_power: 4000 dBm\n", "rf_input_power"),
     ],
 )
 def test_malformed_section_exit_2(tmp_path, capsys, extra, field):
     scenario = write(tmp_path, "sec.yaml", BASE_LINK.format(scheme="ssb", gamma=0.39) + extra)
     assert main(["snr", "--scenario", scenario]) == 2
     assert f"field {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        ("sweep:\n  variable: f_m\n  start: 1 GHz\n  stop: 2 GHz\n  points: 1000000000\n", "sweep.points"),
+        ("oeo:\n  tau: 1 us\n  from_link: true\n  points: 1000000000\n", "oeo.points"),
+        ("mc:\n  samples: 1099511627776\n", "mc.samples"),
+        ("mc:\n  realizations: 1000000\n", "mc.realizations"),
+    ],
+)
+def test_size_caps_rejected_by_loader(tmp_path, extra, field):
+    path = write(tmp_path, "big.yaml", BASE_LINK.format(scheme="ssb", gamma=0.39) + extra)
+    with pytest.raises(ConfigurationError, match=f"field {field}:"):
+        load_scenario(path)
+
+
+def test_not_utf8_exit_2(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(BASE_LINK.format(scheme="ssb", gamma=0.39).encode() + b"# caf\xe9\n")
+    assert main(["snr", "--scenario", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--seed=-1", "--tol-db=nan", "--tol-db=inf", "--tol-db=-0.5"])
+def test_bad_flag_value_exit_2(tmp_path, capsys, flag):
+    scenario = write(tmp_path, "ok.yaml", BASE_LINK.format(scheme="ssb", gamma=0.39) + "expect:\n  snr_db_hz: 94.9\n")
+    assert main(["snr", "--scenario", scenario, "--compare", flag]) == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+
+
+def test_exponent_without_dot_is_a_number(tmp_path):
+    outs = []
+    for gamma in ("1e-3", "0.001"):
+        outs.append(str(tmp_path / f"{gamma}.csv"))
+        scenario = write(tmp_path, f"{gamma}.yaml", BASE_LINK.format(scheme="ssb", gamma=gamma))
+        assert main(["snr", "--scenario", scenario, "--out", outs[-1]]) == 0
+    assert read_rows(outs[0]) == read_rows(outs[1])
+
+
+@pytest.mark.parametrize(
+    "command,axis",
+    [(c, a) for c in ("response", "snr", "passband", "oeo") for a in SWEEP_AXES if SWEEP_AXES[a][0] != c],
+)
+def test_axis_of_another_command_exit_2(tmp_path, capsys, command, axis):
+    scenario = write(
+        tmp_path,
+        "axis.yaml",
+        BASE_LINK.format(scheme="ssb", gamma=0.39)
+        + "oeo:\n  tau: 1 us\n  from_link: true\n"
+        + f"sweep:\n  variable: {axis}\n  start: {'0.1' if axis == 'gamma' else '1 GHz'}\n  stop: {'0.2' if axis == 'gamma' else '2 GHz'}\n  points: 2\n",
+    )
+    assert main([command, "--scenario", scenario]) == 2
+    err = capsys.readouterr().err
+    assert "field sweep.variable:" in err
+    assert all(a in err for a in SWEEP_AXES if SWEEP_AXES[a][0] == command)
 
 
 def test_bad_csr_number_exit_2(tmp_path, capsys):
@@ -101,6 +165,21 @@ def test_oeo_domain_exit_3(tmp_path):
         + "oeo:\n  tau: 1 us\n  delta: 2 us\n",
     )
     assert main(["oeo", "--scenario", scenario]) == 3
+
+
+@pytest.mark.parametrize(
+    "command,scheme,old,new,extra",
+    [
+        ("snr", "ssb", "3.2 nm", "1e-292 Hz", ""),  # SNR underflows to 0
+        ("snr", "pm", "3.2 nm", "1e-292 Hz", ""),
+        ("snr", "ssb", "gamma: 0.39", "gamma: 1e-170", ""),  # gamma**2 == 0
+        ("snr", "ssb", "gamma: 0.39", "gamma: 0.39\n  psd_level: 1e200 W/Hz", ""),  # n0**2 overflows
+        ("oeo", "ssb", "", "", "oeo:\n  tau: 1 us\n  delta: 5e-324 s\n  points: 5\n"),  # S(f') underflows
+    ],
+)
+def test_extreme_operating_point_exit_3(tmp_path, command, scheme, old, new, extra):
+    text = BASE_LINK.format(scheme=scheme, gamma=0.39).replace(old, new) + extra
+    assert main([command, "--scenario", write(tmp_path, "x.yaml", text)]) == 3
 
 
 def test_compare_pass_and_fail(tmp_path):
