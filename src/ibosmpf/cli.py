@@ -116,11 +116,11 @@ def _mc_setup(args, scenario: Scenario):
 
 
 def _snr_report(link):
-    if link.scheme.kind is ModulationKind.SSB:
-        return snr_ssb(link)
-    if link.scheme.kind is ModulationKind.PM:
-        return snr_pm(link)
-    raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
+    if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
+        raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
+    if link.scheme.gamma <= 0:  # a gamma sweep's start and stop are checked > 0 on load
+        raise ConfigurationError("field link.gamma: the SNR needs a modulation index > 0 (gamma or csr)")
+    return snr_ssb(link) if link.scheme.kind is ModulationKind.SSB else snr_pm(link)
 
 
 def _check_axis(command: str, scenario: Scenario) -> None:
@@ -132,6 +132,11 @@ def _check_axis(command: str, scenario: Scenario) -> None:
 
 
 def run_response(args, scenario: Scenario) -> int:
+    scheme = scenario.link.scheme
+    if scheme.kind is ModulationKind.UNMODULATED:
+        raise ConfigurationError("field link.scheme: an unmodulated link has no frequency response")
+    if scheme.gamma <= 0:
+        raise ConfigurationError("field link.gamma: the response needs a modulation index > 0 (gamma or csr)")
     f_grid = scenario.sweep.values()
     normalize = not getattr(args, "absolute", False)
     values = frequency_response_sweep(scenario.link, f_grid, normalize_db=normalize)
@@ -172,6 +177,9 @@ def run_snr(args, scenario: Scenario) -> int:
     rows = []
     failures = []
     for x, link in _swept_links(scenario):
+        if use_mc:  # the ensemble measures a tone on a Welch bin: center the link there
+            f_m = WelchConfig().snap_frequency(link.passband_center(), grid.dt)
+            link = link.with_delay_for_center(f_m).with_modulation_frequency(f_m)
         report = _snr_report(link)
         row = {
             "x": float(x),

@@ -259,6 +259,8 @@ def snr_ssb(link: LinkConfig) -> SnrReport:
     gamma = link.scheme.gamma
     if gamma <= 0:
         raise ConfigurationError("SNR needs gamma > 0")
+    if gamma**2 == 0:  # the compact form divides by it
+        raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
 
     # scale-free ratio: unit-PSD copy of the spectrum (SNR has no N0)
     unit = link.with_spectrum(link.spectrum.with_unit_scale())
@@ -329,6 +331,6 @@ def frequency_response_sweep(
         return power
     peak = power.max()
     if peak <= 0:
-        raise ConfigurationError("response is identically zero; cannot normalize")
+        raise DomainError("response is identically zero (no modulation, or underflow); cannot normalize")
     floor = peak * 1e-30
     return 10.0 * np.log10(np.maximum(power, floor) / peak)

@@ -71,7 +71,7 @@ def reference_link(
     n0: float = 1.0,
     f_m: float | None = None,
 ) -> LinkConfig:
-    """Bench operating point used throughout the tests and scripts.
+    """Bench operating point used throughout the tests and the benchmark.
 
     Defaults give the 10 GHz passband configuration: 3.2 nm rectangular
     slice at 1550 nm, -989 ps/nm accumulated dispersion, 79.4 ps delay.

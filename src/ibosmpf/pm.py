@@ -251,6 +251,8 @@ def snr_pm(link: LinkConfig) -> SnrReport:
     gamma = link.scheme.gamma
     if gamma <= 0:
         raise ConfigurationError("SNR needs gamma > 0")
+    if gamma**2 == 0:  # the compact form divides by it
+        raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
 
     unit = link.with_spectrum(link.spectrum.with_unit_scale())
     sig_u = signal_power_pm(unit, f_c)

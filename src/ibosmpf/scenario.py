@@ -23,7 +23,8 @@ from .geometry import (
     center_frequency,
     delay_for_center,
 )
-from .modulation import ModulationKind, SchemeConfig, gamma_from_csr
+from .modulation import _SMALL_SIGNAL_GAMMA_MAX, ModulationKind, SchemeConfig, gamma_from_csr
+from .montecarlo import WelchConfig
 from .spectrum import RectangularSpectrum
 from .units import dbm_to_watts, optical_bandwidth_to_hz, wavelength_to_frequency
 
@@ -60,7 +61,7 @@ SWEEP_AXES = {
     "f_m": ("response", _FREQ, _NON_NEGATIVE),
     "detuning": ("passband", _FREQ, None),
     "f_offset": ("oeo", _FREQ, None),
-    "gamma": ("snr", float, _NON_NEGATIVE),
+    "gamma": ("snr", float, (_POSITIVE[0], _SMALL_SIGNAL_GAMMA_MAX)),  # an SNR needs a tone
     "f_c": ("snr", _FREQ, None),
     "bandwidth": ("snr", _BANDWIDTH, _POSITIVE),
 }
@@ -92,8 +93,8 @@ _SCHEMA = {
     },
     "mc": {
         "dt": (_TIME, "0.25 ps", _POSITIVE),
-        "samples": (_POW2, 2**20, (2, 2**22)),
-        "realizations": (int, 64, (1, 4096)),
+        "samples": (_POW2, 2**20, (WelchConfig.nperseg, 2**22)),  # at least one Welch segment
+        "realizations": (int, 64, (8, 4096)),  # the fewest an ensemble estimate takes
         "seed": (int, 0, _NON_NEGATIVE),
     },
     "oeo": {
@@ -252,12 +253,16 @@ def _link(s: dict) -> LinkConfig:
     f_m = s["rf_frequency"]
     if f_m is None:
         f_m = center_frequency(delay, dispersion.phi) if dispersion.phi != 0 else 0.0
+    try:
+        scheme = SchemeConfig(kind=ModulationKind(s["scheme"]), f_m=f_m, gamma=gamma)
+    except ConfigurationError as exc:  # the small-signal schemes' bound on gamma
+        raise ConfigurationError(f"field link.{'gamma' if s['csr'] is None else 'csr'}: {exc}") from None
     f0 = wavelength_to_frequency(wavelength)
     return LinkConfig(
         spectrum=RectangularSpectrum(n0=s["psd_level"], b=s["bandwidth"], carrier_f0=f0),
         interferometer=InterferometerSpec(delay_d=delay, carrier_f0=f0),
         dispersion=dispersion,
-        scheme=SchemeConfig(kind=ModulationKind(s["scheme"]), f_m=f_m, gamma=gamma),
+        scheme=scheme,
     )
 
 

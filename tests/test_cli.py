@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from ibosmpf import cli
 from ibosmpf.cli import main
+from ibosmpf.closed_forms import noise_power_ssb_at, signal_power_ssb
 from ibosmpf.errors import ConfigurationError
+from ibosmpf.montecarlo import McEstimate, WelchConfig
 from ibosmpf.scenario import SWEEP_AXES, load_scenario
 
 BASE_LINK = """link:
@@ -15,6 +18,9 @@ BASE_LINK = """link:
   delay: 79.4 ps
   gamma: {gamma}
 """
+
+
+SWEEP_F_M = "sweep:\n  variable: f_m\n  start: 2 GHz\n  stop: 16 GHz\n  points: 5\n"
 
 
 def write(tmp_path, name, text):
@@ -87,6 +93,8 @@ def test_sign_mismatch_exit_3(tmp_path):
         ("oeo:\n  tau: 1 us\n  from_link: 'no'\n", "oeo.from_link"),
         ("mc:\n  samples: 1000\n", "mc.samples"),
         ("mc:\n  realizations: 0\n", "mc.realizations"),
+        ("mc:\n  samples: 16384\n", "mc.samples"),  # shorter than one Welch segment
+        ("mc:\n  realizations: 4\n", "mc.realizations"),  # too few for an ensemble estimate
         ("rf_input_power: 4000 dBm\n", "rf_input_power"),
     ],
 )
@@ -175,11 +183,51 @@ def test_oeo_domain_exit_3(tmp_path):
         ("snr", "ssb", "gamma: 0.39", "gamma: 1e-170", ""),  # gamma**2 == 0
         ("snr", "ssb", "gamma: 0.39", "gamma: 0.39\n  psd_level: 1e200 W/Hz", ""),  # n0**2 overflows
         ("oeo", "ssb", "", "", "oeo:\n  tau: 1 us\n  delta: 5e-324 s\n  points: 5\n"),  # S(f') underflows
+        ("response", "ssb", "gamma: 0.39", "gamma: 1e-170", SWEEP_F_M),  # every line power is 0
     ],
 )
-def test_extreme_operating_point_exit_3(tmp_path, command, scheme, old, new, extra):
+def test_extreme_operating_point_exit_3(tmp_path, capsys, command, scheme, old, new, extra):
     text = BASE_LINK.format(scheme=scheme, gamma=0.39).replace(old, new) + extra
     assert main([command, "--scenario", write(tmp_path, "x.yaml", text)]) == 3
+    if command == "snr" and new == "gamma: 1e-170":
+        assert "domain error: gamma = 1e-170 underflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,scheme,old,new,extra,field",
+    [
+        ("snr", "ssb", "gamma: 0.39", "gamma: 0", "", "link.gamma"),
+        ("snr", "pm", "", "", "sweep:\n  variable: gamma\n  start: 0\n  stop: 0.5\n  points: 3\n", "sweep.start"),
+        ("snr", "ssb", "", "", "sweep:\n  variable: gamma\n  start: 0.5\n  stop: 1.6\n  points: 3\n", "sweep.stop"),
+        ("oeo", "pm", "gamma: 0.39", "gamma: 0", "oeo:\n  tau: 1 us\n  from_link: true\n", "link.gamma"),
+        ("snr", "ssb", "gamma: 0.39", "gamma: 1.6", "", "link.gamma"),
+        ("snr", "ssb", "gamma: 0.39", "csr: 2 dB", "", "link.csr"),
+        ("response", "dsb", "gamma: 0.39", "gamma: 0", SWEEP_F_M, "link.gamma"),
+        ("response", "unmodulated", "", "", SWEEP_F_M, "link.scheme"),
+    ],
+)
+def test_exit_2_names_the_field(tmp_path, capsys, command, scheme, old, new, extra, field):
+    text = BASE_LINK.format(scheme=scheme, gamma=0.39).replace(old, new) + extra
+    assert main([command, "--scenario", write(tmp_path, "x.yaml", text)]) == 2
+    assert f"field {field}:" in capsys.readouterr().err
+
+
+def test_mc_compare_measures_the_snapped_tone(tmp_path, monkeypatch):
+    """--mc --compare holds the ensemble against the exact SNR of the tone the ensemble measures."""
+
+    def exact_snr_at_snapped_tone(link, grid, n_realizations, seed, welch=WelchConfig(), f_m=None):
+        f = welch.snap_frequency(link.passband_center() if f_m is None else f_m, grid.dt)
+        noise, _ = noise_power_ssb_at(link, f)
+        return McEstimate(n_realizations, {"snr_linear": (signal_power_ssb(link, f) / noise, 0.0)})
+
+    monkeypatch.setattr(cli, "estimate_snr", exact_snr_at_snapped_tone)
+    # 13 GHz lies half a Welch bin (61 MHz) from the nearest one
+    text = BASE_LINK.format(scheme="ssb", gamma=0.44).replace("3.2 nm", "6.4 nm")
+    text = text.replace("delay: 79.4 ps", "center_frequency: 13 GHz") + "mc:\n  realizations: 8\n"
+    out = tmp_path / "mc.csv"
+    assert main(["snr", "--mc", "--compare", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert float(rows[0]["x"]) == pytest.approx(13e9, rel=1e-12)
 
 
 def test_compare_pass_and_fail(tmp_path):

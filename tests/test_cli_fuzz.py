@@ -1,4 +1,5 @@
-"""Generated scenarios against the CLI contract: exit 0, 2, 3 or 4, never a traceback.
+"""Generated scenarios against the CLI contract: exit 0, 2, 3 or 4, never a traceback,
+and an exit-2 message that names the field, flag or file at fault.
 
 Values are drawn from the scenario schema itself, so a key added to the
 schema is fuzzed without a change here.  Point counts are either small or
@@ -6,7 +7,9 @@ beyond the schema's caps, and no run passes ``--mc``, so no case allocates
 a large array or starts a pool.
 """
 
+import contextlib
 import copy
+import io
 
 import yaml
 from hypothesis import given, settings
@@ -104,5 +107,9 @@ def test_cli_contract_holds_for_generated_scenarios(tmp_path_factory, case):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "scenario.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
-    code = main(argv + ["--scenario", str(path), "--out", str(tmp / "out.txt")])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):  # capsys is function-scoped, which hypothesis rejects
+        code = main(argv + ["--scenario", str(path), "--out", str(tmp / "out.txt")])
     assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert any(name in err.getvalue() for name in ("field ", "--seed", "--tol-db", "scenario", "i/o error"))

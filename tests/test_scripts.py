@@ -1,4 +1,4 @@
-"""Fresh-interpreter checks: the scripts run end to end and the import stays light."""
+"""Fresh-interpreter checks: importing the package and running an ensemble stay light."""
 
 import os
 import subprocess
@@ -8,17 +8,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-CURVE_FILES = [
-    "response_dsb.csv",
-    "response_ssb.csv",
-    "response_pm.csv",
-    "ssb_passband_peaks.csv",
-    "snr_vs_gamma_ssb.csv",
-    "snr_vs_gamma_pm.csv",
-    "snr_vs_frequency_ssb.csv",
-    "snr_vs_frequency_pm.csv",
-    "passband_shapes.csv",
-]
 
 
 def _python(*args, cwd):
@@ -27,20 +16,6 @@ def _python(*args, cwd):
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
-
-
-def test_run_bench_curves_writes_every_table(tmp_path):
-    outdir = tmp_path / "curves"
-    done = _python(str(ROOT / "scripts" / "run_bench_curves.py"), "--outdir", str(outdir), cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in outdir.glob("*.csv")) == sorted(CURVE_FILES)
-
-
-def test_mc_validation_runs(tmp_path):
-    script = str(ROOT / "scripts" / "mc_validation.py")
-    done = _python(script, "--samples", "65536", "--realizations", "8", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert "bandwidth-doubling law" in done.stdout
 
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.special", "scipy.fft"])
