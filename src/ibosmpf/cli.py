@@ -115,6 +115,21 @@ def _mc_setup(args, scenario: Scenario):
     return grid, scenario.mc.realizations, seed
 
 
+# SimulationGrid attribute that the grid checks' messages start with -> scenario field
+_GRID_FIELDS = {"dt": "mc.dt", "n_samples": "mc.samples"}
+
+
+def _estimate(link, grid, n_realizations, seed, **kwargs):
+    """``estimate_snr``; a grid that does not fit the link is reported against its mc field."""
+    try:
+        return estimate_snr(link, grid, n_realizations=n_realizations, seed=seed, **kwargs)
+    except ConfigurationError as exc:
+        attribute, _, reason = str(exc).partition(": ")
+        if attribute not in _GRID_FIELDS:
+            raise
+        raise ConfigurationError(f"field {_GRID_FIELDS[attribute]}: {reason}") from None
+
+
 def _snr_report(link):
     if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
         raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
@@ -141,7 +156,10 @@ def run_response(args, scenario: Scenario) -> int:
     normalize = not getattr(args, "absolute", False)
     values = frequency_response_sweep(scenario.link, f_grid, normalize_db=normalize)
     if not normalize:
-        values = 10.0 * np.log10(np.maximum(values, np.max(values) * 1e-30))
+        values = np.maximum(values, np.max(values) * 1e-30)
+        if not np.all(values > 0):
+            raise DomainError("absolute response underflows to 0; no dB level")
+        values = 10.0 * np.log10(values)
     rows = [
         {"f_m_hz": float(f), "signal_power_db": float(v), "scheme": scenario.link.scheme.kind.value}
         for f, v in zip(f_grid, values)
@@ -189,7 +207,7 @@ def run_snr(args, scenario: Scenario) -> int:
         if scenario.rf_input_power_w is not None:
             row["nf_db"] = noise_figure(scenario.rf_input_power_w, report.snr_db_hz)
         if use_mc:
-            est = estimate_snr(link, grid, n_realizations=n_real, seed=seed)
+            est = _estimate(link, grid, n_real, seed)
             row["mc_snr_dbhz"] = est.snr_db
             row["mc_stderr_db"] = est.snr_stderr_db
             if args.compare and abs(est.snr_db - report.snr_db_hz) > args.tol_db:
@@ -227,7 +245,7 @@ def run_passband(args, scenario: Scenario) -> int:
         errs = []
         for det in detunings:
             f_m = welch.snap_frequency(f_c + det, grid.dt)
-            est = estimate_snr(link, grid, n_realizations=n_real, seed=seed, f_m=f_m)
+            est = _estimate(link, grid, n_real, seed, f_m=f_m)
             powers.append(est.mean("line_power"))
             errs.append(est.stderr("line_power"))
         powers = np.asarray(powers)

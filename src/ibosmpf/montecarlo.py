@@ -8,15 +8,22 @@ is a spectral filter on it: an arm with modulator m, delay tau and complex
 amplitude c contributes m(t) ifft(S c exp(-j 2 pi f tau)), so arms that
 share one modulator are one filter and one inverse transform.  The sum of
 the arms is transformed back, multiplied by the dispersion all-pass,
-transformed to time and square-law detected: three transforms per
-realization when the arms share a modulator or one arm is unmodulated,
-four when both arms carry different modulations.  The factors that depend
-only on the link and the grid (synthesis amplitude, arm filters and
-waveforms, dispersion all-pass) are computed once per ensemble and shared
-by its realizations.  Welch-averaged periodograms of the real intensity,
-calibrated in power/Hz and mirrored onto negative frequencies, then
-estimate the two-sided intensity PSD; discrete lines are integrated over
-a few bins with the local floor subtracted.
+zero-padded to the full grid, transformed to time and square-law detected.
+The source has no power outside its support and every arm is a harmonic
+sum at a tone on the grid's frequency lattice, so the arms, the modulation
+and the dispersion run on the M in-band bins only, where M is the smallest
+power of two that holds the intensity's band (a quarter of the bins for
+the 3.2 nm reference link on the default grid).  A realization then takes
+one full-length transform and two band-length ones when the arms share a
+modulator or one arm is unmodulated, three when both arms carry different
+modulations; a tone off the lattice is not band-limited and runs at M = N.
+The factors that depend only on the link and the grid (synthesis
+amplitude, band size, arm filters and waveforms, dispersion all-pass) are
+computed once per ensemble and shared by its realizations.
+Welch-averaged periodograms of the real intensity, calibrated in power/Hz
+and mirrored onto negative frequencies, then estimate the two-sided
+intensity PSD; discrete lines are integrated over a few bins with the
+local floor subtracted.
 
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
@@ -73,14 +80,17 @@ class SimulationGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.dt
 
-    def validate_for(self, bandwidth: float, f_m: float) -> None:
-        """Nyquist margin and record-length checks for a planned run."""
-        if self.sample_rate < 4.0 * (bandwidth + 2.0 * f_m):
-            raise ConfigurationError(
-                "sample rate below the 4 (B + 2 f_m) Nyquist margin"
-            )
+    def validate_for(self, bandwidth: float, f_m: float, order: int = 1) -> None:
+        """Nyquist margin and record-length checks for a planned run.
+
+        ``order`` is the largest harmonic order K over both arms: the
+        modulated field spreads K f_m beyond the source on either side.
+        Each message starts with the grid attribute it is about.
+        """
+        if self.sample_rate < 4.0 * (bandwidth + 2.0 * order * f_m):
+            raise ConfigurationError("dt: sample rate below the 4 (B + 2K f_m) Nyquist margin")
         if f_m > 0 and self.duration < 32.0 / f_m:
-            raise ConfigurationError("record shorter than 32 modulation periods")
+            raise ConfigurationError("n_samples: record shorter than 32 modulation periods")
 
 
 # bench default: 4 THz sample rate, 2**20 samples per realization
@@ -89,9 +99,10 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 # intensity samples per batched transform in estimate_psd
 _WELCH_BLOCK = 2**19
 # grid samples that the concurrent realizations of one estimate_snr call may
-# hold together; a realization holds up to about 64 bytes per sample (the
-# spectrum, a second arm, a transform work buffer, the intensity), so this
-# keeps them under about 256 MB
+# hold together; a realization peaks at 32 bytes per sample (the field's
+# spectrum, which the full-length transform overwrites, and the intensity
+# with its |E| temporary; resident memory sampled through SSB and PM
+# realizations at 2^20 samples), so this keeps them under about 128 MB
 _INFLIGHT_SAMPLES = 2**22
 
 
@@ -130,31 +141,60 @@ class _Plan(NamedTuple):
     """Factors of one (link, grid) pair that no realization changes."""
 
     amplitude: np.ndarray  # sqrt(G df / 2) per FFT bin
-    # (spectral filter, waveform m(t)) per distinct modulator; an unmodulated
-    # arm has waveform None and its constant folded into the filter
+    band: int  # M, from _band: the field's bins are the grid's first and last M/2
+    # (spectral filter, waveform m(t)) per distinct modulator, on the M in-band
+    # bins and at every N/M-th grid time; an unmodulated arm has waveform None
+    # and its constant folded into the filter
     arms: tuple[tuple[np.ndarray | float, np.ndarray | None], ...]
-    dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2)
+    dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
 
 
 def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid) -> np.ndarray:
     """Per-bin synthesis amplitude sqrt(G df / 2) of circular Gaussian variates."""
     if 0.5 * grid.sample_rate < spectrum.support()[1]:
-        raise ConfigurationError("grid violates the spectrum's Nyquist limit")
+        raise ConfigurationError("dt: grid violates the spectrum's Nyquist limit")
     psd = np.asarray(spectrum.psd(grid.frequencies()), dtype=float)
     return np.sqrt(psd * (0.5 * grid.df))
 
 
+def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int]:
+    """Largest harmonic order K over both arms, and the band size M in bins.
+
+    The source has no power outside its support, every arm is a harmonic
+    sum, and delay and dispersion act bin by bin, so the modulated field
+    occupies |f| <= F = max|support| + K f_m.  M is the smallest power of
+    two with M df > 4 F, the width of the intensity's band |f| <= 2 F (the
+    field alone would fit in M df > 2 F).  A tone off the df lattice is not
+    band-limited: M = N then.
+    """
+    m1, m2, _ = build_scheme(link.scheme)
+    order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
+    n = grid.n_samples
+    cycles = m1.f_m * grid.duration
+    if order and abs(cycles - round(cycles)) > 4.0 * math.ulp(cycles):
+        return order, n
+    edge = max(abs(f) for f in link.spectrum.support()) + order * m1.f_m
+    band = 2
+    while band < n and band * grid.df <= 4.0 * edge:
+        band *= 2
+    return order, band
+
+
 def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     """Build the grid-only factors once; every realization of an ensemble reuses them."""
+    _, band = _band(link, grid)
+    n = grid.n_samples
     freqs = grid.frequencies()
+    freqs = np.concatenate((freqs[: band // 2], freqs[n - band // 2 :]))
     m1, m2, k_scheme = build_scheme(link.scheme)
     k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
     delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
     delayed *= k_total * np.exp(-1j * link.carrier_phase)
-    t = grid.times()
+    t = np.arange(0, n, n // band) * grid.dt
     pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(1.0, m1), (delayed, m2)]
     return _Plan(
         amplitude=_amplitude(link.spectrum, grid),
+        band=band,
         arms=tuple((f * m.coefficient(0), None) if m.is_constant() else (f, m.evaluate(t)) for f, m in pairs),
         dispersion=_phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2),
     )
@@ -189,7 +229,9 @@ def propagate(
     to keep it.  The differential delay is applied as an exact
     frequency-domain phase (no sample rounding), as part of one spectral
     filter per distinct arm modulator; dispersion is one all-pass
-    multiplication.  ``plan`` must come from ``_plan(link, grid)``.
+    multiplication.  Both run on the plan's M in-band bins, and the
+    result is zero-padded back to the full grid for detection.  ``plan``
+    must come from ``_plan(link, grid)``.
     """
     # scipy.fft gives numpy.fft's values but allocates one work buffer per
     # transform where numpy.fft allocates two; at 2^20 points the page
@@ -200,10 +242,12 @@ def propagate(
         raise ConfigurationError("field length does not match the grid")
     if plan is None:
         plan = _plan(link, grid)
+    n, half = grid.n_samples, plan.band // 2
+    band = np.concatenate((spectrum[:half], spectrum[n - half :]))
     unmodulated = modulated = None
     last = len(plan.arms) - 1
     for k, (spectral_filter, waveform) in enumerate(plan.arms):
-        arm = np.multiply(spectrum, spectral_filter, out=spectrum if k == last else None)
+        arm = np.multiply(band, spectral_filter, out=band if k == last else None)
         if waveform is None:  # m(t) is a constant: no round trip through time
             unmodulated = arm if unmodulated is None else np.add(unmodulated, arm, out=unmodulated)
             continue
@@ -217,8 +261,14 @@ def propagate(
         if unmodulated is not None:
             combined += unmodulated
     combined *= plan.dispersion
-    combined = sp_fft.ifft(combined, norm="forward", overwrite_x=True)
-    return np.abs(combined) ** 2
+    # zero-padded back into the field's own buffer: no second full-length
+    # array, and no band-length one left alive through detection
+    spectrum[:half] = combined[:half]
+    spectrum[half : n - half] = 0.0
+    spectrum[n - half :] = combined[half:]
+    del band, arm, modulated, unmodulated, combined
+    field = sp_fft.ifft(spectrum, norm="forward", overwrite_x=True)
+    return np.abs(field) ** 2
 
 
 def estimate_psd(
@@ -352,7 +402,8 @@ def estimate_snr(
     f_m = welch.snap_frequency(f_m, grid.dt)
     link = link.with_modulation_frequency(f_m)
     lo, hi = link.spectrum.support()
-    grid.validate_for(hi - lo, f_m)
+    order, _ = _band(link, grid)
+    grid.validate_for(hi - lo, f_m, order)
 
     df = welch.bin_width(grid.dt)
     lines = np.empty(n_realizations)
@@ -394,5 +445,5 @@ def estimate_snr(
     return McEstimate(
         n_realizations=n_realizations,
         quantities=quantities,
-        metadata={"f_m": f_m, "seed": seed, "nperseg": welch.nperseg, "dt": grid.dt},
+        metadata={"f_m": f_m, "seed": seed, "nperseg": welch.nperseg, "dt": grid.dt, "band_bins": plan.band},
     )

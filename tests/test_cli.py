@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +177,16 @@ def test_oeo_domain_exit_3(tmp_path):
     assert main(["oeo", "--scenario", scenario]) == 3
 
 
+def test_absolute_response_that_underflows_exits_3(tmp_path, capsys):
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39) + "  psd_level: 1e-300 W/Hz\n" + SWEEP_F_M
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning from log10(0)
+        assert main(["response", "--absolute", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 3
+    assert "domain error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,scheme,old,new,extra",
     [
@@ -210,6 +222,25 @@ def test_exit_2_names_the_field(tmp_path, capsys, command, scheme, old, new, ext
     text = BASE_LINK.format(scheme=scheme, gamma=0.39).replace(old, new) + extra
     assert main([command, "--scenario", write(tmp_path, "x.yaml", text)]) == 2
     assert f"field {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["snr", "passband"])
+@pytest.mark.parametrize(
+    "grid, field",
+    [
+        ("dt: 1 ps\n  samples: 1048576", "mc.dt"),  # below the 4 (B + 2 f_m) = 1.68 THz margin
+        ("dt: 0.05 ps\n  samples: 32768", "mc.samples"),  # 1.6 ns, under 32 periods of 10 GHz
+    ],
+)
+def test_mc_grid_errors_name_the_field(tmp_path, capsys, command, grid, field):
+    text = (Path(__file__).resolve().parents[1] / "scenarios" / "ssb_reference.yaml").read_text(encoding="utf-8")
+    text = text.replace("dt: 0.25 ps\n  samples: 1048576", grid)
+    if command == "passband":
+        text += "sweep:\n  variable: detuning\n  start: -1 GHz\n  stop: 1 GHz\n  points: 3\n"
+    out = tmp_path / "out.csv"
+    assert main([command, "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 2
+    assert f"field {field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mc_compare_measures_the_snapped_tone(tmp_path, monkeypatch):

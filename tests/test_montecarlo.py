@@ -400,6 +400,7 @@ def test_estimate_snr_deterministic():
     a = estimate_snr(link, grid, n_realizations=8, seed=5, welch=welch)
     b = estimate_snr(link, grid, n_realizations=8, seed=5, welch=welch)
     assert a.quantities == b.quantities
+    assert a.metadata["band_bins"] == grid.n_samples // 4
     c = estimate_snr(link, grid, n_realizations=8, seed=6, welch=welch)
     assert a.quantities != c.quantities
 
@@ -490,6 +491,98 @@ def test_full_length_transform_counts(monkeypatch, kind, transforms):
     assert calls["full"] == transforms
 
 
+# --- band-limited propagation ------------------------------------------------------
+
+BAND_WELCH = WelchConfig(nperseg=4096)
+
+
+def _long_double_chain(link, grid, rng):
+    """Intensity of ``_reference_chain`` on the same draw, in long double through scipy.fft."""
+    ld = np.longdouble
+    freqs = np.fft.fftfreq(grid.n_samples, ld(grid.dt))
+    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=ld) * (ld(grid.df) / 2))
+    noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128).astype(np.clongdouble)
+    field = scipy.fft.ifft(noise * amplitude, norm="forward")
+    delayed = scipy.fft.ifft(scipy.fft.fft(field) * np.exp(-2j * np.pi * freqs * ld(link.delay)))
+    m1, m2, k_scheme = build_scheme(link.scheme)
+    k_total = np.clongdouble(k_scheme) * np.clongdouble(link.interferometer.arm_ratio_k)
+    t = np.arange(grid.n_samples) * ld(grid.dt)
+
+    def evaluate(m):
+        return sum(np.clongdouble(c) * np.exp(2j * np.pi * n * ld(m.f_m) * t) for n, c in m.coeffs.items())
+
+    combined = field * evaluate(m1) + delayed * evaluate(m2) * (k_total * np.exp(-1j * ld(link.carrier_phase)))
+    dispersion = np.exp(-1j * ld(link.phi) / 2 * (2 * np.pi * freqs) ** 2)
+    out = scipy.fft.ifft(scipy.fft.fft(combined) * dispersion)
+    return out.real**2 + out.imag**2
+
+
+def _band_intensity(link, grid, rng):
+    plan = _plan(link, grid)
+    assert plan.band < grid.n_samples
+    return propagate(synthesize_field(link.spectrum, grid, rng, plan=plan), link, grid, plan=plan)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here")
+@pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
+def test_band_intensity_as_accurate_as_full_length_chain(link):
+    link, _ = _retuned(link, SMALL_GRID, BAND_WELCH)
+    exact = _long_double_chain(link, SMALL_GRID, realization_rng(3, 1))
+    _, full = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
+    band = _band_intensity(link, SMALL_GRID, realization_rng(3, 1))
+
+    def errors(intensity):
+        error = np.abs(intensity - exact)
+        return float(np.max(error / exact)), float(error.max() / exact.max())
+
+    # the float64 chains evaluate the same phases and share most of their
+    # rounding: they sit about 5e-14 of the peak from the long-double chain
+    # but within about 1e-14 of each other, and link by link the band chain's
+    # errors are 0.7-1.3 times the full-length chain's; the factor allows that
+    # spread, while a lost or aliased in-band bin costs orders of magnitude more
+    for got, want in zip(errors(band), errors(full)):
+        assert got <= 1.5 * want
+
+
+@pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
+def test_band_intensity_matches_reference_chain(link):
+    link, _ = _retuned(link, SMALL_GRID, BAND_WELCH)
+    _, want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
+    band = _band_intensity(link, SMALL_GRID, realization_rng(3, 1))
+    assert np.max(np.abs(band - want)) <= 1e-12 * want.max()
+
+
+def test_band_size():
+    n = SMALL_GRID.n_samples
+    # F = B/2 + f_m: 210 GHz at 3.2 nm and 410 GHz at 6.4 nm, against 4 F < M df
+    # with df = 61 MHz
+    for nm, band in ((3.2, n // 4), (6.4, n // 2)):
+        link, _ = _retuned(reference_link(bandwidth_nm=nm), SMALL_GRID, BAND_WELCH)
+        assert _plan(link, SMALL_GRID).band == band
+    off_lattice = reference_link(f_m=10e9)  # 163.84 bins of df
+    assert _plan(off_lattice, SMALL_GRID).band == n
+
+
+@pytest.mark.parametrize(
+    "kind, band_transforms",
+    [("ssb", 2), ("dsb", 2), ("pm", 2), ("polarization", 2), ("two_modulated_arms", 3)],
+)
+def test_band_transform_counts(monkeypatch, kind, band_transforms):
+    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    plan = _plan(link, SMALL_GRID)
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+
+        def counting(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+            calls[np.size(x)] += 1
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
+    propagate(spectrum, link, SMALL_GRID, plan=plan)
+    assert calls == {SMALL_GRID.n_samples: 1, SMALL_GRID.n_samples // 4: band_transforms}
+
+
 def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):
     counts = _count_calls(monkeypatch)
     with pytest.raises(ConfigurationError):
@@ -511,6 +604,25 @@ def test_grid_validation():
     fine = SimulationGrid(dt=0.25e-12, n_samples=2**10)
     with pytest.raises(ConfigurationError):
         fine.validate_for(400e9, 10e9)  # record shorter than 32 periods
+
+
+def test_nyquist_margin_counts_every_harmonic_order():
+    grid = SimulationGrid(dt=5e-12, n_samples=2**12)  # 200 GHz sample rate
+    welch = WelchConfig(nperseg=1024)
+    f_m = welch.snap_frequency(10e9, grid.dt)
+    link = reference_link(f_m=f_m).with_spectrum(RectangularSpectrum(n0=1.0, b=20e9, carrier_f0=193.4e12))
+    link = replace(
+        link,
+        scheme=SchemeConfig(kind=ModulationKind.CUSTOM, f_m=f_m, m1_coeffs={n: 0.1 for n in range(-5, 6)}),
+    )
+    # a margin of 4 (B + 2 f_m) = 160 GHz lets the grid through, but the
+    # intensity spans 2 (B/2 + 5 f_m) = 120 GHz either side of 0, past the
+    # 100 GHz Nyquist limit
+    grid.validate_for(20e9, f_m)
+    with pytest.raises(ConfigurationError, match="4 \\(B \\+ 2K f_m\\)"):
+        grid.validate_for(20e9, f_m, order=5)
+    with pytest.raises(ConfigurationError, match="Nyquist margin"):
+        estimate_snr(link, grid, n_realizations=8, welch=welch)
 
 
 def test_mcestimate_requires_realizations():
