@@ -11,7 +11,11 @@ Discrete lines come from the lag-independent parts evaluated directly from
 the autocorrelation; the continuum requires transforms of shifted
 autocorrelation products, computed as numeric spectral correlation
 integrals (:func:`ibosmpf.spectrum.spectral_correlation`, Gauss-Legendre
-panels over the band overlap) for every spectrum model.  That numeric
+panels over the band overlap) for every spectrum model.  The cached
+(lag multiple, k_u) keys come in +-lag pairs, and one quadrature sums both
+from the same exponential per node; the -lag sum is never taken as the
+conjugate of the +lag one, which would blind the continuum's realness
+check to a complex source PSD.  That numeric
 route is deliberately independent of the per-scheme closed forms, which use
 the analytic transforms instead; the two are cross-checked in the tests.
 """
@@ -132,7 +136,8 @@ def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecom
     theta0 = link.carrier_phase
     omega = 2.0 * math.pi * f_m
 
-    # continuum: cache the spectral correlations per (lag multiple, k_u)
+    # continuum: cache the spectral correlations per (lag multiple, k_u); one
+    # quadrature fills both the +lag and the -lag key
     v_grid = 2.0 * np.pi * link.phi * f_grid
     corr_cache: dict[tuple[int, int], np.ndarray] = {}
     continuum = np.zeros(f_grid.shape, dtype=complex)
@@ -142,7 +147,7 @@ def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecom
         for (k_v, k_u), coeff in tables[slots].items():
             key = (ua - ub, k_u)
             if key not in corr_cache:
-                corr_cache[key] = spectral_correlation(
+                corr_cache[key], corr_cache[(ub - ua, k_u)] = spectral_correlation(
                     spectrum, f_grid - k_u * f_m, (ua - ub) * d
                 )
             base = (

@@ -100,9 +100,10 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 _WELCH_BLOCK = 2**19
 # grid samples that the concurrent realizations of one estimate_snr call may
 # hold together; a realization peaks at 32 bytes per sample (the field's
-# spectrum, which the full-length transform overwrites, and the intensity
-# with its |E| temporary; resident memory sampled through SSB and PM
-# realizations at 2^20 samples), so this keeps them under about 128 MB
+# spectrum and the 16-byte work buffer of the full-length transform that
+# overwrites it; detection squares |E| in place and holds 24; resident
+# memory sampled through SSB and PM realizations at 2^20 samples), so this
+# keeps them under about 128 MB
 _INFLIGHT_SAMPLES = 2**22
 
 
@@ -268,7 +269,8 @@ def propagate(
     spectrum[n - half :] = combined[half:]
     del band, arm, modulated, unmodulated, combined
     field = sp_fft.ifft(spectrum, norm="forward", overwrite_x=True)
-    return np.abs(field) ** 2
+    intensity = np.abs(field)
+    return np.square(intensity, out=intensity)
 
 
 def estimate_psd(

@@ -223,7 +223,7 @@ class TabulatedSpectrum(OpticalSpectrum):
         return out if out.size > 1 else float(out[0])
 
     def cross_spectrum(self, f, shift):
-        out = spectral_correlation(self, f, shift)
+        out = spectral_correlation(self, f, shift)[0]
         return out if out.size > 1 else complex(out[0])
 
     def support(self) -> tuple[float, float]:
@@ -251,17 +251,26 @@ def _hat_autocorrelation(s: np.ndarray) -> np.ndarray:
 
 
 def spectral_correlation(spectrum: OpticalSpectrum, f, shift: float) -> np.ndarray:
-    """``int G(v) G(v - f) exp(j 2 pi v shift) dv`` for each f, by quadrature.
+    """``int G(v) G(v - f) exp(+-j 2 pi v shift) dv`` for each f, by quadrature.
 
-    Needs only the model's PSD and support, so it serves any model; the
-    array is returned even for a single f.
+    Row 0 holds the ``+shift`` correlation and row 1 the ``-shift`` one:
+    both integrands come from the same node values and one exponential per
+    node.  Needs only the model's PSD and support, so it serves any model;
+    the rows are arrays even for a single f.
     """
     sup = spectrum.support()
     if shift == 0.0:
-        w1 = spectrum.psd
-    else:
-        def w1(v):
-            return spectrum.psd(v) * np.exp(2j * np.pi * v * shift)
+        out = band_correlation(spectrum.psd, spectrum.psd, sup, sup, f, cycle_rate=0.0)
+        return np.stack((out, out))
+
+    def w1(v):
+        g = spectrum.psd(v)
+        e = np.exp(2j * np.pi * v * shift)
+        out = np.empty((2,) + e.shape, dtype=complex)
+        np.multiply(g, e, out=out[0])
+        np.multiply(g, np.conjugate(e, out=e), out=out[1])
+        return out
+
     return band_correlation(w1, spectrum.psd, sup, sup, f, cycle_rate=abs(shift))
 
 

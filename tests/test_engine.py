@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,3 +125,26 @@ def test_engine_scale_invariant_shape():
     scaled = general_intensity_psd(reference_link(n0=10.0), grid)
     np.testing.assert_allclose(scaled.continuum, 100.0 * base.continuum, rtol=1e-9)
     np.testing.assert_allclose(scaled.line_powers, 100.0 * base.line_powers, rtol=1e-9)
+
+
+def test_engine_matches_benchmark_references():
+    # the benchmark's five engine links on its 1024-point grid, against the
+    # recorded reference outputs (read, never written)
+    refs_path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "full.json"
+    refs = json.loads(refs_path.read_text(encoding="utf-8"))
+    ref = reference_link()
+    links = {
+        "ssb": ref,
+        "dsb": reference_link(scheme_kind="dsb", gamma=0.39),
+        "pm": reference_link(scheme_kind="pm", gamma=0.41),
+        "custom": replace(ref, scheme=polarization_modulator_scheme(0.41, ref.scheme.f_m)),
+        "tabulated": ref.with_spectrum(tabulate(ref.spectrum, 4096)),
+    }
+    grid = np.linspace(-440e9, 440e9, 1024)
+    for label, link in links.items():
+        decomp = general_intensity_psd(link, grid)
+        for part in ("continuum", "line_frequencies", "line_powers"):
+            want = np.asarray(refs[f"psd.{label}.{part}"], dtype=float)
+            got = getattr(decomp, part)
+            assert got.shape == want.shape, (label, part)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (label, part)

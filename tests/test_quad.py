@@ -1,0 +1,130 @@
+"""Row-blocked quadrature and the +-lag pair: neither changes a bit of the sums.
+
+``band_correlation`` evaluates its shifts in row blocks of about ``_BLOCK``
+nodes; every row's sum must equal the one-block evaluation exactly.  The
+engine fills its +lag and -lag correlation keys from one call of
+``spectral_correlation``; each row must equal a separate evaluation with
+its own exponential exactly.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from ibosmpf import _quad, reference_link
+from ibosmpf import spectrum as spectrum_module
+from ibosmpf.engine import general_intensity_psd
+from ibosmpf.freq_domain import _weights
+from ibosmpf.modulation import polarization_modulator_scheme
+from ibosmpf.spectrum import spectral_correlation, tabulate
+
+LINK = reference_link()
+SPECTRA = {
+    "rectangular": LINK.spectrum,
+    "tabulated": tabulate(LINK.spectrum, 512),
+}
+# past the 400 GHz correlation support at both ends: zero-overlap rows; a
+# prime count is no multiple of the rows per block
+SHIFTS = np.linspace(-450e9, 450e9, 997)
+
+
+def _freq_domain_cases():
+    x1, x3, y2, y5, sup1, sup3, rate = _weights(LINK, LINK.scheme.f_m)
+
+    def conj_of(w):
+        return lambda v: np.conj(w(v))
+
+    return {
+        "x1,x1": (x1, x1, sup1, sup1, rate),
+        "y2,y2*": (y2, conj_of(y2), sup1, sup1, rate),
+        "x3,x1": (x3, x1, sup3, sup1, rate),
+        "x1,x3": (x1, x3, sup1, sup3, rate),
+        "y5,y5*": (y5, conj_of(y5), sup3, sup3, rate),
+        "x3,x3": (x3, x3, sup3, sup3, rate),
+    }
+
+
+def _rows_per_block(rate, width):
+    """Rows per block for the panel count ``band_correlation`` picks."""
+    n_panels = int(np.ceil(width * rate / 1.5)) + 4
+    return _quad._BLOCK // (16 * n_panels)
+
+
+@pytest.mark.parametrize("case", _freq_domain_cases().items(), ids=lambda c: c[0])
+def test_blocked_equals_one_block_freq_domain(monkeypatch, case):
+    _, (w1, w2, sup1, sup2, rate) = case
+    rows = _rows_per_block(rate, min(sup1[1] - sup1[0], sup2[1] - sup2[0]))
+    assert 1 < rows and SHIFTS.size > 2 * rows
+    blocked = _quad.band_correlation(w1, w2, sup1, sup2, SHIFTS, rate)
+    monkeypatch.setattr(_quad, "_BLOCK", 2**40)
+    whole = _quad.band_correlation(w1, w2, sup1, sup2, SHIFTS, rate)
+    assert np.array_equal(blocked, whole)
+    lo = np.maximum(sup1[0], sup2[0] + SHIFTS)
+    hi = np.minimum(sup1[1], sup2[1] + SHIFTS)
+    empty = hi <= lo
+    assert empty.any() and not empty.all()
+    assert np.all(blocked[empty] == 0.0)
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+@pytest.mark.parametrize("lag", [0.0, 1, 2])
+def test_blocked_equals_one_block_pair(monkeypatch, name, lag):
+    spec = SPECTRA[name]
+    shift = lag * LINK.delay
+    lo, hi = spec.support()
+    rows = _rows_per_block(shift, hi - lo)
+    assert 1 < rows and SHIFTS.size > 2 * rows
+    blocked = spectral_correlation(spec, SHIFTS, shift)
+    monkeypatch.setattr(_quad, "_BLOCK", 2**40)
+    whole = spectral_correlation(spec, SHIFTS, shift)
+    assert blocked.shape == (2, SHIFTS.size)
+    assert np.array_equal(blocked, whole)
+    assert np.all(blocked[:, np.abs(SHIFTS) >= hi - lo] == 0.0)
+
+
+def test_no_overlap_keeps_the_leading_axis():
+    spec = SPECTRA["rectangular"]
+    far = np.array([-1e12, 1e12, 2e12])
+    assert np.array_equal(spectral_correlation(spec, far, LINK.delay), np.zeros((2, 3)))
+    sup = spec.support()
+    assert np.array_equal(_quad.band_correlation(spec.psd, spec.psd, sup, sup, far, 0.0), np.zeros(3))
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+@pytest.mark.parametrize("lag", [1, 2, -1])
+def test_pair_equals_separate_evaluations(name, lag):
+    spec = SPECTRA[name]
+    sup = spec.support()
+
+    def separate(shift):
+        def w1(v):
+            return spec.psd(v) * np.exp(2j * np.pi * v * shift)
+
+        return _quad.band_correlation(w1, spec.psd, sup, sup, SHIFTS, abs(shift))
+
+    plus, minus = spectral_correlation(spec, SHIFTS, lag * LINK.delay)
+    assert np.array_equal(plus, separate(lag * LINK.delay))
+    assert np.array_equal(minus, separate(-lag * LINK.delay))
+
+
+@pytest.mark.parametrize(
+    "kind, quadratures",
+    [("ssb", 9), ("dsb", 15), ("pm", 11), ("polarization", 7)],
+)
+def test_engine_quadrature_counts(monkeypatch, kind, quadratures):
+    if kind == "polarization":
+        link = replace(LINK, scheme=polarization_modulator_scheme(0.41, LINK.scheme.f_m))
+    else:
+        link = reference_link(scheme_kind=kind, gamma=0.41 if kind == "pm" else 0.39)
+    calls = Counter()
+    original = spectrum_module.band_correlation
+
+    def counting(*args, **kwargs):
+        calls["band_correlation"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "band_correlation", counting)
+    general_intensity_psd(link, np.linspace(-430e9, 430e9, 257))
+    assert calls == {"band_correlation": quadratures}

@@ -57,6 +57,25 @@ def test_engine_continuum_check():
         general_intensity_psd(link, GRID)
 
 
+@dataclass(frozen=True)
+class OddPhaseDensity(RectangularSpectrum):
+    """The rectangle times exp(j 1e-11 f): a complex PSD whose phase is odd in f."""
+
+    def psd(self, f):
+        return RectangularSpectrum.psd(self, f) * np.exp(1e-11j * np.asarray(f, dtype=float))
+
+
+@pytest.mark.parametrize("kind,gamma", [("ssb", 0.39), ("pm", 0.41), ("dsb", 0.39)])
+def test_engine_continuum_check_odd_phase(kind, gamma):
+    # each -lag correlation must be summed from its own integrand: taking it
+    # as the conjugate of the +lag sum makes this continuum read as real
+    link = reference_link(scheme_kind=kind, gamma=gamma)
+    s = link.spectrum
+    link = link.with_spectrum(OddPhaseDensity(n0=s.n0, b=s.b, carrier_f0=s.carrier_f0))
+    with pytest.raises(DomainError, match="imaginary part"):
+        general_intensity_psd(link, GRID)
+
+
 def test_pm_line_check(drifting_autocorrelation):
     link = reference_link(scheme_kind="pm", gamma=0.41)
     with pytest.raises(DomainError, match=r"\|imag\|/\|real\|"):
