@@ -6,11 +6,12 @@ cyclic autocorrelations of the modulation.  Discrete lines live at
 multiples of the RF fundamental; the continuum is built from fringed
 self-convolutions of the optical PSD.
 
-Each evaluator exists in two flavours: ``exact`` keeps every kernel term,
-while the approximate forms drop the interferometric cross terms (valid
-when the optical bandwidth times the delay is large) and assume a flat
-self-convolution across the RF band.  SNR reports carry both so the
-approximation error stays visible.
+Every evaluator keeps all kernel terms, the interferometric cross spectra
+included.  The one approximation left is the compact SNR estimate of
+:class:`SnrReport` (``snr_approx_*``), which drops those cross terms (valid
+when the optical bandwidth times the delay is large) and assumes a flat
+self-convolution across the RF band; reports carry it beside the exact
+ratio so the approximation error stays visible.
 """
 
 from __future__ import annotations
@@ -46,21 +47,18 @@ def fringed_noise_spectrum(
     delay: float,
     carrier_phase: float,
     f,
-    exact: bool = True,
 ):
     """Transform of |H(u)|^2: the fringed intensity-noise shaping spectrum.
 
-    The leading term is [4 + 2 cos(2 pi f d)] S0(f); the exact form adds the
-    delay-offset cross spectra, which are suppressed like sinc(pi B d).
+    The leading term is [4 + 2 cos(2 pi f d)] S0(f); the delay-offset cross
+    spectra add to it and are suppressed like sinc(pi B d).
     """
     f = np.asarray(f, dtype=float)
     s0 = spectrum.intensity_autoconvolution(f)
-    main = (4.0 + 2.0 * np.cos(2.0 * np.pi * f * delay)) * s0
-    if not exact:
-        return main
     if delay == 0.0:
         # all shifts coincide: |H|^2 = 16 |R0|^2
         return 16.0 * s0
+    main = (4.0 + 2.0 * np.cos(2.0 * np.pi * f * delay)) * s0
     cc_d = spectrum.cross_spectrum(f, delay)
     cc_2d = spectrum.cross_spectrum(f, 2.0 * delay)
     fringe = np.exp(-2j * np.pi * f * delay)
@@ -78,35 +76,35 @@ def _shared_arm(link: LinkConfig, what: str) -> tuple[HarmonicModulation, comple
     return m1, k
 
 
-def _continuum_terms(link: LinkConfig, m: HarmonicModulation, f, exact: bool) -> dict:
+def _continuum_terms(link: LinkConfig, m: HarmonicModulation, f) -> dict:
     """Per cyclic order s: |C_s(v)|^2 times the fringed spectrum at f + s f_m."""
     v = 2.0 * np.pi * link.phi * f
     return {
         s: np.abs(cyclic_autocorrelation(m, s, v)) ** 2
         * np.real(
-            fringed_noise_spectrum(
-                link.spectrum, link.delay, link.carrier_phase, f + s * m.f_m, exact=exact
-            )
+            fringed_noise_spectrum(link.spectrum, link.delay, link.carrier_phase, f + s * m.f_m)
         )
         for s in cyclic_orders(m)
     }
 
 
-def _line_weights(link: LinkConfig, m: HarmonicModulation, orders) -> list[float]:
-    """Line powers |H(v_s)|^2 |C_s(v_s)|^2 at -s f_m for each cyclic order s."""
-    weights = []
-    for s in orders:
-        v_line = 2.0 * np.pi * link.phi * (-s * m.f_m)
+def _line_weights(link: LinkConfig, m: HarmonicModulation, orders, f_m) -> np.ndarray:
+    """Line powers |H(v_s)|^2 |C_s(v_s)|^2 at -s f_m per cyclic order s (rows) and f_m.
+
+    C_s depends on f_m and v only through f_m v, so one unit-fundamental
+    copy of the arm serves every f_m of an array.
+    """
+    f_m = np.asarray(f_m, dtype=float)
+    unit = HarmonicModulation(1.0, m.coeffs)
+    weights = np.empty((len(orders),) + f_m.shape)
+    for i, s in enumerate(orders):
+        v_line = 2.0 * np.pi * link.phi * (-s * f_m)
         h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_line)
-        weights.append(
-            float(np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(m, s, v_line)) ** 2)
-        )
+        weights[i] = np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(unit, s, f_m * v_line)) ** 2
     return weights
 
 
-def shared_modulator_decomposition(
-    link: LinkConfig, f_grid: np.ndarray, exact: bool = True
-) -> SpectralDecomposition:
+def shared_modulator_decomposition(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecomposition:
     """Line/continuum intensity PSD when both arms share one modulator."""
     m, k = _shared_arm(link, "shared-modulator closed form")
     if abs(k - 1.0) > 1e-12 or abs(link.interferometer.arm_ratio_k - 1.0) > 1e-12:
@@ -114,52 +112,40 @@ def shared_modulator_decomposition(
     orders = cyclic_orders(m)
     return SpectralDecomposition(
         frequencies=f_grid,
-        continuum=noise_psd_shared(link, f_grid, exact=exact),
+        continuum=noise_psd_shared(link, f_grid),
         line_frequencies=np.array([-s * m.f_m for s in orders]),
-        line_powers=np.array(_line_weights(link, m, orders)),
-        metadata={"path": "closed-form", "exact": exact, "f_m": m.f_m},
+        line_powers=_line_weights(link, m, orders, m.f_m),
+        metadata={"path": "closed-form", "f_m": m.f_m},
     )
 
 
-def noise_psd_shared(link: LinkConfig, f, exact: bool = True):
+def noise_psd_shared(link: LinkConfig, f):
     """Continuum intensity-noise PSD for a shared-modulator scheme."""
     m, _ = _shared_arm(link, "shared-modulator noise PSD")
     f = np.asarray(f, dtype=float)
     out = np.zeros(f.shape)
-    for term in _continuum_terms(link, m, f, exact).values():
+    for term in _continuum_terms(link, m, f).values():
         out += term
     return out if out.ndim else float(out)
 
 
-def scheme_line_power(link: LinkConfig, f_m: float) -> float:
-    """Detected RF power at the fundamental: both +-f_m line weights."""
-    m1, m2, k = build_scheme(link.scheme)
-    if m1.coeffs != m2.coeffs or abs(k - 1.0) > 1e-12:
-        raise ConfigurationError("scheme_line_power needs a shared-modulator scheme")
-    minus, plus = _line_weights(link, HarmonicModulation(f_m, m1.coeffs), (-1, 1))
-    return minus + plus
+def _fundamental_power(link: LinkConfig, f_m):
+    """Sum of the +-f_m line weights of the shared arm; a scalar f_m gives a float."""
+    m, _ = _shared_arm(link, "shared-modulator signal power")
+    f_m = np.asarray(link.scheme.f_m if f_m is None else f_m, dtype=float)
+    minus, plus = _line_weights(link, m, (1, -1), f_m)
+    power = minus + plus
+    return power if f_m.ndim else float(power)
 
 
-def signal_power_ssb(link: LinkConfig, f_m=None, flat: bool = False):
-    """Single-sideband detected signal power at f_m.
+def signal_power_ssb(link: LinkConfig, f_m=None):
+    """Single-sideband detected signal power at f_m: 2 (gamma/2)^2 |H(v_m)|^2.
 
-    ``flat=True`` selects the passband approximation 2 (gamma/2)^2 R0(0)^2,
-    exact only at the passband center with strong fringe suppression.
     ``f_m`` may be an array; a scalar returns a float.
     """
     if link.scheme.kind is not ModulationKind.SSB:
         raise ConfigurationError("signal_power_ssb requires an SSB scheme")
-    gamma = link.scheme.gamma
-    if f_m is None:
-        f_m = link.scheme.f_m
-    f_m = np.asarray(f_m, dtype=float)
-    if flat:
-        power = np.full(f_m.shape, 2.0 * (gamma / 2.0) ** 2 * float(link.spectrum.total_power()) ** 2)
-    else:
-        v_m = 2.0 * np.pi * link.phi * f_m
-        h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
-        power = 2.0 * (gamma / 2.0) ** 2 * np.abs(h) ** 2
-    return power if f_m.ndim else float(power)
+    return _fundamental_power(link, f_m)
 
 
 def signal_power_dsb(link: LinkConfig, f_m=None):
@@ -171,15 +157,7 @@ def signal_power_dsb(link: LinkConfig, f_m=None):
     """
     if link.scheme.kind is not ModulationKind.DSB:
         raise ConfigurationError("signal_power_dsb requires a DSB scheme")
-    gamma = link.scheme.gamma
-    if f_m is None:
-        f_m = link.scheme.f_m
-    f_m = np.asarray(f_m, dtype=float)
-    v_m = 2.0 * np.pi * link.phi * f_m
-    h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
-    fading = np.cos(math.pi * f_m * v_m) ** 2
-    power = 8.0 * (gamma / 2.0) ** 2 * fading * np.abs(h) ** 2
-    return power if f_m.ndim else float(power)
+    return _fundamental_power(link, f_m)
 
 
 def dsb_fading_null_frequency(phi: float, order: int = 0) -> float:
@@ -221,17 +199,15 @@ def _cos_fringe_argument(f_c: float, phi: float) -> float:
     return float(np.cos(theta))
 
 
-def _ssb_noise_terms(link: LinkConfig, f_c: float, exact: bool) -> dict:
+def _ssb_noise_terms(link: LinkConfig, f_c: float) -> dict:
     """Noise at +-f_c per cyclic order: the main band and the two images."""
     m1, _, _ = build_scheme(link.scheme)
-    terms = _continuum_terms(link, m1, np.asarray(f_c, dtype=float), exact)
+    terms = _continuum_terms(link, m1, np.asarray(f_c, dtype=float))
     parts = {"main_band": 0, "upconverted_sum": 1, "upconverted_baseband": -1}
     return {name: 2.0 * float(terms.get(s, 0.0)) for name, s in parts.items()}
 
 
-def noise_power_ssb_at(
-    link: LinkConfig, f_c: float | None = None, exact: bool = True
-) -> tuple[float, dict]:
+def noise_power_ssb_at(link: LinkConfig, f_c: float | None = None) -> tuple[float, dict]:
     """Noise power in 1 Hz at +-f_c (continuum only) with its breakdown.
 
     The three parts are the co-frequency beat term and the two up-converted
@@ -242,18 +218,17 @@ def noise_power_ssb_at(
     if f_c is None:
         f_c = link.passband_center()
     link = link.with_modulation_frequency(f_c)
-    terms = _ssb_noise_terms(link, f_c, exact=exact)
+    terms = _ssb_noise_terms(link, f_c)
     return sum(terms.values()), terms
 
 
-def snr_ssb(link: LinkConfig) -> SnrReport:
-    """SSB SNR at the passband center: exact ratio plus the flat approximation.
+def _snr_at_center(link: LinkConfig, signal, breakdown, compact) -> SnrReport:
+    """SNR report at the passband center from a scheme's closed forms.
 
-    The approximation is B / (8 [cos th + 1/2]^2 + 8/g^2 [cos th + 2] + 6)
-    with th = 4 pi^2 phi f_c^2, valid for B d >> 1 and B >> f_c.
+    ``signal(link, f_c)`` is the tone power, ``breakdown(link, f_c)`` the
+    named noise parts in 1 Hz at +-f_c, and ``compact(cos th, gamma)`` the
+    denominator of the rectangular-spectrum estimate B / compact.
     """
-    if link.scheme.kind is not ModulationKind.SSB:
-        raise ConfigurationError("snr_ssb requires an SSB scheme")
     f_c = link.passband_center()
     link = link.with_modulation_frequency(f_c)
     gamma = link.scheme.gamma
@@ -264,33 +239,41 @@ def snr_ssb(link: LinkConfig) -> SnrReport:
 
     # scale-free ratio: unit-PSD copy of the spectrum (SNR has no N0)
     unit = link.with_spectrum(link.spectrum.with_unit_scale())
-    sig_u = signal_power_ssb(unit, f_c)
-    terms_u = _ssb_noise_terms(unit, f_c, exact=True)
-    snr_linear = sig_u / sum(terms_u.values())
-
-    signal = signal_power_ssb(link, f_c)
-    terms = _ssb_noise_terms(link, f_c, exact=True)
-    noise = sum(terms.values())
+    snr_linear = signal(unit, f_c) / sum(breakdown(unit, f_c).values())
+    terms = breakdown(link, f_c)
 
     if isinstance(link.spectrum, RectangularSpectrum):
-        b = link.spectrum.b
-        cth = _cos_fringe_argument(f_c, link.phi)
-        denom = 8.0 * (cth + 0.5) ** 2 + 8.0 / gamma**2 * (cth + 2.0) + 6.0
-        approx = b / denom
+        approx = link.spectrum.b / compact(_cos_fringe_argument(f_c, link.phi), gamma)
     else:
         approx = snr_linear
     if not (snr_linear > 0 and approx > 0):
         raise DomainError("SNR underflows to zero at this operating point")
     return SnrReport(
-        scheme="ssb",
+        scheme=link.scheme.kind.value,
         center_frequency=f_c,
         snr_linear=snr_linear,
         snr_db_hz=10.0 * math.log10(snr_linear),
-        signal_power=signal,
-        noise_psd_at_signal=noise,
+        signal_power=signal(link, f_c),
+        noise_psd_at_signal=sum(terms.values()),
         noise_breakdown=terms,
         snr_approx_linear=approx,
         snr_approx_db_hz=10.0 * math.log10(approx),
+    )
+
+
+def snr_ssb(link: LinkConfig) -> SnrReport:
+    """SSB SNR at the passband center: exact ratio plus the flat approximation.
+
+    The approximation is B / (8 [cos th + 1/2]^2 + 8/g^2 [cos th + 2] + 6)
+    with th = 4 pi^2 phi f_c^2, valid for B d >> 1 and B >> f_c.
+    """
+    if link.scheme.kind is not ModulationKind.SSB:
+        raise ConfigurationError("snr_ssb requires an SSB scheme")
+    return _snr_at_center(
+        link,
+        signal_power_ssb,
+        _ssb_noise_terms,
+        lambda cth, gamma: 8.0 * (cth + 0.5) ** 2 + 8.0 / gamma**2 * (cth + 2.0) + 6.0,
     )
 
 

@@ -16,12 +16,11 @@ import math
 
 import numpy as np
 
-from .closed_forms import SnrReport, _cos_fringe_argument
+from .closed_forms import SnrReport, _snr_at_center
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition, real_line_powers
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .modulation import ModulationKind
-from .spectrum import RectangularSpectrum
 
 # Term table: (A-part shifts, B-part shifts, carrier-phase exponent).
 # A(v) = R0(v + va) R0*(v + vb); B(u) = R0(u + ua) R0*(u + ub); the common
@@ -98,7 +97,7 @@ def _pm_parameters(link: LinkConfig):
     return float(special.j0(gamma)), float(special.j1(gamma))
 
 
-def _continuum_terms(link: LinkConfig, f, f_m, exact: bool, group) -> dict:
+def _continuum_terms(link: LinkConfig, f, f_m, group) -> dict:
     """Continuum terms at the frequencies f, summed per ``group(ua, ub, k)`` label."""
     j0, j1 = _pm_parameters(link)
     if f_m is None:
@@ -110,8 +109,6 @@ def _continuum_terms(link: LinkConfig, f, f_m, exact: bool, group) -> dict:
     v = 2.0 * np.pi * link.phi * f
     totals: dict = {}
     for va, vb, ua, ub, n, mf in _TERMS:
-        if not exact and ua != ub:
-            continue
         table = _harmonic_table(mf, v, omega, j0, j1)
         phase = np.exp(1j * n * theta0)
         for k, coeff in table.items():
@@ -121,10 +118,10 @@ def _continuum_terms(link: LinkConfig, f, f_m, exact: bool, group) -> dict:
     return totals
 
 
-def pm_continuum(link: LinkConfig, f, f_m: float | None = None, exact: bool = True):
+def pm_continuum(link: LinkConfig, f, f_m: float | None = None):
     """Continuum intensity-noise PSD of the phase-modulated link at f."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    totals = _continuum_terms(link, f, f_m, exact, lambda ua, ub, k: "total")
+    totals = _continuum_terms(link, f, f_m, lambda ua, ub, k: "total")
     out = np.real(totals["total"])
     return out if out.size > 1 else float(out[0])
 
@@ -139,7 +136,7 @@ def _physical_group(ua: int, ub: int, k: int) -> str:
 
 def pm_continuum_grouped(link: LinkConfig, f: float, f_m: float | None = None) -> dict:
     """Continuum at one frequency, split into physically labelled parts."""
-    totals = _continuum_terms(link, np.atleast_1d(float(f)), f_m, True, _physical_group)
+    totals = _continuum_terms(link, np.atleast_1d(float(f)), f_m, _physical_group)
     names = ("main_band", "upconverted", "second_harmonic", "interferometric_cross")
     return {name: float(totals[name].real[0]) for name in names}
 
@@ -171,71 +168,36 @@ def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dic
     return {k: (p if f_m.ndim else float(p)) for k, p in zip(orders, powers)}
 
 
-def pm_decomposition(link: LinkConfig, f_grid: np.ndarray, exact: bool = True) -> SpectralDecomposition:
+def pm_decomposition(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecomposition:
     f_grid = np.asarray(f_grid, dtype=float)
     f_m = link.scheme.f_m
     weights = pm_line_weights(link)
     lines = [(k * f_m, w) for k, w in sorted(weights.items()) if w > 0 or k == 0]
     decomp = SpectralDecomposition(
         frequencies=f_grid,
-        continuum=pm_continuum(link, f_grid, exact=exact),
+        continuum=pm_continuum(link, f_grid),
         line_frequencies=np.array([f for f, _ in lines]),
         line_powers=np.array([w for _, w in lines]),
-        metadata={"path": "closed-form-pm", "exact": exact, "f_m": f_m},
+        metadata={"path": "closed-form-pm", "f_m": f_m},
     )
     return decomp
 
 
-def signal_power_pm(link: LinkConfig, f_m=None, printed: bool = False):
-    """Detected RF power at f_m for phase modulation.
+def signal_power_pm(link: LinkConfig, f_m=None):
+    """Detected RF power at f_m for phase modulation: the +-f_m line weights.
 
-    The default sums the exact +-f_m line weights.  ``printed=True``
-    selects the dominant-term form
-    8 J0^2 J1^2 sin^2(pi f_m v_m) |R0(v_m)|^2
+    Its dominant terms are 8 J0^2 J1^2 sin^2(pi f_m v_m) |R0(v_m)|^2
     + 2 J1^2 [|R0(v_m + d)|^2 + |R0(v_m - d)|^2].
     ``f_m`` may be an array; a scalar returns a float.
     """
-    j0, j1 = _pm_parameters(link)
-    if f_m is None:
-        f_m = link.scheme.f_m
-    if not printed:
-        weights = pm_line_weights(link, f_m=f_m, orders=(-1, 1))
-        return weights[1] + weights[-1]
-    f_m = np.asarray(f_m, dtype=float)
-    v_m = 2.0 * np.pi * link.phi * f_m
-    r0 = link.spectrum.autocorrelation
-    lowpass = (
-        8.0
-        * j0**2
-        * j1**2
-        * np.sin(math.pi * f_m * v_m) ** 2
-        * np.abs(r0(v_m)) ** 2
-    )
-    bandpass = 2.0 * j1**2 * (
-        np.abs(r0(v_m + link.delay)) ** 2 + np.abs(r0(v_m - link.delay)) ** 2
-    )
-    power = lowpass + bandpass
-    return power if f_m.ndim else float(power)
+    weights = pm_line_weights(link, f_m=f_m, orders=(-1, 1))
+    return weights[1] + weights[-1]
 
 
-def noise_power_pm_at(link: LinkConfig, f_c: float | None = None, flat: bool = False) -> float:
-    """Noise power in 1 Hz at +-f_c (twice the one-sided continuum).
-
-    ``flat=True`` gives the flat-spectrum estimate
-    2 [4 J1^2 cos^2 th + 2 J0^2 cos th + (1 + J0^2)(1 + J0^2 + 4 J1^2)] S0(0)
-    with th = 4 pi^2 phi f_c^2.
-    """
-    j0, j1 = _pm_parameters(link)
+def noise_power_pm_at(link: LinkConfig, f_c: float | None = None) -> float:
+    """Noise power in 1 Hz at +-f_c (twice the one-sided continuum)."""
     if f_c is None:
         f_c = link.passband_center()
-    if flat:
-        cth = _cos_fringe_argument(f_c, link.phi)
-        bracket = (
-            4.0 * j1**2 * cth**2
-            + 2.0 * j0**2 * cth
-            + (1.0 + j0**2) * (1.0 + j0**2 + 4.0 * j1**2)
-        )
-        return 2.0 * bracket * float(link.spectrum.intensity_autoconvolution(0.0))
     return 2.0 * float(pm_continuum(link, f_c, f_m=f_c))
 
 
@@ -246,41 +208,9 @@ def snr_pm(link: LinkConfig) -> SnrReport:
     its algebraic reduction is looser than the exact ratio (about +2.5 dB at
     the bench operating point), which the report makes visible.
     """
-    f_c = link.passband_center()
-    link = link.with_modulation_frequency(f_c)
-    gamma = link.scheme.gamma
-    if gamma <= 0:
-        raise ConfigurationError("SNR needs gamma > 0")
-    if gamma**2 == 0:  # the compact form divides by it
-        raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
-
-    unit = link.with_spectrum(link.spectrum.with_unit_scale())
-    sig_u = signal_power_pm(unit, f_c)
-    noise_u = noise_power_pm_at(unit, f_c)
-    snr_linear = sig_u / noise_u
-
-    signal = signal_power_pm(link, f_c)
-    groups = pm_continuum_grouped(link, f_c, f_m=f_c)
-    noise = 2.0 * sum(groups.values())
-    breakdown = {name: 2.0 * value for name, value in groups.items()}
-
-    if isinstance(link.spectrum, RectangularSpectrum):
-        b = link.spectrum.b
-        cth = _cos_fringe_argument(f_c, link.phi)
-        denom = 2.0 * (cth - 0.5) ** 2 + 4.0 / gamma**2 * (cth + 2.0) + 7.5
-        approx = b / denom
-    else:
-        approx = snr_linear
-    if not (snr_linear > 0 and approx > 0):
-        raise DomainError("SNR underflows to zero at this operating point")
-    return SnrReport(
-        scheme="pm",
-        center_frequency=f_c,
-        snr_linear=snr_linear,
-        snr_db_hz=10.0 * math.log10(snr_linear),
-        signal_power=signal,
-        noise_psd_at_signal=noise,
-        noise_breakdown=breakdown,
-        snr_approx_linear=approx,
-        snr_approx_db_hz=10.0 * math.log10(approx),
+    return _snr_at_center(
+        link,
+        signal_power_pm,
+        lambda link, f_c: {name: 2.0 * v for name, v in pm_continuum_grouped(link, f_c).items()},
+        lambda cth, gamma: 2.0 * (cth - 0.5) ** 2 + 4.0 / gamma**2 * (cth + 2.0) + 7.5,
     )

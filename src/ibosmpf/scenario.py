@@ -218,7 +218,6 @@ class OeoSpec:
 @dataclass
 class Scenario:
     link: LinkConfig
-    wavelength: float
     sweep: Optional[SweepSpec] = None
     mc: Optional[McSpec] = None
     oeo: Optional[OeoSpec] = None
@@ -298,7 +297,6 @@ def load_scenario(path: str) -> Scenario:
     outputs = _read("outputs", data.get("outputs"), {})
     return Scenario(
         link=_link(link),
-        wavelength=link["center_wavelength"],
         sweep=sweep,
         mc=mc,
         oeo=oeo,

@@ -4,7 +4,10 @@ The source field is a stationary circular complex Gaussian process whose
 double-sided baseband PSD G(f) [W/Hz] fully determines its statistics.  Two
 models are provided: an ideal rectangular slice (closed forms throughout)
 and a tabulated PSD interpreted as a piecewise-linear density with zero
-extension (transforms evaluated exactly for that interpolant).
+extension.  For that interpolant the autocorrelation and the intensity
+autoconvolution are exact; the cross spectrum (and with it the engine
+continuum) is a Gauss-Legendre quadrature whose panels ignore the grid's
+kinks, so its error grows with the raggedness of the samples.
 
 Conventions
 -----------

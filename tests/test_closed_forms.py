@@ -20,7 +20,6 @@ from ibosmpf import (
     signal_power_ssb,
     snr_ssb,
 )
-from ibosmpf.closed_forms import scheme_line_power
 from ibosmpf.engine import fundamental_line_power
 from ibosmpf.modulation import polarization_modulator_scheme
 from ibosmpf.pm import signal_power_pm
@@ -34,6 +33,17 @@ SNR_APPROX_32 = 94.84395898610626
 SNR_APPROX_64 = 97.85425894274607
 # frozen: fading null sqrt(1 / (4 pi phi))
 F_NULL = 7942651541.148734
+
+
+def _leading_fringe(spectrum, delay, f):
+    """In-test oracle: the leading fringed term [4 + 2 cos(2 pi f d)] S0(f),
+    without the delay-offset cross spectra."""
+    return (4.0 + 2.0 * np.cos(2.0 * np.pi * f * delay)) * spectrum.intensity_autoconvolution(f)
+
+
+def _flat_ssb_power(link):
+    """In-test oracle: the flat passband power 2 (gamma/2)^2 R0(0)^2."""
+    return 2.0 * (link.scheme.gamma / 2.0) ** 2 * link.spectrum.total_power() ** 2
 
 
 @pytest.fixture(scope="module")
@@ -75,21 +85,21 @@ def test_kernel_hermitian(ssb):
 def test_fringed_spectrum_approx_anchors(ssb):
     spec, d = ssb.spectrum, ssb.delay
     s0 = spec.intensity_autoconvolution
-    approx = lambda f: float(fringed_noise_spectrum(spec, d, ssb.carrier_phase, f, exact=False))
+    approx = lambda f: float(_leading_fringe(spec, d, f))
     assert approx(0.0) == pytest.approx(6.0 * s0(0.0), rel=1e-12)
     f_half = 1.0 / (2.0 * d)
     assert approx(f_half) == pytest.approx(2.0 * s0(f_half), rel=1e-9)
     # bench spot value, against the independently frozen number
     spec400 = RectangularSpectrum(n0=1.0, b=400e9)
-    got = float(fringed_noise_spectrum(spec400, d, ssb.carrier_phase, 10e9, exact=False))
+    got = float(_leading_fringe(spec400, d, 10e9))
     assert got == pytest.approx(1772902509703.5142, rel=1e-12)
     assert got == pytest.approx(4.547 * 390e9, rel=1e-3)
 
 
 def test_fringed_spectrum_exact_close_to_approx(ssb):
     f = np.linspace(-1.2 * B, 1.2 * B, 57)
-    exact = fringed_noise_spectrum(ssb.spectrum, ssb.delay, ssb.carrier_phase, f, exact=True)
-    approx = fringed_noise_spectrum(ssb.spectrum, ssb.delay, ssb.carrier_phase, f, exact=False)
+    exact = fringed_noise_spectrum(ssb.spectrum, ssb.delay, ssb.carrier_phase, f)
+    approx = _leading_fringe(ssb.spectrum, ssb.delay, f)
     assert np.max(np.abs(exact - approx)) < 0.05 * np.max(approx)
 
 
@@ -101,7 +111,7 @@ def test_fringed_spectrum_exact_against_lag_transform():
     h = interference_kernel(spec, d, phase, u)
     for f in (0.0, 5e9, 20e9):
         direct = np.trapezoid(np.abs(h) ** 2 * np.exp(-2j * np.pi * f * u), u).real
-        got = float(fringed_noise_spectrum(spec, d, phase, f, exact=True))
+        got = float(fringed_noise_spectrum(spec, d, phase, f))
         assert got == pytest.approx(direct, rel=5e-3)
 
 
@@ -124,11 +134,22 @@ def test_dsb_fading_null(dsb):
     assert signal_power_dsb(dsb, f_null) < 1e-20 * peak
 
 
-def test_dsb_matches_line_machinery(dsb):
-    for f_m in (2e9, 4e9, 9.7e9):
-        assert signal_power_dsb(dsb, f_m) == pytest.approx(
-            scheme_line_power(dsb, f_m), rel=1e-12
-        )
+# README formulas, as prefactors of (gamma/2)^2 |H(v_m)|^2
+_README_SIGNAL = {
+    "ssb": (signal_power_ssb, lambda f_m, v_m: 2.0),
+    "dsb": (signal_power_dsb, lambda f_m, v_m: 8.0 * np.cos(np.pi * f_m * v_m) ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_README_SIGNAL))
+def test_signal_power_matches_readme_formula(kind):
+    power, prefactor = _README_SIGNAL[kind]
+    link = reference_link(scheme_kind=kind)
+    f_m = np.linspace(2e9, 16e9, 57)
+    v_m = 2.0 * np.pi * link.phi * f_m
+    h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_m)
+    want = prefactor(f_m, v_m) * (link.scheme.gamma / 2.0) ** 2 * np.abs(h) ** 2
+    np.testing.assert_allclose(power(link, f_m), want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("f_m", [1e9, 4e9, 6.5e9, 12e9])
@@ -154,8 +175,7 @@ def test_ssb_exact_vs_flat_at_center_strong_suppression():
     link = reference_link(bandwidth_nm=32.0, delay_s=794e-12)
     f_c = link.passband_center()
     exact = signal_power_ssb(link, f_c)
-    flat = signal_power_ssb(link, flat=True)
-    assert exact == pytest.approx(flat, rel=1e-3)
+    assert exact == pytest.approx(_flat_ssb_power(link), rel=1e-3)
 
 
 def test_ssb_detuned_power_traces_passband_shape(ssb):
@@ -189,9 +209,7 @@ def test_noise_psd_unmodulated_reduces_to_fringed_spectrum():
     for f in (3e9, 10e9):
         assert noise_psd_shared(link, f) == pytest.approx(
             float(
-                fringed_noise_spectrum(
-                    link.spectrum, link.delay, link.carrier_phase, f, exact=True
-                )
+                fringed_noise_spectrum(link.spectrum, link.delay, link.carrier_phase, f)
             ),
             rel=1e-12,
         )
@@ -327,7 +345,7 @@ def test_ssb_peaks_flat_across_passbands():
     for f_c in (4e9, 7e9, 10e9, 13e9, 16e9):
         link = reference_link().with_delay_for_center(f_c)
         exact.append(signal_power_ssb(link, f_c))
-        flat.append(signal_power_ssb(link, flat=True))
+        flat.append(_flat_ssb_power(link))
     flat_db = 10 * np.log10(np.asarray(flat))
     exact_db = 10 * np.log10(np.asarray(exact))
     assert flat_db.max() - flat_db.min() < 1e-9

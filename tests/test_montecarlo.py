@@ -22,7 +22,7 @@ from ibosmpf import (
     reference_link,
     synthesize_field,
 )
-from ibosmpf.closed_forms import noise_psd_shared, scheme_line_power
+from ibosmpf.closed_forms import noise_psd_shared, signal_power_dsb, signal_power_ssb
 from ibosmpf.engine import fundamental_line_power
 from ibosmpf import montecarlo
 from ibosmpf.modulation import (
@@ -310,7 +310,7 @@ def test_mc_snr_matches_analytic_reduced_budget():
     welch = WelchConfig(nperseg=32768)
     link, f_m = _retuned(reference_link(), grid, welch)
     est = estimate_snr(link, grid, n_realizations=12, seed=11, welch=welch)
-    line_an = scheme_line_power(link, f_m) / 2.0
+    line_an = signal_power_ssb(link, f_m) / 2.0
     df = welch.bin_width(grid.dt)
     floor_an = _windowed_analytic_floor(lambda f: noise_psd_shared(link, f), f_m, df)
     assert est.mean("line_power") == pytest.approx(
@@ -348,7 +348,7 @@ def test_mc_dsb_line_powers_and_fading_null():
     f4 = welch.snap_frequency(4e9, grid.dt)
     link4 = base.with_delay_for_center(f4).with_modulation_frequency(f4)
     est4 = estimate_snr(link4, grid, n_realizations=12, seed=19, welch=welch)
-    line4_an = scheme_line_power(link4, f4) / 2.0
+    line4_an = signal_power_dsb(link4, f4) / 2.0
     assert est4.mean("line_power") == pytest.approx(
         line4_an, abs=max(3 * est4.stderr("line_power"), 0.02 * line4_an)
     )

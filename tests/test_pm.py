@@ -7,6 +7,7 @@ from scipy.special import j0 as scipy_j0
 from scipy.special import j1 as scipy_j1
 
 from ibosmpf import ConfigurationError, reference_link
+from ibosmpf.closed_forms import _cos_fringe_argument
 from ibosmpf.pm import (
     noise_power_pm_at,
     pm_continuum,
@@ -41,6 +42,27 @@ def _dominant_continuum(link, f):
     fringe = 2 * np.cos(2 * np.pi * f * link.delay) * (j0**2 + 2 * j1**2 * c) * s0(f)
     upconv = 2 * j1**2 * (j0**2 * (1 - c) + 1) * (s0(f - f_m) + s0(f + f_m))
     return main + fringe + upconv
+
+
+def _printed_signal(link, f_m):
+    """In-test oracle: the dominant-term signal power
+    8 J0^2 J1^2 sin^2(pi f_m v_m) |R0(v_m)|^2 + 2 J1^2 [|R0(v_m + d)|^2 + |R0(v_m - d)|^2]."""
+    j0, j1 = scipy_j0(GAMMA), scipy_j1(GAMMA)
+    v_m = 2 * np.pi * link.phi * f_m
+    r0 = link.spectrum.autocorrelation
+    lowpass = 8 * j0**2 * j1**2 * math.sin(math.pi * f_m * v_m) ** 2 * abs(r0(v_m)) ** 2
+    bandpass = 2 * j1**2 * (abs(r0(v_m + link.delay)) ** 2 + abs(r0(v_m - link.delay)) ** 2)
+    return lowpass + bandpass
+
+
+def _flat_noise_power(link, f_c):
+    """In-test oracle: the flat-spectrum noise estimate
+    2 [4 J1^2 cos^2 th + 2 J0^2 cos th + (1 + J0^2)(1 + J0^2 + 4 J1^2)] S0(0)
+    with th = 4 pi^2 phi f_c^2."""
+    j0, j1 = scipy_j0(GAMMA), scipy_j1(GAMMA)
+    cth = _cos_fringe_argument(f_c, link.phi)
+    bracket = 4 * j1**2 * cth**2 + 2 * j0**2 * cth + (1 + j0**2) * (1 + j0**2 + 4 * j1**2)
+    return 2 * bracket * float(link.spectrum.intensity_autoconvolution(0.0))
 
 
 def test_continuum_matches_dominant_terms(link):
@@ -78,9 +100,9 @@ def test_lowpass_term_vanishes_at_low_frequency(link):
     r0 = link.spectrum.autocorrelation
     lowpass = 8 * j0**2 * j1**2 * math.sin(math.pi * f_m * v_m) ** 2 * abs(r0(v_m)) ** 2
     leak = 2 * j1**2 * (abs(r0(v_m + link.delay)) ** 2 + abs(r0(v_m - link.delay)) ** 2)
-    peak = signal_power_pm(link, link.passband_center(), printed=True)
+    peak = _printed_signal(link, link.passband_center())
     assert lowpass < 1e-12 * peak
-    assert signal_power_pm(link, f_m, printed=True) == pytest.approx(leak, rel=1e-9)
+    assert _printed_signal(link, f_m) == pytest.approx(leak, rel=1e-9)
 
 
 def test_signal_power_exact_close_to_printed_in_band(link):
@@ -88,10 +110,9 @@ def test_signal_power_exact_close_to_printed_in_band(link):
     # small; in deep stopband dips they set the floor, so no tight bound
     for f_m in (4e9, link.passband_center()):
         exact = signal_power_pm(link, f_m)
-        printed = signal_power_pm(link, f_m, printed=True)
-        assert exact == pytest.approx(printed, rel=0.05)
+        assert exact == pytest.approx(_printed_signal(link, f_m), rel=0.05)
     stop = signal_power_pm(link, 14e9)
-    assert stop == pytest.approx(signal_power_pm(link, 14e9, printed=True), rel=1.0)
+    assert stop == pytest.approx(_printed_signal(link, 14e9), rel=1.0)
 
 
 def test_signal_power_at_center_flat_value(link):
@@ -105,8 +126,7 @@ def test_noise_power_flat_vs_exact(link):
     f_c = link.passband_center()
     link_c = link.with_modulation_frequency(f_c)
     exact = noise_power_pm_at(link_c, f_c)
-    flat = noise_power_pm_at(link_c, f_c, flat=True)
-    assert exact == pytest.approx(flat, rel=0.03)
+    assert exact == pytest.approx(_flat_noise_power(link_c, f_c), rel=0.03)
 
 
 def test_snr_pm_bench_values(link):
@@ -187,7 +207,7 @@ def test_pm_passband_peaks_flat():
     for f_c in (4e9, 7e9, 10e9, 13e9, 16e9):
         link = reference_link(scheme_kind="pm", gamma=GAMMA).with_delay_for_center(f_c)
         exact.append(signal_power_pm(link, f_c))
-        printed.append(signal_power_pm(link, f_c, printed=True))
+        printed.append(_printed_signal(link, f_c))
     printed_db = 10 * np.log10(np.asarray(printed))
     exact_db = 10 * np.log10(np.asarray(exact))
     assert printed_db.max() - printed_db.min() < 0.01
