@@ -228,6 +228,11 @@ def _snr_at_center(link: LinkConfig, signal, breakdown, compact) -> SnrReport:
     ``signal(link, f_c)`` is the tone power, ``breakdown(link, f_c)`` the
     named noise parts in 1 Hz at +-f_c, and ``compact(cos th, gamma)`` the
     denominator of the rectangular-spectrum estimate B / compact.
+
+    Each is evaluated once, on the unit-PSD copy of the link, so the ratio
+    has no PSD level in it.  Every power is quadratic in the PSD, so the
+    reported ones are those unit values times the square of the PSD scale;
+    a squared scale that overflows raises :class:`DomainError`.
     """
     f_c = link.passband_center()
     link = link.with_modulation_frequency(f_c)
@@ -236,11 +241,16 @@ def _snr_at_center(link: LinkConfig, signal, breakdown, compact) -> SnrReport:
         raise ConfigurationError("SNR needs gamma > 0")
     if gamma**2 == 0:  # the compact form divides by it
         raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
-
-    # scale-free ratio: unit-PSD copy of the spectrum (SNR has no N0)
     unit = link.with_spectrum(link.spectrum.with_unit_scale())
-    snr_linear = signal(unit, f_c) / sum(breakdown(unit, f_c).values())
-    terms = breakdown(link, f_c)
+    scale = link.spectrum.total_power() / unit.spectrum.total_power()
+    power_scale = scale * scale
+    if not math.isfinite(power_scale):
+        raise DomainError(f"squared PSD level overflows: ({scale:g} W/Hz)**2 is not finite")
+
+    unit_signal = signal(unit, f_c)
+    unit_terms = breakdown(unit, f_c)
+    snr_linear = unit_signal / sum(unit_terms.values())
+    terms = {name: value * power_scale for name, value in unit_terms.items()}
 
     if isinstance(link.spectrum, RectangularSpectrum):
         approx = link.spectrum.b / compact(_cos_fringe_argument(f_c, link.phi), gamma)
@@ -253,7 +263,7 @@ def _snr_at_center(link: LinkConfig, signal, breakdown, compact) -> SnrReport:
         center_frequency=f_c,
         snr_linear=snr_linear,
         snr_db_hz=10.0 * math.log10(snr_linear),
-        signal_power=signal(link, f_c),
+        signal_power=unit_signal * power_scale,
         noise_psd_at_signal=sum(terms.values()),
         noise_breakdown=terms,
         snr_approx_linear=approx,

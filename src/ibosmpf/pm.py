@@ -19,7 +19,7 @@ import numpy as np
 from .closed_forms import SnrReport, _snr_at_center
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition, real_line_powers
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .modulation import ModulationKind
 
 # Term table: (A-part shifts, B-part shifts, carrier-phase exponent).
@@ -47,41 +47,44 @@ _TERMS = (
 )
 
 
-def _harmonic_table(mf: str, v, omega: float, j0: float, j1: float) -> dict:
-    """Coefficients of exp(j k omega u) in the modulation time average."""
+# Coefficients of exp(j k omega u) in the modulation time average, per "mf"
+# label, from c = cos(omega v), e = exp(j omega v) and the Bessel values.
+_HARMONIC_TABLES = {
+    "full": lambda c, e, j0, j1: {
+        0: (j0**2 + 2.0 * j1**2 * c) ** 2,
+        1: 2.0 * j0**2 * j1**2 * (1.0 - c),
+        -1: 2.0 * j0**2 * j1**2 * (1.0 - c),
+        2: j1**4 * np.ones_like(c),
+        -2: j1**4 * np.ones_like(c),
+    },
+    "triple_a": lambda c, e, j0, j1: {
+        0: j0**3 + 2.0 * j0 * j1**2 * c,
+        1: j0 * j1**2 * (1.0 - e),
+        -1: np.conj(j0 * j1**2 * (1.0 - e)),
+    },
+    "triple_b": lambda c, e, j0, j1: {
+        0: j0**3 + 2.0 * j0 * j1**2 * c,
+        1: np.conj(j0 * j1**2 * (1.0 - e)),
+        -1: j0 * j1**2 * (1.0 - e),
+    },
+    "pair_v": lambda c, e, j0, j1: {0: j0**2 + 2.0 * j1**2 * c},
+    "pair_u": lambda c, e, j0, j1: {
+        0: j0**2 * np.ones_like(c),
+        1: j1**2 * np.ones_like(c),
+        -1: j1**2 * np.ones_like(c),
+    },
+    "pair_sum": lambda c, e, j0, j1: {0: j0**2 * np.ones_like(c), 1: -(j1**2) * e, -1: -(j1**2) * np.conj(e)},
+    "pair_diff": lambda c, e, j0, j1: {0: j0**2 * np.ones_like(c), 1: -(j1**2) * np.conj(e), -1: -(j1**2) * e},
+    "single": lambda c, e, j0, j1: {0: j0 * np.ones_like(c)},
+    "one": lambda c, e, j0, j1: {0: np.ones_like(c)},
+}
+
+
+def _harmonic_tables(v, omega: float, j0: float, j1: float) -> dict:
+    """Every harmonic table at the fringe argument v, keyed by its "mf" label."""
     c = np.cos(omega * v)
     e_v = np.exp(1j * omega * v)
-    if mf == "full":
-        return {
-            0: (j0**2 + 2.0 * j1**2 * c) ** 2,
-            1: 2.0 * j0**2 * j1**2 * (1.0 - c),
-            -1: 2.0 * j0**2 * j1**2 * (1.0 - c),
-            2: j1**4 * np.ones_like(c),
-            -2: j1**4 * np.ones_like(c),
-        }
-    if mf == "triple_a":
-        b2 = j0 * j1**2 * (1.0 - e_v)
-        return {0: j0**3 + 2.0 * j0 * j1**2 * c, 1: b2, -1: np.conj(b2)}
-    if mf == "triple_b":
-        b2 = j0 * j1**2 * (1.0 - e_v)
-        return {0: j0**3 + 2.0 * j0 * j1**2 * c, 1: np.conj(b2), -1: b2}
-    if mf == "pair_v":
-        return {0: j0**2 + 2.0 * j1**2 * c}
-    if mf == "pair_u":
-        return {
-            0: j0**2 * np.ones_like(c),
-            1: j1**2 * np.ones_like(c),
-            -1: j1**2 * np.ones_like(c),
-        }
-    if mf == "pair_sum":
-        return {0: j0**2 * np.ones_like(c), 1: -(j1**2) * e_v, -1: -(j1**2) * np.conj(e_v)}
-    if mf == "pair_diff":
-        return {0: j0**2 * np.ones_like(c), 1: -(j1**2) * np.conj(e_v), -1: -(j1**2) * e_v}
-    if mf == "single":
-        return {0: j0 * np.ones_like(c)}
-    if mf == "one":
-        return {0: np.ones_like(c)}
-    raise AssertionError(mf)
+    return {mf: build(c, e_v, j0, j1) for mf, build in _HARMONIC_TABLES.items()}
 
 
 def _pm_parameters(link: LinkConfig):
@@ -107,12 +110,17 @@ def _continuum_terms(link: LinkConfig, f, f_m, group) -> dict:
     theta0 = link.carrier_phase
     spectrum = link.spectrum
     v = 2.0 * np.pi * link.phi * f
+    tables = _harmonic_tables(v, omega, j0, j1)
+    cross: dict = {}  # (k, ua - ub) -> CC(f - k f_m, ua d - ub d), evaluated once
     totals: dict = {}
     for va, vb, ua, ub, n, mf in _TERMS:
-        table = _harmonic_table(mf, v, omega, j0, j1)
         phase = np.exp(1j * n * theta0)
-        for k, coeff in table.items():
-            base = spectrum.lag_product_spectrum(f - k * f_m, ua * d, ub * d)
+        for k, coeff in tables[mf].items():
+            f_k = f - k * f_m
+            if (k, ua - ub) not in cross:
+                cross[(k, ua - ub)] = spectrum.cross_spectrum(f_k, ua * d - ub * d)
+            # transform of R0(u + ua d) R0*(u + ub d) at f_k
+            base = np.exp(2j * np.pi * f_k * (ub * d)) * cross[(k, ua - ub)]
             label = group(ua, ub, k)
             totals[label] = totals.get(label, 0.0) + coeff * phase * base
     return totals
@@ -141,10 +149,34 @@ def pm_continuum_grouped(link: LinkConfig, f: float, f_m: float | None = None) -
     return {name: float(totals[name].real[0]) for name in names}
 
 
+def _check_hermitian(r0, mirror, lag) -> None:
+    """Raise :class:`DomainError` unless ``mirror`` = R0(-lag) is R0(lag)* = conj(``r0``).
+
+    The tolerance is 1e-9 of |R0|.  The line weights are sums of conjugate
+    term pairs, so they stay real for a non-Hermitian R0; this check sees one.
+    """
+    r0, mirror, lag = np.atleast_1d(r0), np.atleast_1d(mirror), np.atleast_1d(lag)
+    scale = np.maximum(np.maximum(np.abs(r0), np.abs(mirror)), 1e-300)
+    residual = np.abs(mirror - np.conj(r0)) / scale
+    if np.any(residual > 1e-9):
+        worst = int(np.argmax(residual))
+        raise DomainError(
+            f"source autocorrelation not Hermitian at lag {lag[worst]:.6g} s: "
+            f"R0(-u) = {complex(mirror[worst]):.6g}, R0(u)* = {complex(np.conj(r0[worst])):.6g}, "
+            f"mismatch/|R0| = {residual[worst]:.3g}"
+        )
+
+
 def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dict:
     """Discrete line powers at k * f_m for each k in ``orders``.
 
-    ``f_m`` may be an array; each weight is then an array over it.
+    ``f_m`` may be an array; each weight is then an array over it.  Each
+    distinct lag array v_k + s d (order k, shift s in units of the delay)
+    goes through the source autocorrelation once per call, and those values
+    must be Hermitian, R0(-u) = R0(u)* to 1e-9 of |R0| (mirrors the orders
+    lack are evaluated for the check), before the realness check of
+    :func:`~ibosmpf.decomposition.real_line_powers`; either failure raises
+    :class:`DomainError`.
     """
     j0, j1 = _pm_parameters(link)
     if f_m is None:
@@ -153,16 +185,27 @@ def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dic
     omega = 2.0 * math.pi * f_m
     d = link.delay
     theta0 = link.carrier_phase
-    r0 = link.spectrum.autocorrelation
+    r0: dict = {}
+
+    def lag(k, s):
+        return 2.0 * np.pi * link.phi * (k * f_m) + s * d
+
+    def r0_at(k, s):
+        if (k, s) not in r0:
+            r0[(k, s)] = link.spectrum.autocorrelation(lag(k, s))
+        return r0[(k, s)]
+
     weights = np.zeros((len(orders),) + f_m.shape, dtype=complex)
     for i, k in enumerate(orders):
-        v_k = 2.0 * np.pi * link.phi * (k * f_m)
+        tables = _harmonic_tables(2.0 * np.pi * link.phi * (k * f_m), omega, j0, j1)
         for va, vb, ua, ub, n, mf in _TERMS:
-            table = _harmonic_table(mf, v_k, omega, j0, j1)
-            if k not in table:
+            if k not in tables[mf]:
                 continue
-            a_part = r0(v_k + va * d) * np.conj(r0(v_k + vb * d))
-            weights[i] += table[k] * np.exp(1j * n * theta0) * a_part
+            a_part = r0_at(k, va) * np.conj(r0_at(k, vb))
+            weights[i] += tables[mf][k] * np.exp(1j * n * theta0) * a_part
+    # the lag of order -k at shift -s is the exact negation of that of (k, s)
+    for k, s in list(r0):
+        _check_hermitian(r0[(k, s)], r0_at(-k, -s), lag(k, s))
     line_freqs = np.multiply.outer(np.asarray(orders, dtype=float), f_m)
     powers = real_line_powers(weights, line_freqs)
     return {k: (p if f_m.ndim else float(p)) for k, p in zip(orders, powers)}

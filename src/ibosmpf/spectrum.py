@@ -68,11 +68,6 @@ class OpticalSpectrum:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def lag_product_spectrum(self, f, a: float, b: float):
-        """Transform of R0(u + a) R0*(u + b) evaluated at frequency f."""
-        f = np.asarray(f, dtype=float)
-        return np.exp(2j * np.pi * f * b) * self.cross_spectrum(f, a - b)
-
     def with_unit_scale(self) -> "OpticalSpectrum":
         """Copy rescaled to a canonical PSD level (for scale-free ratios)."""
         raise NotImplementedError

@@ -13,6 +13,7 @@ from ibosmpf import (
     fringed_noise_spectrum,
     interference_kernel,
     noise_figure,
+    noise_power_ssb_at,
     noise_psd_shared,
     passband_shape,
     reference_link,
@@ -226,8 +227,6 @@ def test_snr_ssb_bench_values(ssb):
 
 
 def test_noise_power_ssb_breakdown(ssb):
-    from ibosmpf import noise_power_ssb_at
-
     total, terms = noise_power_ssb_at(ssb)
     assert set(terms) == {"main_band", "upconverted_sum", "upconverted_baseband"}
     assert sum(terms.values()) == pytest.approx(total, rel=1e-12)
@@ -391,3 +390,83 @@ def test_sweep_matches_scalar_loop(kind):
 def test_custom_sweep_rejects_invalid_frequency(f_m):
     with pytest.raises(ConfigurationError):
         frequency_response_sweep(_custom_link(), np.array([2e9, f_m]))
+
+
+def _powers_on_link(link):
+    """In-test oracle: signal and noise parts evaluated on the link itself,
+    not derived from the unit-PSD copy."""
+    from ibosmpf import pm
+
+    f_c = link.passband_center()
+    tuned = link.with_modulation_frequency(f_c)
+    if link.scheme.kind.value == "ssb":
+        total, parts = noise_power_ssb_at(link)
+        return signal_power_ssb(tuned, f_c), total, parts
+    parts = {name: 2.0 * v for name, v in pm.pm_continuum_grouped(tuned, f_c).items()}
+    return pm.signal_power_pm(tuned, f_c), sum(parts.values()), parts
+
+
+def _report(link):
+    from ibosmpf.pm import snr_pm
+
+    return (snr_ssb if link.scheme.kind.value == "ssb" else snr_pm)(link)
+
+
+@pytest.mark.parametrize("kind", ["ssb", "pm"])
+@pytest.mark.parametrize("gamma", [0.2, 0.41, 1.2])
+@pytest.mark.parametrize("delay", [50e-12, 79.4e-12, 120e-12])  # f_c about 8, 10 and 12 GHz
+@pytest.mark.parametrize("n0", [1.0, 3.7e-5, 1e3])
+def test_reported_powers_match_link_evaluation(kind, gamma, delay, n0):
+    link = reference_link(scheme_kind=kind, gamma=gamma, delay_s=delay, n0=n0)
+    report = _report(link)
+    signal, total, parts = _powers_on_link(link)
+    assert report.signal_power == pytest.approx(signal, rel=1e-12, abs=0.0)
+    assert report.noise_psd_at_signal == pytest.approx(total, rel=1e-12, abs=0.0)
+    assert report.noise_breakdown.keys() == parts.keys()
+    for name, value in parts.items():
+        assert report.noise_breakdown[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("kind", ["ssb", "pm"])
+def test_reported_powers_match_link_evaluation_tabulated(kind):
+    from ibosmpf.spectrum import TabulatedSpectrum, tabulate
+
+    link = reference_link(scheme_kind=kind, gamma=0.41, n0=3.7e-5)
+    s = link.spectrum
+    grid = np.linspace(-s.b, s.b, 1024)
+    gaussian = TabulatedSpectrum(grid=grid, values=3.7e-5 * np.exp(-((grid / (0.4 * s.b)) ** 2)))
+    for spectrum, entry_scale in ((tabulate(s, 1024), None), (gaussian, "total")):
+        model = link.with_spectrum(spectrum)
+        report = _report(model)
+        signal, total, parts = _powers_on_link(model)
+        assert report.signal_power == pytest.approx(signal, rel=1e-12, abs=0.0)
+        assert report.noise_psd_at_signal == pytest.approx(total, rel=1e-12, abs=0.0)
+        for name, value in parts.items():
+            # On the Gaussian source the PM interferometric cross part is a
+            # residue of cancelling quadrature terms, about 1e-7 of the total:
+            # a 1-ulp change of the PSD samples moves it by about 1e-10 of
+            # itself, so each part is held to 1e-12 of the total there.
+            tol = 1e-12 * (abs(total) if entry_scale == "total" else abs(value))
+            assert abs(report.noise_breakdown[name] - value) <= tol, name
+
+
+def test_psd_level_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="squared PSD level overflows"):
+        snr_ssb(reference_link(n0=1e200))
+
+
+def test_snr_ssb_evaluates_signal_and_noise_once(monkeypatch):
+    from collections import Counter
+
+    from ibosmpf import closed_forms
+
+    calls = Counter()
+    for name in ("signal_power_ssb", "_ssb_noise_terms"):
+
+        def counted(*args, _original=getattr(closed_forms, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(closed_forms, name, counted)
+    closed_forms.snr_ssb(reference_link(n0=3.7e-5))
+    assert calls == {"signal_power_ssb": 1, "_ssb_noise_terms": 1}

@@ -229,3 +229,54 @@ def test_line_weights_order_subset(link):
             np.testing.assert_array_equal(pair[k], full[k])
     scalar = [pm_line_weights(link, f_m=f)[1] for f in grid]
     np.testing.assert_allclose(pm_line_weights(link, f_m=grid)[1], scalar, rtol=1e-12, atol=0.0)
+
+
+def _count_calls(monkeypatch, owner, names, calls):
+    """Wrap each named attribute of ``owner`` so that its calls are counted."""
+    for name in names:
+
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def test_snr_pm_evaluates_each_source_value_once(monkeypatch, link):
+    from collections import Counter
+
+    from ibosmpf import RectangularSpectrum, pm
+
+    calls = Counter()
+    _count_calls(monkeypatch, pm, ("pm_line_weights", "pm_continuum_grouped"), calls)
+    _count_calls(monkeypatch, RectangularSpectrum, ("autocorrelation", "cross_spectrum"), calls)
+    pm.snr_pm(link)
+    # frozen: 17 distinct (order k, shift ua - ub) cross spectra over the 36
+    # (term, k) pairs of the continuum; 6 lag arrays (orders +-1, shifts
+    # -1, 0, +1) for the +-f_m line weights, each its own mirror's mirror
+    assert calls == {
+        "pm_line_weights": 1,
+        "pm_continuum_grouped": 1,
+        "cross_spectrum": 17,
+        "autocorrelation": 6,
+    }
+
+
+@pytest.mark.parametrize(
+    "orders,expected",
+    [
+        ((-2, -1, 0, 1, 2), 11),  # orders +-2 use shift 0 only
+        ((-1, 1), 6),
+        ((1,), 6),  # 3 lag arrays plus their 3 order -1 mirrors for the check
+        ((2,), 2),
+    ],
+)
+def test_line_weights_evaluate_each_lag_once(monkeypatch, link, orders, expected):
+    from collections import Counter
+
+    from ibosmpf import RectangularSpectrum
+
+    calls = Counter()
+    _count_calls(monkeypatch, RectangularSpectrum, ("autocorrelation",), calls)
+    pm_line_weights(link, orders=orders)
+    assert calls["autocorrelation"] == expected

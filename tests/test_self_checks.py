@@ -1,9 +1,11 @@
-"""Internal realness checks raise DomainError, which the CLI maps to exit 3.
+"""Internal self-checks raise DomainError, which the CLI maps to exit 3.
 
 The line weights are sums of conjugate term pairs, so they stay real for any
 autocorrelation that is a function of the lag alone, Hermitian or not.  The
-fixture below breaks that: its phase drifts from one call to the next, as a
-faulty source model would, so the pairs no longer cancel.
+drifting fixture breaks that: its phase drifts from one call to the next, as
+a faulty source model would, so the pairs no longer cancel.  The PM line
+weights also check R0(-u) = R0(u)* on the lags they evaluate, which sees the
+non-Hermitian models below that the realness check cannot.
 """
 
 import itertools
@@ -12,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ibosmpf import DomainError, RectangularSpectrum, reference_link
+from ibosmpf import DomainError, RectangularSpectrum, TabulatedSpectrum, reference_link
 from ibosmpf.cli import main
 from ibosmpf.engine import fundamental_line_power, general_intensity_psd
-from ibosmpf.pm import pm_line_weights
+from ibosmpf.pm import pm_line_weights, snr_pm
+from ibosmpf.spectrum import tabulate
 
 GRID = np.linspace(-430e9, 430e9, 257)
 
@@ -78,26 +81,80 @@ def test_engine_continuum_check_odd_phase(kind, gamma):
 
 def test_pm_line_check(drifting_autocorrelation):
     link = reference_link(scheme_kind="pm", gamma=0.41)
-    with pytest.raises(DomainError, match=r"\|imag\|/\|real\|"):
+    with pytest.raises(DomainError, match="not Hermitian"):
         pm_line_weights(link)
 
 
-def test_cli_maps_line_check_to_exit_3(tmp_path, capsys, drifting_autocorrelation):
-    scenario = tmp_path / "pm.yaml"
-    scenario.write_text(
-        """link:
+PM_LINK = """link:
   scheme: pm
   bandwidth: 3.2 nm
   center_wavelength: 1550 nm
   dispersion: -989 ps/nm
   delay: 79.4 ps
   gamma: 0.41
-sweep:
+"""
+SWEEP_F_M = """sweep:
   variable: f_m
   start: 2 GHz
   stop: 16 GHz
   points: 15
 """
-    )
+
+
+def test_cli_maps_line_check_to_exit_3(tmp_path, capsys, drifting_autocorrelation):
+    scenario = tmp_path / "pm.yaml"
+    scenario.write_text(PM_LINK + SWEEP_F_M)
     assert main(["response", "--scenario", str(scenario)]) == 3
-    assert "not real" in capsys.readouterr().err
+    assert "not Hermitian" in capsys.readouterr().err
+
+
+# R0 models that are functions of the lag alone but not Hermitian; each maps
+# the true R0(u) at lag u to the faulty value.  None trips the realness check.
+NON_HERMITIAN = {
+    "constant_phase": lambda r, lag: r * np.exp(0.3j),
+    "complex_level": lambda r, lag: r * (1.0 + 0.5j),
+    "even_imaginary_part": lambda r, lag: r * (1.0 + 0.2j * np.cos(np.asarray(lag) / 1e-10)),
+    "odd_real_part": lambda r, lag: r * (1.0 + 0.2 * np.tanh(np.asarray(lag) / 1e-10)),
+}
+
+
+@pytest.fixture(params=sorted(NON_HERMITIAN))
+def non_hermitian_autocorrelation(request, monkeypatch):
+    original = RectangularSpectrum.autocorrelation
+    model = NON_HERMITIAN[request.param]
+    monkeypatch.setattr(
+        RectangularSpectrum, "autocorrelation", lambda self, lag: model(original(self, lag), lag)
+    )
+
+
+def test_pm_hermitian_check(non_hermitian_autocorrelation):
+    link = reference_link(scheme_kind="pm", gamma=0.41)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        pm_line_weights(link)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        pm_line_weights(link, f_m=np.linspace(2e9, 16e9, 15))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        pm_line_weights(link, orders=(1,))  # the check evaluates the order -1 mirrors
+    with pytest.raises(DomainError, match="not Hermitian"):
+        snr_pm(link)
+
+
+@pytest.mark.parametrize("command,sweep", [("snr", ""), ("response", SWEEP_F_M)], ids=["snr", "response"])
+def test_cli_maps_hermitian_check_to_exit_3(tmp_path, capsys, non_hermitian_autocorrelation, command, sweep):
+    scenario = tmp_path / "pm.yaml"
+    scenario.write_text(PM_LINK + sweep)
+    assert main([command, "--scenario", str(scenario)]) == 3
+    assert "not Hermitian" in capsys.readouterr().err
+
+
+def test_hermitian_check_passes_source_models():
+    # every file under scenarios/ runs to exit 0 in test_scenarios.py
+    link = reference_link(scheme_kind="pm", gamma=0.41)
+    s = link.spectrum
+    grid = np.linspace(-s.b, s.b, 1024)
+    gaussian = TabulatedSpectrum(grid=grid, values=np.exp(-((grid / (0.4 * s.b)) ** 2)))
+    for spectrum in (s, tabulate(s, 1024), gaussian):
+        model = link.with_spectrum(spectrum)
+        pm_line_weights(model, f_m=np.linspace(2e9, 16e9, 15))
+        pm_line_weights(model, orders=(1, 2))
+        snr_pm(model)
