@@ -6,9 +6,14 @@ of two spectral supports, oscillating no faster than a known cycle rate
 (seconds, i.e. cycles per hertz).  Panels are sized so that each spans at
 most ~1.5 oscillation cycles, which keeps a 16-point rule near machine
 accuracy.  The shifts are evaluated in row blocks of about ``_BLOCK``
-nodes, so the temporaries stay cache-sized whatever the shift count, and
-several integrands that share one ``w2`` (a +-lag pair) are summed from
-the same node values.
+nodes, so the temporaries stay cache-sized whatever the shift count.
+
+A lagged integral carries the phase exp(+-j 2 pi v lag).  A node of row i
+sits at v = lo_i + width_i (c_p + h x_q), with c_p the centre of panel p,
+h the panel half-width on [0, 1] and x_q a Gauss node, so the phase
+factors into one phasor per row and panel, exp(j 2 pi lag (lo_i + width_i
+c_p)), times one per row and Gauss node, exp(j 2 pi lag width_i h x_q):
+P + 16 exponentials per row instead of 16 P.
 """
 
 from __future__ import annotations
@@ -24,16 +29,6 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 2**14
 
 
-def _unit_panel_rule(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on [0, 1]: node positions and weights."""
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    half = 0.5 / n_panels
-    centers = edges[:-1] + half
-    nodes = (centers[:, None] + half * _NODES[None, :]).ravel()
-    weights = np.broadcast_to(half * _WEIGHTS[None, :], (n_panels, _NODES.size)).ravel()
-    return nodes, weights.copy()
-
-
 def band_correlation(
     w1: Callable[[np.ndarray], np.ndarray],
     w2: Callable[[np.ndarray], np.ndarray],
@@ -41,16 +36,20 @@ def band_correlation(
     support2: tuple[float, float],
     shifts: np.ndarray,
     cycle_rate: float,
+    lag: float = 0.0,
 ) -> np.ndarray:
     """Evaluate ``int w1(v) * w2(v - g) dv`` for every shift g.
 
     ``w1``/``w2`` must vanish outside their supports; only the overlap is
     integrated.  ``cycle_rate`` bounds the oscillation of the combined
     integrand in cycles per hertz; four panels are added to that count.
-    ``w1`` may stack several integrands on a leading axis; each is summed
-    against the same ``w2`` values and weights, and the result carries the
-    same leading axis.  The shifts are evaluated in row blocks of about
-    ``_BLOCK`` nodes; each row's sum does not depend on the blocking.
+
+    A nonzero ``lag`` returns two rows, the integrals times exp(+j 2 pi v
+    lag) (row 0) and exp(-j 2 pi v lag) (row 1), from the same node values,
+    each with its own phasors: the -lag row is never the conjugate of the
+    +lag one, so a complex integrand shows.  They are computed for |lag|,
+    so negating the lag swaps them exactly.  ``cycle_rate`` must cover
+    |lag|.  Each row's sum does not depend on the row blocking.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     lo1, hi1 = support1
@@ -60,20 +59,29 @@ def band_correlation(
     width = np.clip(hi - lo, 0.0, None)
 
     n_panels = int(np.ceil(float(width.max(initial=0.0)) * abs(cycle_rate) / 1.5)) + 4
-    unit_nodes, unit_weights = _unit_panel_rule(n_panels)
+    half = 0.5 / n_panels
+    centers = np.linspace(0.0, 1.0, n_panels + 1)[:-1] + half
+    unit_nodes = (centers[:, None] + half * _NODES[None, :]).ravel()
+    unit_weights = np.tile(half * _WEIGHTS, n_panels)
+    rate = 2.0 * np.pi * abs(lag)
 
-    # zero-overlap rows stay 0 and are never evaluated; with none left, one
-    # empty block still fixes the shape of the leading axis
+    # zero-overlap rows stay 0 and are never evaluated
+    out = np.zeros((2,) + shifts.shape if lag else shifts.shape, dtype=complex)
     live = np.flatnonzero(width)
     rows = max(1, _BLOCK // unit_nodes.size)
-    out = None
-    for start in range(0, max(live.size, 1), rows):
+    for start in range(0, live.size, rows):
         idx = live[start : start + rows]
         nodes = lo[idx, None] + width[idx, None] * unit_nodes[None, :]
-        weights = width[idx, None] * unit_weights[None, :]
         values = w1(nodes) * w2(nodes - shifts[idx, None])
-        part = np.einsum("...ij,ij->...i", np.asarray(values, dtype=complex), weights)
-        if out is None:
-            out = np.zeros(part.shape[:-1] + shifts.shape, dtype=complex)
-        out[..., idx] = part
+        if not lag:
+            out[idx] = np.einsum("ij,ij->i", values, width[idx, None] * unit_weights[None, :])
+            continue
+        # row i: half width_i sum_p A_ip sum_q values_ipq B_iq, the Gauss weights in B
+        scale = half * width[idx]
+        values = values.reshape(idx.size, n_panels, _NODES.size).astype(complex, copy=False)
+        panel = np.exp(1j * rate * (lo[idx, None] + width[idx, None] * centers[None, :]))
+        node = np.exp(1j * rate * scale[:, None] * _NODES[None, :]) * _WEIGHTS
+        plus = np.einsum("ip,ip->i", panel, (values @ node[:, :, None])[..., 0])
+        minus = np.einsum("ip,ip->i", panel.conj(), (values @ node.conj()[:, :, None])[..., 0])
+        out[:, idx] = scale * (np.stack((plus, minus)) if lag > 0 else np.stack((minus, plus)))
     return out

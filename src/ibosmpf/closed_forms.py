@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import LinkConfig
 from .constants import K_B, T_STANDARD
-from .decomposition import SpectralDecomposition
+from .decomposition import SpectralDecomposition, _LineLags
 from .errors import ConfigurationError, DomainError, NoPassbandError
 from .modulation import (
     HarmonicModulation,
@@ -38,8 +38,14 @@ from .spectrum import OpticalSpectrum, RectangularSpectrum, sinc
 def interference_kernel(spectrum: OpticalSpectrum, delay: float, carrier_phase: float, x):
     """Two-arm kernel H(x) = 2 R0(x) + R0(x-d) e^{-j p} + R0(x+d) e^{+j p}."""
     r = spectrum.autocorrelation
+    x = np.asarray(x)
+    return _kernel(r(x - delay), r(x), r(x + delay), carrier_phase)
+
+
+def _kernel(below, centre, above, carrier_phase: float):
+    """H from R0 at x - d, x and x + d."""
     phase = np.exp(-1j * carrier_phase)
-    return 2.0 * r(x) + r(np.asarray(x) - delay) * phase + r(np.asarray(x) + delay) / phase
+    return 2.0 * centre + below * phase + above / phase
 
 
 def fringed_noise_spectrum(
@@ -92,15 +98,19 @@ def _line_weights(link: LinkConfig, m: HarmonicModulation, orders, f_m) -> np.nd
     """Line powers |H(v_s)|^2 |C_s(v_s)|^2 at -s f_m per cyclic order s (rows) and f_m.
 
     C_s depends on f_m and v only through f_m v, so one unit-fundamental
-    copy of the arm serves every f_m of an array.
+    copy of the arm serves every f_m of an array.  H(v_s) comes from R0 at
+    v_s + t d (t = -1, 0, 1), each lag evaluated once per call; those values
+    must be Hermitian, else :class:`DomainError`.
     """
     f_m = np.asarray(f_m, dtype=float)
     unit = HarmonicModulation(1.0, m.coeffs)
+    r0 = _LineLags(link, f_m)
     weights = np.empty((len(orders),) + f_m.shape)
     for i, s in enumerate(orders):
         v_line = 2.0 * np.pi * link.phi * (-s * f_m)
-        h = interference_kernel(link.spectrum, link.delay, link.carrier_phase, v_line)
+        h = _kernel(r0(-s, -1), r0(-s, 0), r0(-s, 1), link.carrier_phase)
         weights[i] = np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(unit, s, f_m * v_line)) ** 2
+    r0.check_hermitian()
     return weights
 
 

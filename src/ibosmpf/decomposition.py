@@ -60,3 +60,51 @@ def real_line_powers(weights: np.ndarray, line_freqs: np.ndarray) -> np.ndarray:
             f"{complex(weights[worst]):.6g}, |imag|/|real| = {residual[worst]:.3g}"
         )
     return np.maximum(weights.real, 0.0)
+
+
+class _LineLags:
+    """Source autocorrelation at the line lags u(k, s) = 2 pi phi (k f_m) + s d.
+
+    ``link`` gives phi, the delay d and the spectrum; each (order k, shift s
+    in units of d) goes through the autocorrelation once per instance.
+    u(-k, -s) is the exact negation of u(k, s), so :meth:`check_hermitian`
+    compares every evaluated value with its mirror, evaluating only the
+    mirrors that were not already needed.
+    """
+
+    def __init__(self, link, f_m):
+        self._link = link
+        self._f_m = f_m
+        self._values: dict = {}
+
+    def lag(self, k: int, s: int):
+        return 2.0 * np.pi * self._link.phi * (k * self._f_m) + s * self._link.delay
+
+    def __call__(self, k: int, s: int):
+        if (k, s) not in self._values:
+            self._values[(k, s)] = self._link.spectrum.autocorrelation(self.lag(k, s))
+        return self._values[(k, s)]
+
+    def check_hermitian(self) -> None:
+        """Raise :class:`DomainError` unless R0(-u) = R0(u)* to 1e-9 of |R0| at every evaluated lag.
+
+        The line weights are sums of conjugate term pairs, so they stay real
+        for a non-Hermitian R0; this check sees one.
+        """
+        checked = set()
+        for k, s in list(self._values):
+            if (k, s) in checked:
+                continue
+            checked.add((-k, -s))  # the same comparison, conjugated
+            r0, mirror = np.asarray(self._values[(k, s)]), np.asarray(self(-k, -s))
+            mismatch = np.abs(mirror - np.conj(r0))
+            scale = np.maximum(np.abs(r0), np.abs(mirror))
+            if np.any(mismatch > 1e-9 * scale):
+                residual = mismatch / np.maximum(scale, 1e-300)
+                worst = np.unravel_index(np.argmax(residual), residual.shape)
+                lag = np.broadcast_to(self.lag(k, s), residual.shape)[worst]
+                raise DomainError(
+                    f"source autocorrelation not Hermitian at lag {lag:.6g} s: "
+                    f"R0(-u) = {complex(mirror[worst]):.6g}, R0(u)* = {complex(np.conj(r0[worst])):.6g}, "
+                    f"mismatch/|R0| = {residual[worst]:.3g}"
+                )

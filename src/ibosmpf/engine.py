@@ -13,9 +13,12 @@ autocorrelation products, computed as numeric spectral correlation
 integrals (:func:`ibosmpf.spectrum.spectral_correlation`, Gauss-Legendre
 panels over the band overlap) for every spectrum model.  The cached
 (lag multiple, k_u) keys come in +-lag pairs, and one quadrature sums both
-from the same exponential per node; the -lag sum is never taken as the
-conjugate of the +lag one, which would blind the continuum's realness
-check to a complex source PSD.  That numeric
+from the same node values, its phases built from one phasor per panel and
+one per Gauss node; the -lag sum uses its own (conjugate) phasors and is
+never taken as the conjugate of the +lag sum, which would blind the
+continuum's realness check to a complex source PSD.  The line weights
+evaluate each autocorrelation lag once and check that those values are
+Hermitian, R0(-u) = R0(u)*, before their realness check.  That numeric
 route is deliberately independent of the per-scheme closed forms, which use
 the analytic transforms instead; the two are cross-checked in the tests.
 """
@@ -29,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import LinkConfig
-from .decomposition import SpectralDecomposition, real_line_powers
+from .decomposition import SpectralDecomposition, _LineLags, real_line_powers
 from .errors import ConfigurationError, DomainError
 from .modulation import build_scheme
 from .spectrum import spectral_correlation
@@ -88,12 +91,14 @@ def _line_weights(link: LinkConfig, tables, orders, f_m) -> np.ndarray:
     """Line powers at k * f_m for each k in ``orders`` (rows) and each f_m.
 
     Only the lag-independent parts enter, evaluated at v = 2 pi (k f_m) phi.
+    Each lag v + s d goes through the source autocorrelation once per call,
+    and those values must be Hermitian before the realness check; either
+    failure raises :class:`DomainError`.
     """
     f_m = np.asarray(f_m, dtype=float)
-    d = link.delay
     theta0 = link.carrier_phase
     omega = 2.0 * math.pi * f_m
-    r0 = link.spectrum.autocorrelation
+    r0 = _LineLags(link, f_m)
     weights = np.zeros((len(orders),) + f_m.shape, dtype=complex)
     for i, k_u in enumerate(orders):
         v_line = 2.0 * np.pi * link.phi * (k_u * f_m)
@@ -102,10 +107,11 @@ def _line_weights(link: LinkConfig, tables, orders, f_m) -> np.ndarray:
             if not entries:
                 continue
             va, vb, _, _, n = _term_geometry(slots)
-            a_part = r0(v_line + va * d) * np.conj(r0(v_line + vb * d))
+            a_part = r0(k_u, va) * np.conj(r0(k_u, vb))
             phase = np.exp(1j * n * theta0)
             for k_v, coeff in entries:
                 weights[i] += coeff * phase * np.exp(1j * omega * k_v * v_line) * a_part
+    r0.check_hermitian()
     line_freqs = np.multiply.outer(np.asarray(orders, dtype=float), f_m)
     return real_line_powers(weights, line_freqs)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .closed_forms import SnrReport, _snr_at_center
 from .config import LinkConfig
-from .decomposition import SpectralDecomposition, real_line_powers
-from .errors import ConfigurationError, DomainError
+from .decomposition import SpectralDecomposition, _LineLags, real_line_powers
+from .errors import ConfigurationError
 from .modulation import ModulationKind
 
 # Term table: (A-part shifts, B-part shifts, carrier-phase exponent).
@@ -149,24 +149,6 @@ def pm_continuum_grouped(link: LinkConfig, f: float, f_m: float | None = None) -
     return {name: float(totals[name].real[0]) for name in names}
 
 
-def _check_hermitian(r0, mirror, lag) -> None:
-    """Raise :class:`DomainError` unless ``mirror`` = R0(-lag) is R0(lag)* = conj(``r0``).
-
-    The tolerance is 1e-9 of |R0|.  The line weights are sums of conjugate
-    term pairs, so they stay real for a non-Hermitian R0; this check sees one.
-    """
-    r0, mirror, lag = np.atleast_1d(r0), np.atleast_1d(mirror), np.atleast_1d(lag)
-    scale = np.maximum(np.maximum(np.abs(r0), np.abs(mirror)), 1e-300)
-    residual = np.abs(mirror - np.conj(r0)) / scale
-    if np.any(residual > 1e-9):
-        worst = int(np.argmax(residual))
-        raise DomainError(
-            f"source autocorrelation not Hermitian at lag {lag[worst]:.6g} s: "
-            f"R0(-u) = {complex(mirror[worst]):.6g}, R0(u)* = {complex(np.conj(r0[worst])):.6g}, "
-            f"mismatch/|R0| = {residual[worst]:.3g}"
-        )
-
-
 def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dict:
     """Discrete line powers at k * f_m for each k in ``orders``.
 
@@ -183,29 +165,17 @@ def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dic
         f_m = link.scheme.f_m
     f_m = np.asarray(f_m, dtype=float)
     omega = 2.0 * math.pi * f_m
-    d = link.delay
     theta0 = link.carrier_phase
-    r0: dict = {}
-
-    def lag(k, s):
-        return 2.0 * np.pi * link.phi * (k * f_m) + s * d
-
-    def r0_at(k, s):
-        if (k, s) not in r0:
-            r0[(k, s)] = link.spectrum.autocorrelation(lag(k, s))
-        return r0[(k, s)]
-
+    r0 = _LineLags(link, f_m)
     weights = np.zeros((len(orders),) + f_m.shape, dtype=complex)
     for i, k in enumerate(orders):
         tables = _harmonic_tables(2.0 * np.pi * link.phi * (k * f_m), omega, j0, j1)
         for va, vb, ua, ub, n, mf in _TERMS:
             if k not in tables[mf]:
                 continue
-            a_part = r0_at(k, va) * np.conj(r0_at(k, vb))
+            a_part = r0(k, va) * np.conj(r0(k, vb))
             weights[i] += tables[mf][k] * np.exp(1j * n * theta0) * a_part
-    # the lag of order -k at shift -s is the exact negation of that of (k, s)
-    for k, s in list(r0):
-        _check_hermitian(r0[(k, s)], r0_at(-k, -s), lag(k, s))
+    r0.check_hermitian()
     line_freqs = np.multiply.outer(np.asarray(orders, dtype=float), f_m)
     powers = real_line_powers(weights, line_freqs)
     return {k: (p if f_m.ndim else float(p)) for k, p in zip(orders, powers)}

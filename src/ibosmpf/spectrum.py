@@ -252,24 +252,16 @@ def spectral_correlation(spectrum: OpticalSpectrum, f, shift: float) -> np.ndarr
     """``int G(v) G(v - f) exp(+-j 2 pi v shift) dv`` for each f, by quadrature.
 
     Row 0 holds the ``+shift`` correlation and row 1 the ``-shift`` one:
-    both integrands come from the same node values and one exponential per
-    node.  Needs only the model's PSD and support, so it serves any model;
-    the rows are arrays even for a single f.
+    both come from the same node values, each summed with its own phasors
+    (see :func:`ibosmpf._quad.band_correlation`).  Needs only the model's
+    PSD and support, so it serves any model; the rows are arrays even for a
+    single f.
     """
     sup = spectrum.support()
     if shift == 0.0:
         out = band_correlation(spectrum.psd, spectrum.psd, sup, sup, f, cycle_rate=0.0)
         return np.stack((out, out))
-
-    def w1(v):
-        g = spectrum.psd(v)
-        e = np.exp(2j * np.pi * v * shift)
-        out = np.empty((2,) + e.shape, dtype=complex)
-        np.multiply(g, e, out=out[0])
-        np.multiply(g, np.conjugate(e, out=e), out=out[1])
-        return out
-
-    return band_correlation(w1, spectrum.psd, sup, sup, f, cycle_rate=abs(shift))
+    return band_correlation(spectrum.psd, spectrum.psd, sup, sup, f, cycle_rate=abs(shift), lag=shift)
 
 
 def tabulate(spectrum: OpticalSpectrum, n_points: int) -> TabulatedSpectrum:

@@ -1,10 +1,13 @@
-"""Row-blocked quadrature and the +-lag pair: neither changes a bit of the sums.
+"""Row-blocked quadrature and the +-lag pair.
 
 ``band_correlation`` evaluates its shifts in row blocks of about ``_BLOCK``
 nodes; every row's sum must equal the one-block evaluation exactly.  The
 engine fills its +lag and -lag correlation keys from one call of
-``spectral_correlation``; each row must equal a separate evaluation with
-its own exponential exactly.
+``spectral_correlation``, whose phases are products of per-panel and
+per-node phasors.  Negating the lag must swap the two rows exactly, and
+each row must agree with a quadrature that evaluates exp(j 2 pi v lag) at
+every node, and on the rectangular source with the closed-form cross
+spectrum, to 1e-12 of the row peak.
 """
 
 from collections import Counter
@@ -92,21 +95,33 @@ def test_no_overlap_keeps_the_leading_axis():
     assert np.array_equal(_quad.band_correlation(spec.psd, spec.psd, sup, sup, far, 0.0), np.zeros(3))
 
 
+def _peak_error(values, reference):
+    return float(np.max(np.abs(values - reference)) / np.max(np.abs(reference)))
+
+
 @pytest.mark.parametrize("name", SPECTRA)
 @pytest.mark.parametrize("lag", [1, 2, -1])
 def test_pair_equals_separate_evaluations(name, lag):
     spec = SPECTRA[name]
     sup = spec.support()
+    shift = lag * LINK.delay
 
-    def separate(shift):
+    def direct(shift):
         def w1(v):
             return spec.psd(v) * np.exp(2j * np.pi * v * shift)
 
         return _quad.band_correlation(w1, spec.psd, sup, sup, SHIFTS, abs(shift))
 
-    plus, minus = spectral_correlation(spec, SHIFTS, lag * LINK.delay)
-    assert np.array_equal(plus, separate(lag * LINK.delay))
-    assert np.array_equal(minus, separate(-lag * LINK.delay))
+    pair = spectral_correlation(spec, SHIFTS, shift)
+    mirror = spectral_correlation(spec, SHIFTS, -shift)
+    assert np.array_equal(pair[0], mirror[1]) and np.array_equal(pair[1], mirror[0])
+
+    for row, row_shift in zip(pair, (shift, -shift)):
+        reference = direct(row_shift)
+        assert _peak_error(row, reference) <= 1e-12
+        if name == "rectangular":
+            exact = spec.cross_spectrum(SHIFTS, row_shift)
+            assert _peak_error(row, exact) <= min(1e-12, _peak_error(reference, exact))
 
 
 @pytest.mark.parametrize(

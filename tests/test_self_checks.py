@@ -1,11 +1,12 @@
 """Internal self-checks raise DomainError, which the CLI maps to exit 3.
 
 The line weights are sums of conjugate term pairs, so they stay real for any
-autocorrelation that is a function of the lag alone, Hermitian or not.  The
-drifting fixture breaks that: its phase drifts from one call to the next, as
-a faulty source model would, so the pairs no longer cancel.  The PM line
-weights also check R0(-u) = R0(u)* on the lags they evaluate, which sees the
-non-Hermitian models below that the realness check cannot.
+autocorrelation that is a function of the lag alone, Hermitian or not.  So
+every line-weight route (the PM and shared-modulator closed forms and the
+engine) evaluates each lag once per call and checks R0(-u) = R0(u)* on those
+values, which sees the non-Hermitian models below.  The drifting fixture,
+whose phase drifts from one call to the next as a faulty source model's
+would, trips that check too, before the realness check.
 """
 
 import itertools
@@ -16,6 +17,8 @@ import pytest
 
 from ibosmpf import DomainError, RectangularSpectrum, TabulatedSpectrum, reference_link
 from ibosmpf.cli import main
+from ibosmpf.closed_forms import signal_power_dsb, snr_ssb
+from ibosmpf.decomposition import real_line_powers
 from ibosmpf.engine import fundamental_line_power, general_intensity_psd
 from ibosmpf.pm import pm_line_weights, snr_pm
 from ibosmpf.spectrum import tabulate
@@ -46,10 +49,15 @@ class ComplexDensity(RectangularSpectrum):
 @pytest.mark.parametrize("kind,gamma", [("ssb", 0.39), ("pm", 0.41)])
 def test_engine_line_check(kind, gamma, drifting_autocorrelation):
     link = reference_link(scheme_kind=kind, gamma=gamma)
-    with pytest.raises(DomainError, match="not real"):
+    with pytest.raises(DomainError, match="not Hermitian"):
         general_intensity_psd(link, GRID)
-    with pytest.raises(DomainError, match="not real"):
+    with pytest.raises(DomainError, match="not Hermitian"):
         fundamental_line_power(link, np.array([4e9, 10e9]))
+
+
+def test_line_realness_check():
+    with pytest.raises(DomainError, match="not real"):
+        real_line_powers(np.array([[1.0, 2.0 + 1e-3j]]), np.array([[1e9, 2e9]]))
 
 
 def test_engine_continuum_check():
@@ -147,14 +155,42 @@ def test_cli_maps_hermitian_check_to_exit_3(tmp_path, capsys, non_hermitian_auto
     assert "not Hermitian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,gamma", [("ssb", 0.39), ("pm", 0.41), ("dsb", 0.39)])
+def test_engine_hermitian_check(non_hermitian_autocorrelation, kind, gamma):
+    link = reference_link(scheme_kind=kind, gamma=gamma)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        fundamental_line_power(link, np.array([4e9, 10e9]))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        general_intensity_psd(link, GRID)
+
+
+def test_shared_modulator_hermitian_check(non_hermitian_autocorrelation):
+    with pytest.raises(DomainError, match="not Hermitian"):
+        snr_ssb(reference_link())
+    with pytest.raises(DomainError, match="not Hermitian"):
+        signal_power_dsb(reference_link(scheme_kind="dsb", gamma=0.39), np.linspace(2e9, 16e9, 15))
+
+
+@pytest.mark.parametrize("kind", ["ssb", "dsb"])
+def test_cli_maps_shared_modulator_hermitian_check_to_exit_3(tmp_path, capsys, non_hermitian_autocorrelation, kind):
+    scenario = tmp_path / f"{kind}.yaml"
+    scenario.write_text(PM_LINK.replace("scheme: pm", f"scheme: {kind}").replace("0.41", "0.39") + SWEEP_F_M)
+    assert main(["response", "--scenario", str(scenario)]) == 3
+    assert "not Hermitian" in capsys.readouterr().err
+
+
 def test_hermitian_check_passes_source_models():
     # every file under scenarios/ runs to exit 0 in test_scenarios.py
     link = reference_link(scheme_kind="pm", gamma=0.41)
     s = link.spectrum
     grid = np.linspace(-s.b, s.b, 1024)
     gaussian = TabulatedSpectrum(grid=grid, values=np.exp(-((grid / (0.4 * s.b)) ** 2)))
+    f_m = np.linspace(2e9, 16e9, 15)
     for spectrum in (s, tabulate(s, 1024), gaussian):
         model = link.with_spectrum(spectrum)
-        pm_line_weights(model, f_m=np.linspace(2e9, 16e9, 15))
+        pm_line_weights(model, f_m=f_m)
         pm_line_weights(model, orders=(1, 2))
         snr_pm(model)
+        fundamental_line_power(model, f_m)
+        snr_ssb(reference_link().with_spectrum(spectrum))
+        signal_power_dsb(reference_link(scheme_kind="dsb", gamma=0.39).with_spectrum(spectrum), f_m)
