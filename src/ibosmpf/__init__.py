@@ -15,7 +15,6 @@ from .closed_forms import (
     fringed_noise_spectrum,
     interference_kernel,
     noise_figure,
-    noise_power_ssb_at,
     noise_psd_shared,
     passband_shape,
     shared_modulator_decomposition,
@@ -55,7 +54,7 @@ from .montecarlo import (
     synthesize_field,
 )
 from .oeo import noise_to_signal_ratio, oeo_phase_noise
-from .pm import noise_power_pm_at, signal_power_pm, snr_pm
+from .pm import signal_power_pm, snr_pm
 from .spectrum import OpticalSpectrum, RectangularSpectrum, TabulatedSpectrum
 
 __all__ = [
@@ -92,8 +91,6 @@ __all__ = [
     "general_intensity_psd",
     "interference_kernel",
     "noise_figure",
-    "noise_power_pm_at",
-    "noise_power_ssb_at",
     "noise_psd_shared",
     "noise_to_signal_ratio",
     "oeo_phase_noise",

@@ -241,10 +241,17 @@ def run_passband(args, scenario: Scenario) -> int:
     if args.mc:
         grid, n_real, seed = _mc_setup(args, scenario)
         welch = WelchConfig()
+        tones = [welch.snap_frequency(f_c + det, grid.dt) for det in detunings]
+        if min(tones) < 0:
+            lowest = min(detunings)
+            end = "start" if lowest == scenario.sweep.start else "stop"
+            raise ConfigurationError(
+                f"field sweep.{end}: detuning {lowest:g} Hz puts the Monte-Carlo tone at "
+                f"{min(tones):g} Hz, below 0 Hz (the passband center is {f_c:g} Hz)"
+            )
         powers = []
         errs = []
-        for det in detunings:
-            f_m = welch.snap_frequency(f_c + det, grid.dt)
+        for f_m in tones:
             est = _estimate(link, grid, n_real, seed, f_m=f_m)
             powers.append(est.mean("line_power"))
             errs.append(est.stderr("line_power"))

@@ -74,12 +74,13 @@ def fringed_noise_spectrum(
     return main + cross
 
 
-def _shared_arm(link: LinkConfig, what: str) -> tuple[HarmonicModulation, complex]:
-    """The common arm modulation and the scheme's arm amplitude k."""
-    m1, m2, k = build_scheme(link.scheme)
+def _shared_arm(link: LinkConfig, what: str) -> HarmonicModulation:
+    """The modulation both arms share; the arms must also be balanced."""
+    m1, m2 = build_scheme(link.scheme)
     if m1.coeffs != m2.coeffs:
         raise ConfigurationError(f"{what} needs identical arms")
-    return m1, k
+    link.require_balanced_arms(what)
+    return m1
 
 
 def _continuum_terms(link: LinkConfig, m: HarmonicModulation, f) -> dict:
@@ -116,9 +117,7 @@ def _line_weights(link: LinkConfig, m: HarmonicModulation, orders, f_m) -> np.nd
 
 def shared_modulator_decomposition(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecomposition:
     """Line/continuum intensity PSD when both arms share one modulator."""
-    m, k = _shared_arm(link, "shared-modulator closed form")
-    if abs(k - 1.0) > 1e-12 or abs(link.interferometer.arm_ratio_k - 1.0) > 1e-12:
-        raise ConfigurationError("shared-modulator closed form assumes balanced arms")
+    m = _shared_arm(link, "shared-modulator closed form")
     orders = cyclic_orders(m)
     return SpectralDecomposition(
         frequencies=f_grid,
@@ -131,7 +130,7 @@ def shared_modulator_decomposition(link: LinkConfig, f_grid: np.ndarray) -> Spec
 
 def noise_psd_shared(link: LinkConfig, f):
     """Continuum intensity-noise PSD for a shared-modulator scheme."""
-    m, _ = _shared_arm(link, "shared-modulator noise PSD")
+    m = _shared_arm(link, "shared-modulator noise PSD")
     f = np.asarray(f, dtype=float)
     out = np.zeros(f.shape)
     for term in _continuum_terms(link, m, f).values():
@@ -141,7 +140,7 @@ def noise_psd_shared(link: LinkConfig, f):
 
 def _fundamental_power(link: LinkConfig, f_m):
     """Sum of the +-f_m line weights of the shared arm; a scalar f_m gives a float."""
-    m, _ = _shared_arm(link, "shared-modulator signal power")
+    m = _shared_arm(link, "shared-modulator signal power")
     f_m = np.asarray(link.scheme.f_m if f_m is None else f_m, dtype=float)
     minus, plus = _line_weights(link, m, (1, -1), f_m)
     power = minus + plus
@@ -211,25 +210,10 @@ def _cos_fringe_argument(f_c: float, phi: float) -> float:
 
 def _ssb_noise_terms(link: LinkConfig, f_c: float) -> dict:
     """Noise at +-f_c per cyclic order: the main band and the two images."""
-    m1, _, _ = build_scheme(link.scheme)
+    m1, _ = build_scheme(link.scheme)
     terms = _continuum_terms(link, m1, np.asarray(f_c, dtype=float))
     parts = {"main_band": 0, "upconverted_sum": 1, "upconverted_baseband": -1}
     return {name: 2.0 * float(terms.get(s, 0.0)) for name, s in parts.items()}
-
-
-def noise_power_ssb_at(link: LinkConfig, f_c: float | None = None) -> tuple[float, dict]:
-    """Noise power in 1 Hz at +-f_c (continuum only) with its breakdown.
-
-    The three parts are the co-frequency beat term and the two up-converted
-    images (from 2 f_c and from baseband).
-    """
-    if link.scheme.kind is not ModulationKind.SSB:
-        raise ConfigurationError("noise_power_ssb_at requires an SSB scheme")
-    if f_c is None:
-        f_c = link.passband_center()
-    link = link.with_modulation_frequency(f_c)
-    terms = _ssb_noise_terms(link, f_c)
-    return sum(terms.values()), terms
 
 
 def _snr_at_center(link: LinkConfig, signal, breakdown, compact) -> SnrReport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import NoPassbandError
+from .errors import ConfigurationError, NoPassbandError
 from .geometry import (
     DispersionSpec,
     InterferometerSpec,
@@ -49,6 +49,18 @@ class LinkConfig:
         if f_c <= 0:
             raise NoPassbandError("configuration has no positive-frequency passband")
         return f_c
+
+    def require_balanced_arms(self, what: str) -> None:
+        """Raise :class:`ConfigurationError` unless the splitter is balanced.
+
+        ``what`` names the form that assumes ``interferometer.arm_ratio_k``
+        = 1 (to 1e-12): the closed forms and the frequency-domain route.
+        """
+        if abs(self.interferometer.arm_ratio_k - 1.0) > 1e-12:
+            raise ConfigurationError(
+                f"{what} assumes balanced arms; interferometer.arm_ratio_k is "
+                f"{complex(self.interferometer.arm_ratio_k):.6g}"
+            )
 
     def with_delay_for_center(self, f_c: float) -> "LinkConfig":
         d = delay_for_center(f_c, self.phi)

@@ -81,10 +81,10 @@ def _modulation_tables(
 
 
 def _arm_modulations(link: LinkConfig):
-    m1, m2, k_scheme = build_scheme(link.scheme)
-    k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
-    m2_coeffs = {n: k_total * c for n, c in m2.coeffs.items()}
-    return dict(m1.coeffs), m2_coeffs, m1.f_m
+    """Arm coefficients, the delayed arm's scaled by the splitter amplitude, and f_m."""
+    m1, m2 = build_scheme(link.scheme)
+    k = complex(link.interferometer.arm_ratio_k)
+    return dict(m1.coeffs), {n: k * c for n, c in m2.coeffs.items()}, m1.f_m
 
 
 def _line_weights(link: LinkConfig, tables, orders, f_m) -> np.ndarray:

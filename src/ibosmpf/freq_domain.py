@@ -63,17 +63,14 @@ def _weights(link: LinkConfig, f_m: float):
 def _require_ssb(link: LinkConfig) -> float:
     if link.scheme.kind is not ModulationKind.SSB:
         raise ConfigurationError("the frequency-domain route covers the SSB scheme")
-    if abs(link.interferometer.arm_ratio_k - 1.0) > 1e-12:
-        raise ConfigurationError("the frequency-domain route assumes balanced arms")
+    link.require_balanced_arms("the frequency-domain route")
     return link.scheme.gamma
 
 
-def freq_domain_signal_power(link: LinkConfig, f_m: float | None = None) -> float:
+def freq_domain_signal_power(link: LinkConfig) -> float:
     """Detected RF power at +-f_m via the spectral-component pairing."""
     gamma = _require_ssb(link)
-    if f_m is None:
-        f_m = link.scheme.f_m
-    x1, x3, y2, y5, sup1, sup3, rate = _weights(link, f_m)
+    x1, x3, y2, y5, sup1, sup3, rate = _weights(link, link.scheme.f_m)
     # int y2(v) dv: the correlation with a unit weight at zero shift
     q = band_correlation(y2, np.ones_like, sup1, sup1, 0.0, rate)[0]
     return 2.0 * (gamma / 2.0) ** 2 * abs(q) ** 2

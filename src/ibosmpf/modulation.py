@@ -101,7 +101,6 @@ class SchemeConfig:
     kind: ModulationKind
     f_m: float
     gamma: float = 0.0
-    arm_ratio_k: complex = 1.0 + 0.0j
     m1_coeffs: Optional[Mapping[int, complex]] = None
     m2_coeffs: Optional[Mapping[int, complex]] = None
 
@@ -120,12 +119,14 @@ class SchemeConfig:
             raise ConfigurationError("custom scheme needs m1_coeffs")
 
 
-def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulation, complex]:
-    """Arm modulation functions (m1, m2) and the constant-arm amplitude k.
+def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulation]:
+    """Modulation functions (m1, m2) of the undelayed and the delayed arm.
 
-    Shared-modulator kinds return identical arms with k = 1.  Single-arm
-    kinds return a constant second arm; k carries any extra amplitude (for
-    the polarization-modulator and dual-input equivalents).
+    Shared-modulator kinds return one object for both arms.  Single-arm
+    kinds return a constant second arm, whose constant carries any extra
+    amplitude of an equivalent model (the polarization-modulator and
+    dual-input equivalents).  The splitter's own delayed-arm amplitude is
+    the link's ``interferometer.arm_ratio_k``, not part of the scheme.
     """
     gamma = cfg.gamma
     f_m = cfg.f_m
@@ -134,13 +135,13 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
         gamma == 0.0 and kind in (ModulationKind.DSB, ModulationKind.SSB)
     ):
         m = HarmonicModulation(f_m, {0: 1.0})
-        return m, m, 1.0 + 0.0j
+        return m, m
     if kind is ModulationKind.DSB:
         m = HarmonicModulation(f_m, {-1: gamma / 2.0, 0: 1.0, 1: gamma / 2.0})
-        return m, m, 1.0 + 0.0j
+        return m, m
     if kind is ModulationKind.SSB:
         m = HarmonicModulation(f_m, {0: 1.0, 1: gamma / 2.0})
-        return m, m, 1.0 + 0.0j
+        return m, m
     if kind is ModulationKind.PM:
         from scipy import special
 
@@ -148,11 +149,11 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
         j1 = float(special.j1(gamma))
         m1 = HarmonicModulation(f_m, {-1: -j1, 0: j0, 1: j1})
         m2 = HarmonicModulation(f_m, {0: 1.0})
-        return m1, m2, complex(cfg.arm_ratio_k)
+        return m1, m2
     if kind is ModulationKind.CUSTOM:
         m1 = HarmonicModulation(f_m, cfg.m1_coeffs)
         m2 = HarmonicModulation(f_m, cfg.m2_coeffs if cfg.m2_coeffs is not None else {0: 1.0})
-        return m1, m2, complex(cfg.arm_ratio_k)
+        return m1, m2
     raise ConfigurationError(f"unknown modulation kind {cfg.kind!r}")
 
 
@@ -166,9 +167,8 @@ def polarization_modulator_scheme(gamma: float, f_m: float) -> SchemeConfig:
         kind=ModulationKind.CUSTOM,
         f_m=f_m,
         gamma=gamma,
-        arm_ratio_k=complex(j0),
         m1_coeffs={-1: 1j * j1, 1: 1j * j1},
-        m2_coeffs={0: 1.0},
+        m2_coeffs={0: j0},
     )
 
 
@@ -182,9 +182,8 @@ def dual_input_mzm_scheme(gamma: float, f_m: float) -> SchemeConfig:
         kind=ModulationKind.CUSTOM,
         f_m=f_m,
         gamma=gamma,
-        arm_ratio_k=1j * j0,
         m1_coeffs={-1: j1, 1: j1},
-        m2_coeffs={0: 1.0},
+        m2_coeffs={0: 1j * j0},
     )
 
 

@@ -80,7 +80,7 @@ class SimulationGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.dt
 
-    def validate_for(self, bandwidth: float, f_m: float, order: int = 1) -> None:
+    def validate_for(self, bandwidth: float, f_m: float, order: int) -> None:
         """Nyquist margin and record-length checks for a planned run.
 
         ``order`` is the largest harmonic order K over both arms: the
@@ -168,7 +168,7 @@ def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int]:
     field alone would fit in M df > 2 F).  A tone off the df lattice is not
     band-limited: M = N then.
     """
-    m1, m2, _ = build_scheme(link.scheme)
+    m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
     n = grid.n_samples
     cycles = m1.f_m * grid.duration
@@ -187,10 +187,9 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     n = grid.n_samples
     freqs = grid.frequencies()
     freqs = np.concatenate((freqs[: band // 2], freqs[n - band // 2 :]))
-    m1, m2, k_scheme = build_scheme(link.scheme)
-    k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
+    m1, m2 = build_scheme(link.scheme)
     delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
-    delayed *= k_total * np.exp(-1j * link.carrier_phase)
+    delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
     t = np.arange(0, n, n // band) * grid.dt
     pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(1.0, m1), (delayed, m2)]
     return _Plan(

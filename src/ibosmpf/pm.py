@@ -90,21 +90,17 @@ def _harmonic_tables(v, omega: float, j0: float, j1: float) -> dict:
 def _pm_parameters(link: LinkConfig):
     if link.scheme.kind is not ModulationKind.PM:
         raise ConfigurationError("phase-modulation closed forms require a PM scheme")
-    if abs(link.interferometer.arm_ratio_k - 1.0) > 1e-12 or abs(
-        complex(link.scheme.arm_ratio_k) - 1.0
-    ) > 1e-12:
-        raise ConfigurationError("phase-modulation closed forms assume balanced arms")
+    link.require_balanced_arms("phase-modulation closed forms")
     from scipy import special
 
     gamma = link.scheme.gamma
     return float(special.j0(gamma)), float(special.j1(gamma))
 
 
-def _continuum_terms(link: LinkConfig, f, f_m, group) -> dict:
+def _continuum_terms(link: LinkConfig, f, group) -> dict:
     """Continuum terms at the frequencies f, summed per ``group(ua, ub, k)`` label."""
     j0, j1 = _pm_parameters(link)
-    if f_m is None:
-        f_m = link.scheme.f_m
+    f_m = link.scheme.f_m
     omega = 2.0 * math.pi * f_m
     d = link.delay
     theta0 = link.carrier_phase
@@ -126,10 +122,10 @@ def _continuum_terms(link: LinkConfig, f, f_m, group) -> dict:
     return totals
 
 
-def pm_continuum(link: LinkConfig, f, f_m: float | None = None):
+def pm_continuum(link: LinkConfig, f):
     """Continuum intensity-noise PSD of the phase-modulated link at f."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    totals = _continuum_terms(link, f, f_m, lambda ua, ub, k: "total")
+    totals = _continuum_terms(link, f, lambda ua, ub, k: "total")
     out = np.real(totals["total"])
     return out if out.size > 1 else float(out[0])
 
@@ -142,9 +138,9 @@ def _physical_group(ua: int, ub: int, k: int) -> str:
     return "upconverted" if abs(k) == 1 else "second_harmonic"
 
 
-def pm_continuum_grouped(link: LinkConfig, f: float, f_m: float | None = None) -> dict:
+def pm_continuum_grouped(link: LinkConfig, f: float) -> dict:
     """Continuum at one frequency, split into physically labelled parts."""
-    totals = _continuum_terms(link, np.atleast_1d(float(f)), f_m, _physical_group)
+    totals = _continuum_terms(link, np.atleast_1d(float(f)), _physical_group)
     names = ("main_band", "upconverted", "second_harmonic", "interferometric_cross")
     return {name: float(totals[name].real[0]) for name in names}
 
@@ -205,13 +201,6 @@ def signal_power_pm(link: LinkConfig, f_m=None):
     """
     weights = pm_line_weights(link, f_m=f_m, orders=(-1, 1))
     return weights[1] + weights[-1]
-
-
-def noise_power_pm_at(link: LinkConfig, f_c: float | None = None) -> float:
-    """Noise power in 1 Hz at +-f_c (twice the one-sided continuum)."""
-    if f_c is None:
-        f_c = link.passband_center()
-    return 2.0 * float(pm_continuum(link, f_c, f_m=f_c))
 
 
 def snr_pm(link: LinkConfig) -> SnrReport:

@@ -7,7 +7,7 @@ import pytest
 
 from ibosmpf import cli
 from ibosmpf.cli import main
-from ibosmpf.closed_forms import noise_power_ssb_at, signal_power_ssb
+from ibosmpf.closed_forms import noise_psd_shared, signal_power_ssb
 from ibosmpf.errors import ConfigurationError
 from ibosmpf.montecarlo import McEstimate, WelchConfig
 from ibosmpf.scenario import SWEEP_AXES, load_scenario
@@ -248,7 +248,7 @@ def test_mc_compare_measures_the_snapped_tone(tmp_path, monkeypatch):
 
     def exact_snr_at_snapped_tone(link, grid, n_realizations, seed, welch=WelchConfig(), f_m=None):
         f = welch.snap_frequency(link.passband_center() if f_m is None else f_m, grid.dt)
-        noise, _ = noise_power_ssb_at(link, f)
+        noise = 2.0 * noise_psd_shared(link.with_modulation_frequency(f), f)
         return McEstimate(n_realizations, {"snr_linear": (signal_power_ssb(link, f) / noise, 0.0)})
 
     monkeypatch.setattr(cli, "estimate_snr", exact_snr_at_snapped_tone)
@@ -409,6 +409,20 @@ def test_passband_columns(tmp_path):
     assert header == ["detuning_hz", "shape_db"]
     center = [r for r in rows if abs(float(r["detuning_hz"])) < 1][0]
     assert float(center["shape_db"]) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("start, stop, end", [("-12 GHz", "0.1 GHz", "start"), ("0.1 GHz", "-12 GHz", "stop")])
+def test_passband_mc_tone_below_zero_names_the_sweep_end(tmp_path, capsys, start, stop, end):
+    # a detuning below -f_c (10 GHz) would put the ensemble's tone below 0 Hz
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39) + (
+        f"sweep:\n  variable: detuning\n  start: {start}\n  stop: {stop}\n  points: 3\n"
+        "mc:\n  dt: 0.25 ps\n  samples: 65536\n  realizations: 8\n  seed: 3\n"
+    )
+    out = tmp_path / "pb.csv"
+    assert main(["passband", "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"field sweep.{end}:" in err and "below 0 Hz" in err
+    assert not out.exists()
 
 
 def test_passband_with_mc_columns(tmp_path):

@@ -13,7 +13,6 @@ from ibosmpf import (
     fringed_noise_spectrum,
     interference_kernel,
     noise_figure,
-    noise_power_ssb_at,
     noise_psd_shared,
     passband_shape,
     reference_link,
@@ -227,11 +226,11 @@ def test_snr_ssb_bench_values(ssb):
 
 
 def test_noise_power_ssb_breakdown(ssb):
-    total, terms = noise_power_ssb_at(ssb)
+    terms = snr_ssb(ssb).noise_breakdown
     assert set(terms) == {"main_band", "upconverted_sum", "upconverted_baseband"}
-    assert sum(terms.values()) == pytest.approx(total, rel=1e-12)
     f_c = ssb.passband_center()
-    assert total == pytest.approx(2.0 * noise_psd_shared(ssb.with_modulation_frequency(f_c), f_c), rel=1e-12)
+    total = 2.0 * noise_psd_shared(ssb.with_modulation_frequency(f_c), f_c)
+    assert sum(terms.values()) == pytest.approx(total, rel=1e-12)
 
 
 def test_snr_breakdown_consistency(ssb):
@@ -317,6 +316,53 @@ def test_noise_figure_linearity():
     )
 
 
+# --- balanced-arm assumption --------------------------------------------------------
+
+
+def _unbalanced(kind):
+    link = reference_link(scheme_kind=kind, gamma=0.41)
+    return replace(link, interferometer=replace(link.interferometer, arm_ratio_k=0.5))
+
+
+def _balanced_arm_forms():
+    from ibosmpf import freq_domain, pm
+    from ibosmpf.closed_forms import shared_modulator_decomposition
+
+    grid = np.array([4e9, 10e9])
+    return {
+        "signal_power_ssb": lambda: signal_power_ssb(_unbalanced("ssb")),
+        "signal_power_dsb": lambda: signal_power_dsb(_unbalanced("dsb"), 4e9),
+        "noise_psd_shared": lambda: noise_psd_shared(_unbalanced("ssb"), 10e9),
+        "snr_ssb": lambda: snr_ssb(_unbalanced("ssb")),
+        "response_ssb": lambda: frequency_response_sweep(_unbalanced("ssb"), grid),
+        "response_dsb": lambda: frequency_response_sweep(_unbalanced("dsb"), grid),
+        "response_pm": lambda: frequency_response_sweep(_unbalanced("pm"), grid),
+        "shared_modulator_decomposition": lambda: shared_modulator_decomposition(_unbalanced("dsb"), grid),
+        "signal_power_pm": lambda: pm.signal_power_pm(_unbalanced("pm")),
+        "pm_line_weights": lambda: pm.pm_line_weights(_unbalanced("pm")),
+        "pm_continuum": lambda: pm.pm_continuum(_unbalanced("pm"), 10e9),
+        "pm_continuum_grouped": lambda: pm.pm_continuum_grouped(_unbalanced("pm"), 10e9),
+        "pm_decomposition": lambda: pm.pm_decomposition(_unbalanced("pm"), grid),
+        "snr_pm": lambda: pm.snr_pm(_unbalanced("pm")),
+        "freq_domain_signal_power": lambda: freq_domain.freq_domain_signal_power(_unbalanced("ssb")),
+        "freq_domain_noise_psd": lambda: freq_domain.freq_domain_noise_psd(_unbalanced("ssb"), 10e9),
+    }
+
+
+@pytest.mark.parametrize("name", list(_balanced_arm_forms()))
+def test_balanced_arm_forms_reject_unbalanced_splitter(name):
+    with pytest.raises(ConfigurationError, match="assumes balanced arms; interferometer.arm_ratio_k is 0.5"):
+        _balanced_arm_forms()[name]()
+
+
+def test_engine_takes_the_unbalanced_splitter():
+    # k = 0.5 scales the delayed field: the engine's tone differs from the
+    # balanced closed form, which is why that form must refuse the link
+    balanced = reference_link(scheme_kind="ssb", gamma=0.41)
+    engine_power = fundamental_line_power(_unbalanced("ssb"), balanced.scheme.f_m)
+    assert engine_power < 0.5 * signal_power_ssb(balanced)
+
+
 # --- response sweeps ----------------------------------------------------------------
 
 
@@ -395,13 +441,13 @@ def test_custom_sweep_rejects_invalid_frequency(f_m):
 def _powers_on_link(link):
     """In-test oracle: signal and noise parts evaluated on the link itself,
     not derived from the unit-PSD copy."""
-    from ibosmpf import pm
+    from ibosmpf import closed_forms, pm
 
     f_c = link.passband_center()
     tuned = link.with_modulation_frequency(f_c)
     if link.scheme.kind.value == "ssb":
-        total, parts = noise_power_ssb_at(link)
-        return signal_power_ssb(tuned, f_c), total, parts
+        parts = closed_forms._ssb_noise_terms(tuned, f_c)
+        return signal_power_ssb(tuned, f_c), sum(parts.values()), parts
     parts = {name: 2.0 * v for name, v in pm.pm_continuum_grouped(tuned, f_c).items()}
     return pm.signal_power_pm(tuned, f_c), sum(parts.values()), parts
 

@@ -28,33 +28,31 @@ F_M = 10e9
 
 
 def test_dsb_coefficients():
-    m1, m2, k = build_scheme(SchemeConfig(kind=ModulationKind.DSB, f_m=F_M, gamma=0.4))
+    m1, m2 = build_scheme(SchemeConfig(kind=ModulationKind.DSB, f_m=F_M, gamma=0.4))
     assert m1.coeffs == m2.coeffs
-    assert k == 1.0
     assert m1.coefficient(0) == 1.0
     assert m1.coefficient(1) == pytest.approx(0.2)
     assert m1.coefficient(-1) == pytest.approx(0.2)
 
 
 def test_ssb_coefficients():
-    m1, _, _ = build_scheme(SchemeConfig(kind=ModulationKind.SSB, f_m=F_M, gamma=0.4))
+    m1, _ = build_scheme(SchemeConfig(kind=ModulationKind.SSB, f_m=F_M, gamma=0.4))
     assert m1.coefficient(1) == pytest.approx(0.2)
     assert m1.coefficient(-1) == 0.0
 
 
 def test_pm_coefficients():
     gamma = 0.41
-    m1, m2, k = build_scheme(SchemeConfig(kind=ModulationKind.PM, f_m=F_M, gamma=gamma))
+    m1, m2 = build_scheme(SchemeConfig(kind=ModulationKind.PM, f_m=F_M, gamma=gamma))
     assert m1.coefficient(0) == pytest.approx(scipy_j0(gamma), abs=1e-12)
     assert m1.coefficient(1) == pytest.approx(scipy_j1(gamma), abs=1e-12)
     assert m1.coefficient(-1) == pytest.approx(-scipy_j1(gamma), abs=1e-12)
     assert m2.is_constant() and m2.coefficient(0) == 1.0
-    assert k == 1.0
 
 
 def test_zero_gamma_collapses_to_unmodulated():
     for kind in (ModulationKind.DSB, ModulationKind.SSB, ModulationKind.PM):
-        m1, m2, _ = build_scheme(SchemeConfig(kind=kind, f_m=F_M, gamma=0.0))
+        m1, m2 = build_scheme(SchemeConfig(kind=kind, f_m=F_M, gamma=0.0))
         assert m1.coefficient(0) == pytest.approx(1.0)
         assert m1.coefficient(1) == pytest.approx(0.0)
         assert m2.coefficient(0) == pytest.approx(1.0)
@@ -68,11 +66,14 @@ def test_small_signal_gamma_limit():
 
 def test_equivalent_single_arm_constructors():
     gamma = 0.5
+    # the equivalent model's J0 (or jJ0) is the constant of the second arm
     polm = build_scheme(polarization_modulator_scheme(gamma, F_M))
-    assert polm[2] == pytest.approx(scipy_j0(gamma), abs=1e-12)
+    assert polm[1].is_constant()
+    assert polm[1].coefficient(0) == pytest.approx(scipy_j0(gamma), abs=1e-12)
     assert polm[0].coefficient(1) == pytest.approx(1j * scipy_j1(gamma), abs=1e-12)
     dimzm = build_scheme(dual_input_mzm_scheme(gamma, F_M))
-    assert dimzm[2] == pytest.approx(1j * scipy_j0(gamma), abs=1e-12)
+    assert dimzm[1].is_constant()
+    assert dimzm[1].coefficient(0) == pytest.approx(1j * scipy_j0(gamma), abs=1e-12)
     assert dimzm[0].coefficient(-1) == pytest.approx(scipy_j1(gamma), abs=1e-12)
 
 
@@ -86,13 +87,13 @@ def test_harmonic_order_cap():
 
 def test_dsb_cyclic_zero_order_at_zero_lag():
     gamma = 0.4
-    m1, _, _ = build_scheme(SchemeConfig(kind=ModulationKind.DSB, f_m=F_M, gamma=gamma))
+    m1, _ = build_scheme(SchemeConfig(kind=ModulationKind.DSB, f_m=F_M, gamma=gamma))
     assert cyclic_autocorrelation(m1, 0, 0.0) == pytest.approx(1 + gamma**2 / 2)
 
 
 def test_ssb_cyclic_orders():
     gamma = 0.4
-    m1, _, _ = build_scheme(SchemeConfig(kind=ModulationKind.SSB, f_m=F_M, gamma=gamma))
+    m1, _ = build_scheme(SchemeConfig(kind=ModulationKind.SSB, f_m=F_M, gamma=gamma))
     v = 13e-12
     assert cyclic_autocorrelation(m1, 1, v) == pytest.approx(
         (gamma / 2) * np.exp(2j * np.pi * F_M * v)
@@ -102,7 +103,7 @@ def test_ssb_cyclic_orders():
 
 
 def test_no_sidebands_without_modulation():
-    m1, _, _ = build_scheme(SchemeConfig(kind=ModulationKind.UNMODULATED, f_m=F_M))
+    m1, _ = build_scheme(SchemeConfig(kind=ModulationKind.UNMODULATED, f_m=F_M))
     for v in (0.0, 7e-12):
         assert cyclic_autocorrelation(m1, 1, v) == 0.0
         assert cyclic_autocorrelation(m1, -1, v) == 0.0

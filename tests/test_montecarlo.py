@@ -136,15 +136,15 @@ def _reference_chain(link, grid, rng):
     spectrum = amplitude * noise * math.sqrt(0.5)
     field = np.fft.ifft(spectrum, norm="forward")
     delayed = np.fft.ifft(np.fft.fft(field) * np.exp(-2j * np.pi * freqs * link.delay))
-    m1, m2, k_scheme = build_scheme(link.scheme)
-    k_total = complex(k_scheme) * complex(link.interferometer.arm_ratio_k)
+    m1, m2 = build_scheme(link.scheme)
+    k = complex(link.interferometer.arm_ratio_k)
     t = grid.times()
 
     def evaluate(m):
         return sum(c * np.exp(2j * np.pi * n * m.f_m * t) for n, c in m.coeffs.items())
 
     combined = field * evaluate(m1) + delayed * evaluate(m2) * (
-        k_total * np.exp(-1j * link.carrier_phase)
+        k * np.exp(-1j * link.carrier_phase)
     )
     dispersion = np.exp(-1j * link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
     return spectrum, np.abs(np.fft.ifft(np.fft.fft(combined) * dispersion)) ** 2
@@ -163,9 +163,8 @@ def _two_modulated_arms_link():
         kind=ModulationKind.CUSTOM,
         f_m=base.scheme.f_m,
         gamma=0.3,
-        arm_ratio_k=0.7,
         m1_coeffs={-1: 0.1j, 0: 0.9, 1: 0.2},
-        m2_coeffs={0: 1.0, 1: 0.15},
+        m2_coeffs={0: 0.7, 1: 0.7 * 0.15},
     )
     return replace(base, scheme=scheme)
 
@@ -181,7 +180,7 @@ LINKS = {
 
 @pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
 def test_plan_matches_reference_chain(link):
-    # a carrier phase away from 0 and pi checks the k_total exp(-j theta) folding
+    # a carrier phase away from 0 and pi checks the arm_ratio_k exp(-j theta) folding
     assert abs(math.sin(link.carrier_phase)) > 0.1
     spectrum_want, intensity_want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
     plan = _plan(link, SMALL_GRID)
@@ -504,14 +503,14 @@ def _long_double_chain(link, grid, rng):
     noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128).astype(np.clongdouble)
     field = scipy.fft.ifft(noise * amplitude, norm="forward")
     delayed = scipy.fft.ifft(scipy.fft.fft(field) * np.exp(-2j * np.pi * freqs * ld(link.delay)))
-    m1, m2, k_scheme = build_scheme(link.scheme)
-    k_total = np.clongdouble(k_scheme) * np.clongdouble(link.interferometer.arm_ratio_k)
+    m1, m2 = build_scheme(link.scheme)
+    k = np.clongdouble(link.interferometer.arm_ratio_k)
     t = np.arange(grid.n_samples) * ld(grid.dt)
 
     def evaluate(m):
         return sum(np.clongdouble(c) * np.exp(2j * np.pi * n * ld(m.f_m) * t) for n, c in m.coeffs.items())
 
-    combined = field * evaluate(m1) + delayed * evaluate(m2) * (k_total * np.exp(-1j * ld(link.carrier_phase)))
+    combined = field * evaluate(m1) + delayed * evaluate(m2) * (k * np.exp(-1j * ld(link.carrier_phase)))
     dispersion = np.exp(-1j * ld(link.phi) / 2 * (2 * np.pi * freqs) ** 2)
     out = scipy.fft.ifft(scipy.fft.fft(combined) * dispersion)
     return out.real**2 + out.imag**2
@@ -600,10 +599,10 @@ def test_grid_validation():
         SimulationGrid(dt=0.25e-12, n_samples=1000)  # not a power of two
     grid = SimulationGrid(dt=2e-12, n_samples=2**16)
     with pytest.raises(ConfigurationError):
-        grid.validate_for(400e9, 10e9)  # sample rate below the margin
+        grid.validate_for(400e9, 10e9, 1)  # sample rate below the margin
     fine = SimulationGrid(dt=0.25e-12, n_samples=2**10)
     with pytest.raises(ConfigurationError):
-        fine.validate_for(400e9, 10e9)  # record shorter than 32 periods
+        fine.validate_for(400e9, 10e9, 1)  # record shorter than 32 periods
 
 
 def test_nyquist_margin_counts_every_harmonic_order():
@@ -618,7 +617,7 @@ def test_nyquist_margin_counts_every_harmonic_order():
     # a margin of 4 (B + 2 f_m) = 160 GHz lets the grid through, but the
     # intensity spans 2 (B/2 + 5 f_m) = 120 GHz either side of 0, past the
     # 100 GHz Nyquist limit
-    grid.validate_for(20e9, f_m)
+    grid.validate_for(20e9, f_m, order=1)
     with pytest.raises(ConfigurationError, match="4 \\(B \\+ 2K f_m\\)"):
         grid.validate_for(20e9, f_m, order=5)
     with pytest.raises(ConfigurationError, match="Nyquist margin"):

@@ -2,9 +2,12 @@
 
 perfbench/tracing.py wraps these functions and methods by name at run time,
 so deleting or renaming one fails the traced benchmark with AttributeError.
+The package's settable values are counted here too, against a ceiling.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +69,43 @@ def test_module_function_exists(module, name):
 def test_class_method_defined(module, cls, method):
     # defined on the class itself, where a wrapper is installed
     assert callable(vars(getattr(importlib.import_module(f"ibosmpf.{module}"), cls))[method])
+
+
+# Parameters with defaults plus dataclass fields with defaults over the
+# package source.  Raising the ceiling needs a CHANGES.md line that says why.
+SETTABLE_VALUES_CEILING = 47
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def settable_values(package_dir: Path) -> int:
+    count = 0
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_values_stay_under_the_ceiling():
+    assert settable_values(Path(ibosmpf.__file__).parent) <= SETTABLE_VALUES_CEILING
+
+
+def test_settable_values_counts_defaults_and_dataclass_fields(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "g = lambda x=0: x\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n    x: int\n    y: int = 0\n"
+        "class B:\n    z: int = 0\n"
+    )
+    assert settable_values(tmp_path) == 4
