@@ -21,6 +21,7 @@ from .closed_forms import (
     signal_power_dsb,
     signal_power_ssb,
     snr_ssb,
+    snr_sweep,
 )
 from .config import LinkConfig, reference_link
 from .decomposition import SpectralDecomposition
@@ -105,5 +106,6 @@ __all__ = [
     "signal_power_ssb",
     "snr_pm",
     "snr_ssb",
+    "snr_sweep",
     "synthesize_field",
 ]

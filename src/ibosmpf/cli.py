@@ -22,13 +22,12 @@ from .closed_forms import (
     frequency_response_sweep,
     noise_figure,
     passband_shape,
-    snr_ssb,
+    snr_sweep,
 )
 from .errors import ConfigurationError, DomainError
 from .modulation import ModulationKind
 from .montecarlo import SimulationGrid, WelchConfig, estimate_snr
 from .oeo import noise_to_signal_ratio, oeo_phase_noise
-from .pm import snr_pm
 from .scenario import SWEEP_AXES, Scenario, load_scenario
 
 
@@ -130,12 +129,14 @@ def _estimate(link, grid, n_realizations, seed, **kwargs):
         raise ConfigurationError(f"field {_GRID_FIELDS[attribute]}: {reason}") from None
 
 
-def _snr_report(link):
-    if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
-        raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
-    if link.scheme.gamma <= 0:  # a gamma sweep's start and stop are checked > 0 on load
-        raise ConfigurationError("field link.gamma: the SNR needs a modulation index > 0 (gamma or csr)")
-    return snr_ssb(link) if link.scheme.kind is ModulationKind.SSB else snr_pm(link)
+def _snr_reports(links):
+    """``snr_sweep`` over ``links``, each link's scheme checked against its scenario field first."""
+    for link in links:
+        if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
+            raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
+        if link.scheme.gamma <= 0:  # a gamma sweep's start and stop are checked > 0 on load
+            raise ConfigurationError("field link.gamma: the SNR needs a modulation index > 0 (gamma or csr)")
+    return snr_sweep(links)
 
 
 def _check_axis(command: str, scenario: Scenario) -> None:
@@ -179,7 +180,7 @@ def _swept_links(scenario: Scenario):
         if sweep.variable == "gamma":
             yield float(x), replace(link, scheme=replace(link.scheme, gamma=float(x)))
         elif sweep.variable == "f_c":
-            yield float(x), link.with_delay_for_center(float(x)).with_modulation_frequency(float(x))
+            yield float(x), link.with_delay_for_center(float(x))  # the SNR retunes f_m to the center
         else:  # bandwidth; a scenario's spectrum is always rectangular
             yield float(x), link.with_spectrum(replace(link.spectrum, b=float(x)))
 
@@ -192,13 +193,16 @@ def run_snr(args, scenario: Scenario) -> int:
     if use_mc:
         grid, n_real, seed = _mc_setup(args, scenario)
         columns += ["mc_snr_dbhz", "mc_stderr_db"]
+    points = list(_swept_links(scenario))
+    if use_mc:  # the ensemble measures a tone on a Welch bin: center each link there
+        welch = WelchConfig()
+        for i, (x, link) in enumerate(points):
+            f_m = welch.snap_frequency(link.passband_center(), grid.dt)
+            points[i] = x, link.with_delay_for_center(f_m).with_modulation_frequency(f_m)
+    reports = _snr_reports([link for _, link in points])
     rows = []
     failures = []
-    for x, link in _swept_links(scenario):
-        if use_mc:  # the ensemble measures a tone on a Welch bin: center the link there
-            f_m = WelchConfig().snap_frequency(link.passband_center(), grid.dt)
-            link = link.with_delay_for_center(f_m).with_modulation_frequency(f_m)
-        report = _snr_report(link)
+    for (x, link), report in zip(points, reports):
         row = {
             "x": float(x),
             "snr_exact_dbhz": report.snr_db_hz,
@@ -242,25 +246,30 @@ def run_passband(args, scenario: Scenario) -> int:
         grid, n_real, seed = _mc_setup(args, scenario)
         welch = WelchConfig()
         tones = [welch.snap_frequency(f_c + det, grid.dt) for det in detunings]
-        if min(tones) < 0:
+        if min(tones) <= 0:  # a tone snapped to 0 Hz would measure the DC line
             lowest = min(detunings)
             end = "start" if lowest == scenario.sweep.start else "stop"
             raise ConfigurationError(
                 f"field sweep.{end}: detuning {lowest:g} Hz puts the Monte-Carlo tone at "
-                f"{min(tones):g} Hz, below 0 Hz (the passband center is {f_c:g} Hz)"
+                f"{min(tones):g} Hz, at or below 0 Hz (the passband center is {f_c:g} Hz)"
             )
         powers = []
         errs = []
-        for f_m in tones:
+        for det, f_m in zip(detunings, tones):
             est = _estimate(link, grid, n_real, seed, f_m=f_m)
-            powers.append(est.mean("line_power"))
+            power = est.mean("line_power")
+            if not power > 0:
+                raise DomainError(
+                    f"Monte-Carlo line power at detuning {det:g} Hz has ensemble mean {power:g}, "
+                    "not above 0; no dB level"
+                )
+            powers.append(power)
             errs.append(est.stderr("line_power"))
         powers = np.asarray(powers)
         errs = np.asarray(errs)
-        peak = powers.max()
         mc_cols = (
-            10.0 * np.log10(np.maximum(powers, peak * 1e-30) / peak),
-            10.0 / math.log(10.0) * errs / np.maximum(powers, peak * 1e-30),
+            10.0 * np.log10(powers / powers.max()),
+            10.0 / math.log(10.0) * errs / powers,
         )
         columns += ["mc_shape_db", "mc_stderr_db"]
     rows = []
@@ -280,7 +289,7 @@ def run_oeo(args, scenario: Scenario) -> int:
     spec = scenario.oeo
     delta = spec.delta
     if spec.from_link:
-        delta = noise_to_signal_ratio(_snr_report(scenario.link))
+        delta = noise_to_signal_ratio(_snr_reports([scenario.link])[0])
     tau = spec.tau
     if scenario.sweep is not None:
         f_offsets = scenario.sweep.values()

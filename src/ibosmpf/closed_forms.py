@@ -12,6 +12,11 @@ included.  The one approximation left is the compact SNR estimate of
 when the optical bandwidth times the delay is large) and assumes a flat
 self-convolution across the RF band; reports carry it beside the exact
 ratio so the approximation error stays visible.
+
+:func:`snr_sweep` builds the SNR reports of many operating points at once:
+points that share the source and the filter apart from the delay and the
+modulation index are evaluated as one :class:`~ibosmpf.config.LinkBatch`,
+whose delay, carrier phase, tone and gamma are arrays.
 """
 
 from __future__ import annotations
@@ -21,17 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LinkConfig
+from .config import LinkBatch, LinkConfig
 from .constants import K_B, T_STANDARD
 from .decomposition import SpectralDecomposition, _LineLags
 from .errors import ConfigurationError, DomainError, NoPassbandError
-from .modulation import (
-    HarmonicModulation,
-    ModulationKind,
-    build_scheme,
-    cyclic_autocorrelation,
-    cyclic_orders,
-)
+from .modulation import ModulationKind, cyclic_orders, cyclic_series
 from .spectrum import OpticalSpectrum, RectangularSpectrum, sinc
 
 
@@ -57,11 +56,12 @@ def fringed_noise_spectrum(
     """Transform of |H(u)|^2: the fringed intensity-noise shaping spectrum.
 
     The leading term is [4 + 2 cos(2 pi f d)] S0(f); the delay-offset cross
-    spectra add to it and are suppressed like sinc(pi B d).
+    spectra add to it and are suppressed like sinc(pi B d).  ``delay`` and
+    ``carrier_phase`` may be arrays over a batch's points, one per f.
     """
     f = np.asarray(f, dtype=float)
     s0 = spectrum.intensity_autoconvolution(f)
-    if delay == 0.0:
+    if np.all(np.equal(delay, 0.0)):
         # all shifts coincide: |H|^2 = 16 |R0|^2
         return 16.0 * s0
     main = (4.0 + 2.0 * np.cos(2.0 * np.pi * f * delay)) * s0
@@ -74,75 +74,74 @@ def fringed_noise_spectrum(
     return main + cross
 
 
-def _shared_arm(link: LinkConfig, what: str) -> HarmonicModulation:
-    """The modulation both arms share; the arms must also be balanced."""
-    m1, m2 = build_scheme(link.scheme)
-    if m1.coeffs != m2.coeffs:
+def _shared_arm(link: LinkConfig | LinkBatch, what: str) -> dict:
+    """Coefficients {q: M_q} of the modulation both arms share; the arms must also be balanced."""
+    m1, m2 = link.arms()
+    if m1.keys() != m2.keys() or any(np.any(m1[q] != m2[q]) for q in m1):
         raise ConfigurationError(f"{what} needs identical arms")
     link.require_balanced_arms(what)
     return m1
 
 
-def _continuum_terms(link: LinkConfig, m: HarmonicModulation, f) -> dict:
+def _continuum_terms(link: LinkConfig | LinkBatch, arm: dict, f) -> dict:
     """Per cyclic order s: |C_s(v)|^2 times the fringed spectrum at f + s f_m."""
-    v = 2.0 * np.pi * link.phi * f
+    f_m = link.scheme.f_m
+    x = f_m * (2.0 * np.pi * link.phi * f)  # f_m v
     return {
-        s: np.abs(cyclic_autocorrelation(m, s, v)) ** 2
-        * np.real(
-            fringed_noise_spectrum(link.spectrum, link.delay, link.carrier_phase, f + s * m.f_m)
-        )
-        for s in cyclic_orders(m)
+        s: np.abs(cyclic_series(arm, s, x)) ** 2
+        * np.real(fringed_noise_spectrum(link.spectrum, link.delay, link.carrier_phase, f + s * f_m))
+        for s in cyclic_orders(arm)
     }
 
 
-def _line_weights(link: LinkConfig, m: HarmonicModulation, orders, f_m) -> np.ndarray:
+def _line_weights(link: LinkConfig | LinkBatch, arm: dict, orders, f_m) -> np.ndarray:
     """Line powers |H(v_s)|^2 |C_s(v_s)|^2 at -s f_m per cyclic order s (rows) and f_m.
 
-    C_s depends on f_m and v only through f_m v, so one unit-fundamental
-    copy of the arm serves every f_m of an array.  H(v_s) comes from R0 at
-    v_s + t d (t = -1, 0, 1), each lag evaluated once per call; those values
-    must be Hermitian, else :class:`DomainError`.
+    C_s depends on f_m and v only through f_m v, so the arm's coefficients
+    serve every f_m of an array.  H(v_s) comes from R0 at v_s + t d
+    (t = -1, 0, 1), each lag evaluated once per call; those values must be
+    Hermitian, else :class:`DomainError`.
     """
     f_m = np.asarray(f_m, dtype=float)
-    unit = HarmonicModulation(1.0, m.coeffs)
     r0 = _LineLags(link, f_m)
-    weights = np.empty((len(orders),) + f_m.shape)
-    for i, s in enumerate(orders):
+    weights = []
+    for s in orders:
         v_line = 2.0 * np.pi * link.phi * (-s * f_m)
         h = _kernel(r0(-s, -1), r0(-s, 0), r0(-s, 1), link.carrier_phase)
-        weights[i] = np.abs(h) ** 2 * np.abs(cyclic_autocorrelation(unit, s, f_m * v_line)) ** 2
+        weights.append(np.abs(h) ** 2 * np.abs(cyclic_series(arm, s, f_m * v_line)) ** 2)
     r0.check_hermitian()
-    return weights
+    return np.array(weights)
 
 
 def shared_modulator_decomposition(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecomposition:
     """Line/continuum intensity PSD when both arms share one modulator."""
-    m = _shared_arm(link, "shared-modulator closed form")
-    orders = cyclic_orders(m)
+    arm = _shared_arm(link, "shared-modulator closed form")
+    orders = cyclic_orders(arm)
+    f_m = link.scheme.f_m
     return SpectralDecomposition(
         frequencies=f_grid,
         continuum=noise_psd_shared(link, f_grid),
-        line_frequencies=np.array([-s * m.f_m for s in orders]),
-        line_powers=_line_weights(link, m, orders, m.f_m),
-        metadata={"path": "closed-form", "f_m": m.f_m},
+        line_frequencies=np.array([-s * f_m for s in orders]),
+        line_powers=_line_weights(link, arm, orders, f_m),
+        metadata={"path": "closed-form", "f_m": f_m},
     )
 
 
 def noise_psd_shared(link: LinkConfig, f):
     """Continuum intensity-noise PSD for a shared-modulator scheme."""
-    m = _shared_arm(link, "shared-modulator noise PSD")
+    arm = _shared_arm(link, "shared-modulator noise PSD")
     f = np.asarray(f, dtype=float)
     out = np.zeros(f.shape)
-    for term in _continuum_terms(link, m, f).values():
+    for term in _continuum_terms(link, arm, f).values():
         out += term
     return out if out.ndim else float(out)
 
 
-def _fundamental_power(link: LinkConfig, f_m):
+def _fundamental_power(link: LinkConfig | LinkBatch, f_m):
     """Sum of the +-f_m line weights of the shared arm; a scalar f_m gives a float."""
-    m = _shared_arm(link, "shared-modulator signal power")
+    arm = _shared_arm(link, "shared-modulator signal power")
     f_m = np.asarray(link.scheme.f_m if f_m is None else f_m, dtype=float)
-    minus, plus = _line_weights(link, m, (1, -1), f_m)
+    minus, plus = _line_weights(link, arm, (1, -1), f_m)
     power = minus + plus
     return power if f_m.ndim else float(power)
 
@@ -201,84 +200,136 @@ class SnrReport:
     snr_approx_db_hz: float
 
 
-def _cos_fringe_argument(f_c: float, phi: float) -> float:
-    """cos argument 4 pi^2 phi f_c^2, accumulated in extended precision."""
-    t = np.longdouble(phi) * np.longdouble(f_c) * np.longdouble(f_c)
+def _cos_fringe_argument(f_c, phi: float) -> np.ndarray:
+    """cos argument 4 pi^2 phi f_c^2 per f_c, accumulated in extended precision."""
+    f_c = np.asarray(f_c, dtype=np.longdouble)
+    t = np.longdouble(phi) * f_c * f_c
     theta = 4.0 * np.longdouble(np.pi) ** 2 * t
-    return float(np.cos(theta))
+    return np.cos(theta).astype(float)
 
 
-def _ssb_noise_terms(link: LinkConfig, f_c: float) -> dict:
+def _ssb_noise_terms(link: LinkConfig | LinkBatch, f_c) -> dict:
     """Noise at +-f_c per cyclic order: the main band and the two images."""
-    m1, _ = build_scheme(link.scheme)
-    terms = _continuum_terms(link, m1, np.asarray(f_c, dtype=float))
+    arm, _ = link.arms()
+    terms = _continuum_terms(link, arm, np.asarray(f_c, dtype=float))
     parts = {"main_band": 0, "upconverted_sum": 1, "upconverted_baseband": -1}
-    return {name: 2.0 * float(terms.get(s, 0.0)) for name, s in parts.items()}
+    return {name: 2.0 * terms.get(s, 0.0) for name, s in parts.items()}
 
 
-def _snr_at_center(link: LinkConfig, signal, breakdown, compact) -> SnrReport:
-    """SNR report at the passband center from a scheme's closed forms.
+def _ssb_compact(cth, gamma):
+    return 8.0 * (cth + 0.5) ** 2 + 8.0 / gamma**2 * (cth + 2.0) + 6.0
 
-    ``signal(link, f_c)`` is the tone power, ``breakdown(link, f_c)`` the
+
+def _snr_forms(kind: ModulationKind):
+    """A scheme's (signal, breakdown, compact) closed forms for the SNR.
+
+    ``signal(batch, f_c)`` is the tone power, ``breakdown(batch, f_c)`` the
     named noise parts in 1 Hz at +-f_c, and ``compact(cos th, gamma)`` the
-    denominator of the rectangular-spectrum estimate B / compact.
-
-    Each is evaluated once, on the unit-PSD copy of the link, so the ratio
-    has no PSD level in it.  Every power is quadratic in the PSD, so the
-    reported ones are those unit values times the square of the PSD scale;
-    a squared scale that overflows raises :class:`DomainError`.
+    denominator of the rectangular-spectrum estimate B / compact; each works
+    on arrays over the batch's points.
     """
-    f_c = link.passband_center()
-    link = link.with_modulation_frequency(f_c)
-    gamma = link.scheme.gamma
-    if gamma <= 0:
-        raise ConfigurationError("SNR needs gamma > 0")
-    if gamma**2 == 0:  # the compact form divides by it
-        raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
-    unit = link.with_spectrum(link.spectrum.with_unit_scale())
-    scale = link.spectrum.total_power() / unit.spectrum.total_power()
+    if kind is ModulationKind.SSB:
+        return signal_power_ssb, _ssb_noise_terms, _ssb_compact
+    from . import pm
+
+    return pm.signal_power_pm, pm._noise_terms, pm._compact
+
+
+def snr_sweep(links) -> list[SnrReport]:
+    """SNR reports at the passband centers of SSB or PM ``links``, in their order.
+
+    Each link is retuned to its center (f_m = f_c) and its gamma checked on
+    its own.  Links that share the spectrum object, phi, scheme kind,
+    optical carrier and splitter form one :class:`~ibosmpf.config.LinkBatch`,
+    whose closed forms are evaluated once, as arrays over its points.  They
+    are evaluated on the unit-PSD copy of the spectrum, so the ratio has no
+    PSD level in it.  Every power is quadratic in the PSD, so the reported
+    ones are those unit values times the square of the PSD scale; a squared
+    scale that overflows, a gamma whose square underflows and an SNR that
+    underflows raise :class:`DomainError`.
+    """
+    centers = []
+    batches: dict = {}
+    for i, link in enumerate(links):
+        if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
+            raise ConfigurationError(f"no SNR closed form for scheme {link.scheme.kind.value}")
+        centers.append(link.passband_center())
+        gamma = link.scheme.gamma
+        if gamma <= 0:
+            raise ConfigurationError("SNR needs gamma > 0")
+        if gamma**2 == 0:  # the compact form divides by it
+            raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
+        # the same spectrum object: a bandwidth sweep's points each have their own
+        key = (id(link.spectrum), link.phi, link.scheme.kind, link.interferometer.carrier_f0,
+               link.interferometer.arm_ratio_k)
+        batches.setdefault(key, []).append(i)
+    reports = [None] * len(links)
+    for indices in batches.values():
+        batch = LinkBatch([links[i] for i in indices])
+        tuned = batch.with_modulation_frequency([centers[i] for i in indices])
+        for i, report in zip(indices, _batch_reports(tuned)):
+            reports[i] = report
+    return reports
+
+
+def _batch_reports(batch: LinkBatch) -> list[SnrReport]:
+    """One :class:`SnrReport` per point of a batch retuned to its centers."""
+    signal, breakdown, compact = _snr_forms(batch.scheme.kind)
+    spectrum = batch.spectrum
+    unit = batch.with_spectrum(spectrum.with_unit_scale())
+    scale = spectrum.total_power() / unit.spectrum.total_power()
     power_scale = scale * scale
     if not math.isfinite(power_scale):
         raise DomainError(f"squared PSD level overflows: ({scale:g} W/Hz)**2 is not finite")
 
+    f_c = batch.scheme.f_m
+    gamma = batch.scheme.gamma
     unit_signal = signal(unit, f_c)
     unit_terms = breakdown(unit, f_c)
     snr_linear = unit_signal / sum(unit_terms.values())
-    terms = {name: value * power_scale for name, value in unit_terms.items()}
-
-    if isinstance(link.spectrum, RectangularSpectrum):
-        approx = link.spectrum.b / compact(_cos_fringe_argument(f_c, link.phi), gamma)
+    if isinstance(spectrum, RectangularSpectrum):
+        with np.errstate(over="ignore"):  # 1/gamma**2 may overflow; the estimate then underflows below
+            approx = spectrum.b / compact(_cos_fringe_argument(f_c, batch.phi), gamma)
     else:
         approx = snr_linear
-    if not (snr_linear > 0 and approx > 0):
-        raise DomainError("SNR underflows to zero at this operating point")
-    return SnrReport(
-        scheme=link.scheme.kind.value,
-        center_frequency=f_c,
-        snr_linear=snr_linear,
-        snr_db_hz=10.0 * math.log10(snr_linear),
-        signal_power=unit_signal * power_scale,
-        noise_psd_at_signal=sum(terms.values()),
-        noise_breakdown=terms,
-        snr_approx_linear=approx,
-        snr_approx_db_hz=10.0 * math.log10(approx),
-    )
+    valid = (snr_linear > 0) & (approx > 0)
+    if not np.all(valid):
+        i = int(np.argmin(valid))
+        raise DomainError(
+            f"SNR underflows to zero at the operating point f_c = {f_c[i]:g} Hz, gamma = {gamma[i]:g}"
+        )
+
+    columns = {name: value.tolist() for name, value in unit_terms.items()}  # Python floats
+    rows = zip(f_c.tolist(), snr_linear.tolist(), unit_signal.tolist(), approx.tolist())
+    reports = []
+    for i, (f, snr, tone, estimate) in enumerate(rows):
+        terms = {name: column[i] * power_scale for name, column in columns.items()}
+        reports.append(
+            SnrReport(
+                scheme=batch.scheme.kind.value,
+                center_frequency=f,
+                snr_linear=snr,
+                snr_db_hz=10.0 * math.log10(snr),
+                signal_power=tone * power_scale,
+                noise_psd_at_signal=sum(terms.values()),
+                noise_breakdown=terms,
+                snr_approx_linear=estimate,
+                snr_approx_db_hz=10.0 * math.log10(estimate),
+            )
+        )
+    return reports
 
 
 def snr_ssb(link: LinkConfig) -> SnrReport:
     """SSB SNR at the passband center: exact ratio plus the flat approximation.
 
     The approximation is B / (8 [cos th + 1/2]^2 + 8/g^2 [cos th + 2] + 6)
-    with th = 4 pi^2 phi f_c^2, valid for B d >> 1 and B >> f_c.
+    with th = 4 pi^2 phi f_c^2, valid for B d >> 1 and B >> f_c.  The
+    one-point case of :func:`snr_sweep`.
     """
     if link.scheme.kind is not ModulationKind.SSB:
         raise ConfigurationError("snr_ssb requires an SSB scheme")
-    return _snr_at_center(
-        link,
-        signal_power_ssb,
-        _ssb_noise_terms,
-        lambda cth, gamma: 8.0 * (cth + 0.5) ** 2 + 8.0 / gamma**2 * (cth + 2.0) + 6.0,
-    )
+    return snr_sweep([link])[0]
 
 
 def noise_figure(p_in_w: float, snr_db_hz: float) -> float:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import ConfigurationError, NoPassbandError
 from .geometry import (
@@ -11,7 +15,7 @@ from .geometry import (
     center_frequency,
     delay_for_center,
 )
-from .modulation import ModulationKind, SchemeConfig
+from .modulation import ModulationKind, SchemeConfig, build_scheme
 from .spectrum import OpticalSpectrum, RectangularSpectrum
 from .units import optical_bandwidth_to_hz, wavelength_to_frequency
 
@@ -62,6 +66,11 @@ class LinkConfig:
                 f"{complex(self.interferometer.arm_ratio_k):.6g}"
             )
 
+    def arms(self) -> tuple[dict, dict]:
+        """Coefficient maps {n: M_n} of the undelayed and the delayed arm (see ``build_scheme``)."""
+        m1, m2 = build_scheme(self.scheme)
+        return m1.coeffs, m2.coeffs
+
     def with_delay_for_center(self, f_c: float) -> "LinkConfig":
         d = delay_for_center(f_c, self.phi)
         return replace(self, interferometer=replace(self.interferometer, delay_d=d))
@@ -71,6 +80,59 @@ class LinkConfig:
 
     def with_spectrum(self, spectrum: OpticalSpectrum) -> "LinkConfig":
         return replace(self, spectrum=spectrum)
+
+
+class LinkBatch:
+    """Operating points that the closed forms evaluate in one pass.
+
+    The points share the spectrum, the dispersion, the optical carrier, the
+    splitter and the scheme kind; the caller groups them so.  The batch
+    reads like a :class:`LinkConfig` whose ``delay``, ``carrier_phase``,
+    ``scheme.f_m`` and ``scheme.gamma`` are arrays over its points, and
+    whose :meth:`arms` coefficients are arrays too.
+    """
+
+    def __init__(self, links):
+        first = links[0]
+        self.spectrum = first.spectrum
+        self.phi = first.phi
+        self.interferometer = first.interferometer  # its carrier and splitter; not its delay
+        self.delay = np.array([link.delay for link in links])
+        self.carrier_phase = np.array([link.carrier_phase for link in links])
+        self.scheme = SimpleNamespace(
+            kind=first.scheme.kind,
+            f_m=np.array([link.scheme.f_m for link in links]),
+            gamma=np.array([link.scheme.gamma for link in links]),
+        )
+        self._schemes = tuple(link.scheme for link in links)
+        self._arms = None
+
+    require_balanced_arms = LinkConfig.require_balanced_arms
+
+    def arms(self) -> tuple[dict, dict]:
+        """Both arms' coefficient maps, each M_n an array over the points (0 where a point lacks order n)."""
+        if self._arms is None:  # the coefficients do not depend on f_m
+            pairs = [build_scheme(scheme) for scheme in self._schemes]
+            self._arms = tuple(
+                {
+                    n: np.array([pair[i].coefficient(n) for pair in pairs])
+                    for n in sorted({n for pair in pairs for n in pair[i].coeffs})
+                }
+                for i in (0, 1)
+            )
+        return self._arms
+
+    def with_modulation_frequency(self, f_m) -> "LinkBatch":
+        batch = copy.copy(self)
+        batch.scheme = SimpleNamespace(
+            kind=self.scheme.kind, f_m=np.asarray(f_m, dtype=float), gamma=self.scheme.gamma
+        )
+        return batch
+
+    def with_spectrum(self, spectrum: OpticalSpectrum) -> "LinkBatch":
+        batch = copy.copy(self)
+        batch.spectrum = spectrum
+        return batch
 
 
 def reference_link(

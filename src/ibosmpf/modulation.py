@@ -78,20 +78,25 @@ def _phasor(angle: np.ndarray) -> np.ndarray:
 
 def cyclic_autocorrelation(m: HarmonicModulation, s: int, v) -> complex:
     """s-th cyclic autocorrelation: sum_q M_q M*_{q-s} exp(j 2 pi f_m q v)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape, dtype=complex)
-    for q, c in m.coeffs.items():
-        partner = m.coefficient(q - s)
-        if partner != 0:
-            out += c * np.conj(partner) * np.exp(2j * np.pi * m.f_m * q * v)
+    out = cyclic_series(m.coeffs, s, m.f_m * np.asarray(v, dtype=float))
     return out if out.ndim else complex(out)
 
 
-def cyclic_orders(m: HarmonicModulation) -> tuple[int, ...]:
-    """Cyclic frequencies s with a nonzero autocorrelation."""
-    orders = m.orders()
-    present = sorted({q - p for q in orders for p in orders})
-    return tuple(present)
+def cyclic_series(coeffs: Mapping[int, complex], s: int, x) -> np.ndarray:
+    """sum_q M_q M*_{q-s} exp(j 2 pi q x) over a coefficient map, x = f_m v.
+
+    Each M_q may be an array over operating points; it broadcasts against x.
+    """
+    out = np.zeros(np.shape(x), dtype=complex)
+    for q, c in coeffs.items():
+        if q - s in coeffs:
+            out = out + c * np.conj(coeffs[q - s]) * np.exp(2j * np.pi * q * x)
+    return out
+
+
+def cyclic_orders(coeffs: Mapping[int, complex]) -> tuple[int, ...]:
+    """Cyclic frequencies s with a nonzero autocorrelation, from a coefficient map."""
+    return tuple(sorted({q - p for q in coeffs for p in coeffs}))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .closed_forms import SnrReport, _snr_at_center
-from .config import LinkConfig
+from .closed_forms import SnrReport, snr_sweep
+from .config import LinkBatch, LinkConfig
 from .decomposition import SpectralDecomposition, _LineLags, real_line_powers
 from .errors import ConfigurationError
 from .modulation import ModulationKind
@@ -87,17 +87,23 @@ def _harmonic_tables(v, omega: float, j0: float, j1: float) -> dict:
     return {mf: build(c, e_v, j0, j1) for mf, build in _HARMONIC_TABLES.items()}
 
 
-def _pm_parameters(link: LinkConfig):
+def _carrier_phases(theta0) -> dict:
+    """exp(j n theta0) for each carrier-phase exponent n of the term table."""
+    return {n: np.exp(1j * n * theta0) for n in {n for *_, n, _ in _TERMS}}
+
+
+def _pm_parameters(link: LinkConfig | LinkBatch):
+    """J0(gamma) and J1(gamma); arrays over a batch's points."""
     if link.scheme.kind is not ModulationKind.PM:
         raise ConfigurationError("phase-modulation closed forms require a PM scheme")
     link.require_balanced_arms("phase-modulation closed forms")
     from scipy import special
 
     gamma = link.scheme.gamma
-    return float(special.j0(gamma)), float(special.j1(gamma))
+    return special.j0(gamma), special.j1(gamma)
 
 
-def _continuum_terms(link: LinkConfig, f, group) -> dict:
+def _continuum_terms(link: LinkConfig | LinkBatch, f, group) -> dict:
     """Continuum terms at the frequencies f, summed per ``group(ua, ub, k)`` label."""
     j0, j1 = _pm_parameters(link)
     f_m = link.scheme.f_m
@@ -107,18 +113,19 @@ def _continuum_terms(link: LinkConfig, f, group) -> dict:
     spectrum = link.spectrum
     v = 2.0 * np.pi * link.phi * f
     tables = _harmonic_tables(v, omega, j0, j1)
+    phases = _carrier_phases(theta0)
     cross: dict = {}  # (k, ua - ub) -> CC(f - k f_m, ua d - ub d), evaluated once
+    bases: dict = {}  # (k, ua, ub) -> transform of R0(u + ua d) R0*(u + ub d) at f - k f_m
     totals: dict = {}
     for va, vb, ua, ub, n, mf in _TERMS:
-        phase = np.exp(1j * n * theta0)
         for k, coeff in tables[mf].items():
-            f_k = f - k * f_m
-            if (k, ua - ub) not in cross:
-                cross[(k, ua - ub)] = spectrum.cross_spectrum(f_k, ua * d - ub * d)
-            # transform of R0(u + ua d) R0*(u + ub d) at f_k
-            base = np.exp(2j * np.pi * f_k * (ub * d)) * cross[(k, ua - ub)]
+            if (k, ua, ub) not in bases:
+                f_k = f - k * f_m
+                if (k, ua - ub) not in cross:
+                    cross[(k, ua - ub)] = spectrum.cross_spectrum(f_k, ua * d - ub * d)
+                bases[(k, ua, ub)] = np.exp(2j * np.pi * f_k * (ub * d)) * cross[(k, ua - ub)]
             label = group(ua, ub, k)
-            totals[label] = totals.get(label, 0.0) + coeff * phase * base
+            totals[label] = totals.get(label, 0.0) + coeff * phases[n] * bases[(k, ua, ub)]
     return totals
 
 
@@ -138,14 +145,18 @@ def _physical_group(ua: int, ub: int, k: int) -> str:
     return "upconverted" if abs(k) == 1 else "second_harmonic"
 
 
-def pm_continuum_grouped(link: LinkConfig, f: float) -> dict:
-    """Continuum at one frequency, split into physically labelled parts."""
-    totals = _continuum_terms(link, np.atleast_1d(float(f)), _physical_group)
+def pm_continuum_grouped(link: LinkConfig | LinkBatch, f) -> dict:
+    """Continuum at f, split into physically labelled parts.
+
+    On a batch, f holds one frequency per point; a scalar f gives floats.
+    """
+    f = np.asarray(f, dtype=float)
+    totals = _continuum_terms(link, np.atleast_1d(f), _physical_group)
     names = ("main_band", "upconverted", "second_harmonic", "interferometric_cross")
-    return {name: float(totals[name].real[0]) for name in names}
+    return {name: totals[name].real if f.ndim else float(totals[name].real[0]) for name in names}
 
 
-def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dict:
+def pm_line_weights(link: LinkConfig | LinkBatch, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dict:
     """Discrete line powers at k * f_m for each k in ``orders``.
 
     ``f_m`` may be an array; each weight is then an array over it.  Each
@@ -161,7 +172,7 @@ def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dic
         f_m = link.scheme.f_m
     f_m = np.asarray(f_m, dtype=float)
     omega = 2.0 * math.pi * f_m
-    theta0 = link.carrier_phase
+    phases = _carrier_phases(link.carrier_phase)
     r0 = _LineLags(link, f_m)
     weights = np.zeros((len(orders),) + f_m.shape, dtype=complex)
     for i, k in enumerate(orders):
@@ -170,7 +181,7 @@ def pm_line_weights(link: LinkConfig, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dic
             if k not in tables[mf]:
                 continue
             a_part = r0(k, va) * np.conj(r0(k, vb))
-            weights[i] += tables[mf][k] * np.exp(1j * n * theta0) * a_part
+            weights[i] += tables[mf][k] * phases[n] * a_part
     r0.check_hermitian()
     line_freqs = np.multiply.outer(np.asarray(orders, dtype=float), f_m)
     powers = real_line_powers(weights, line_freqs)
@@ -203,16 +214,23 @@ def signal_power_pm(link: LinkConfig, f_m=None):
     return weights[1] + weights[-1]
 
 
+def _noise_terms(link: LinkBatch, f_c) -> dict:
+    """Noise at +-f_c per physical part, as the SNR reports it."""
+    return {name: 2.0 * v for name, v in pm_continuum_grouped(link, f_c).items()}
+
+
+def _compact(cth, gamma):
+    return 2.0 * (cth - 0.5) ** 2 + 4.0 / gamma**2 * (cth + 2.0) + 7.5
+
+
 def snr_pm(link: LinkConfig) -> SnrReport:
     """PM SNR at the passband center: exact ratio plus the compact estimate.
 
     The compact estimate is B / (2 [cos th - 1/2]^2 + 4/g^2 [cos th + 2] + 7.5);
     its algebraic reduction is looser than the exact ratio (about +2.5 dB at
-    the bench operating point), which the report makes visible.
+    the bench operating point), which the report makes visible.  The
+    one-point case of :func:`~ibosmpf.closed_forms.snr_sweep`.
     """
-    return _snr_at_center(
-        link,
-        signal_power_pm,
-        lambda link, f_c: {name: 2.0 * v for name, v in pm_continuum_grouped(link, f_c).items()},
-        lambda cth, gamma: 2.0 * (cth - 0.5) ** 2 + 4.0 / gamma**2 * (cth + 2.0) + 7.5,
-    )
+    if link.scheme.kind is not ModulationKind.PM:
+        raise ConfigurationError("snr_pm requires a PM scheme")
+    return snr_sweep([link])[0]

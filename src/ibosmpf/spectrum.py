@@ -221,8 +221,13 @@ class TabulatedSpectrum(OpticalSpectrum):
         return out if out.size > 1 else float(out[0])
 
     def cross_spectrum(self, f, shift):
-        out = spectral_correlation(self, f, shift)[0]
-        return out if out.size > 1 else complex(out[0])
+        # one quadrature per distinct shift: a batch of operating points has one delay each
+        f, shift = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(shift, dtype=float))
+        out = np.empty(f.shape, dtype=complex)
+        for value in np.unique(shift):
+            at = shift == value
+            out[at] = spectral_correlation(self, f[at], float(value))[0]
+        return out if out.size > 1 else complex(out.flat[0])
 
     def support(self) -> tuple[float, float]:
         step = self.step

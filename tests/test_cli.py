@@ -321,6 +321,23 @@ def test_response_single_point(tmp_path):
 # --- snr sweeps ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "stop, message",
+    [("1e-170", "gamma = 1e-170 underflows"), ("1e-160", "SNR underflows to zero at the operating point")],
+)
+def test_snr_sweep_with_an_invalid_last_point_exits_3(tmp_path, capsys, stop, message):
+    # 0.4 and 0.2 are valid; the last point's gamma**2 is 0 or subnormal
+    text = BASE_LINK.format(scheme="pm", gamma=0.39) + (
+        f"sweep:\n  variable: gamma\n  start: 0.4\n  stop: {stop}\n  points: 3\n"
+    )
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["snr", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_snr_gamma_sweep_monotone_with_nf(tmp_path):
     scenario = write(
         tmp_path,
@@ -422,6 +439,37 @@ def test_passband_mc_tone_below_zero_names_the_sweep_end(tmp_path, capsys, start
     assert main(["passband", "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"field sweep.{end}:" in err and "below 0 Hz" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start, stop, end", [("-10 GHz", "0.1 GHz", "start"), ("0.1 GHz", "-10 GHz", "stop")])
+def test_passband_mc_tone_at_zero_names_the_sweep_end(tmp_path, capsys, start, stop, end):
+    # f_c - 10 GHz = 18 MHz snaps to the 0 Hz bin (122 MHz wide), where the ensemble sees the DC line
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39) + (
+        f"sweep:\n  variable: detuning\n  start: {start}\n  stop: {stop}\n  points: 3\n"
+        "mc:\n  dt: 0.25 ps\n  samples: 65536\n  realizations: 8\n  seed: 3\n"
+    )
+    out = tmp_path / "pb.csv"
+    assert main(["passband", "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"field sweep.{end}:" in err and "tone at 0 Hz" in err
+    assert not out.exists()
+
+
+def test_passband_mc_line_power_not_above_zero_exits_3(tmp_path, capsys, monkeypatch):
+    def stopband_at_the_middle_tone(link, grid, n_realizations, seed, f_m=None):
+        mean = -2.0e-3 if abs(f_m - link.passband_center()) < 1e9 else 1.0
+        return McEstimate(n_realizations, {"line_power": (mean, 0.5)})
+
+    monkeypatch.setattr(cli, "estimate_snr", stopband_at_the_middle_tone)
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39) + (
+        "sweep:\n  variable: detuning\n  start: -4 GHz\n  stop: 4 GHz\n  points: 3\n"
+        "mc:\n  dt: 0.25 ps\n  samples: 65536\n  realizations: 8\n  seed: 3\n"
+    )
+    out = tmp_path / "pb.csv"
+    assert main(["passband", "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "domain error: Monte-Carlo line power at detuning 0 Hz has ensemble mean -0.002" in err
     assert not out.exists()
 
 

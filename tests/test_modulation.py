@@ -99,7 +99,7 @@ def test_ssb_cyclic_orders():
         (gamma / 2) * np.exp(2j * np.pi * F_M * v)
     )
     assert cyclic_autocorrelation(m1, -1, v) == pytest.approx(gamma / 2)
-    assert cyclic_orders(m1) == (-1, 0, 1)
+    assert cyclic_orders(m1.coeffs) == (-1, 0, 1)
 
 
 def test_no_sidebands_without_modulation():
