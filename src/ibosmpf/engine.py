@@ -12,11 +12,16 @@ the autocorrelation; the continuum requires transforms of shifted
 autocorrelation products, computed as numeric spectral correlation
 integrals (:func:`ibosmpf.spectrum.spectral_correlation`, Gauss-Legendre
 panels over the band overlap) for every spectrum model.  The cached
-(lag multiple, k_u) keys come in +-lag pairs, and one quadrature sums both
-from the same node values, its phases built from one phasor per panel and
-one per Gauss node; the -lag sum uses its own (conjugate) phasors and is
-never taken as the conjugate of the +lag sum, which would blind the
-continuum's realness check to a complex source PSD.  The line weights
+(lag multiple m, k_u) keys are collected first and filled one quadrature
+per (|m|, |k_u|) group: its +-lag rows are the +-m keys, summed from the
+same node values with phases built from one phasor per panel and one per
+Gauss node, and its shifts f -+ |k_u| f_m are the +-k_u keys, which the
+mirror identity of :func:`~ibosmpf.spectrum.spectral_correlation` makes
+nearly free on a grid symmetric about 0.  The -lag sum uses its own
+(conjugate) phasors and is never taken as the conjugate of the +lag sum,
+which would blind the continuum's realness check to a complex source PSD.
+Each term's base (per key and ub) and fringe (per k_v) is built once per
+call.  The line weights
 evaluate each autocorrelation lag once and check that those values are
 Hermitian, R0(-u) = R0(u)*, before their realness check.  That numeric
 route is deliberately independent of the per-scheme closed forms, which use
@@ -119,12 +124,14 @@ def _line_weights(link: LinkConfig, tables, orders, f_m) -> np.ndarray:
 def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecomposition:
     """Exact line/continuum intensity PSD for any configured scheme.
 
-    The grid must resolve the discrete-line spacing: spacing above half the
-    RF fundamental is rejected.
+    The grid must be finite, strictly increasing and resolve the
+    discrete-line spacing: spacing above half the RF fundamental is rejected.
     """
     f_grid = np.asarray(f_grid, dtype=float)
     if f_grid.ndim != 1 or f_grid.size < 2:
         raise ConfigurationError("frequency grid needs at least two points")
+    if not (np.all(np.isfinite(f_grid)) and np.all(np.diff(f_grid) > 0)):
+        raise ConfigurationError("frequency grid must be finite and strictly increasing")
     m1c, m2c, f_m = _arm_modulations(link)
     tables = _modulation_tables(m1c, m2c)
     has_sidebands = any(k != (0, 0) for t in tables.values() for k in t)
@@ -142,24 +149,37 @@ def general_intensity_psd(link: LinkConfig, f_grid: np.ndarray) -> SpectralDecom
     theta0 = link.carrier_phase
     omega = 2.0 * math.pi * f_m
 
-    # continuum: cache the spectral correlations per (lag multiple, k_u); one
-    # quadrature fills both the +lag and the -lag key
-    v_grid = 2.0 * np.pi * link.phi * f_grid
-    corr_cache: dict[tuple[int, int], np.ndarray] = {}
-    continuum = np.zeros(f_grid.shape, dtype=complex)
+    # continuum: the spectral correlations per (lag multiple, k_u) key, one
+    # quadrature per (|lag multiple|, |k_u|) group: its +-lag rows fill the
+    # +-m keys and its concatenated f -+ |k_u| f_m shifts the +-k_u keys
+    terms = []
     for slots in _SLOT_ASSIGNMENTS:
-        va, vb, ua, ub, n = _term_geometry(slots)
+        _, _, ua, ub, n = _term_geometry(slots)
         phase = np.exp(1j * n * theta0)
-        for (k_v, k_u), coeff in tables[slots].items():
-            key = (ua - ub, k_u)
-            if key not in corr_cache:
-                corr_cache[key], corr_cache[(ub - ua, k_u)] = spectral_correlation(
-                    spectrum, f_grid - k_u * f_m, (ua - ub) * d
-                )
-            base = (
-                np.exp(2j * np.pi * (f_grid - k_u * f_m) * (ub * d)) * corr_cache[key]
-            )
-            continuum += coeff * phase * np.exp(1j * omega * k_v * v_grid) * base
+        terms.extend((ua, ub, phase, k_v, k_u, c) for (k_v, k_u), c in tables[slots].items())
+    groups: dict[tuple[int, int], set[int]] = {}
+    for ua, ub, _, _, k_u, _ in terms:
+        groups.setdefault((abs(ua - ub), abs(k_u)), set()).add(k_u)
+    corr_cache: dict[tuple[int, int], np.ndarray] = {}
+    for (m, _), signs in groups.items():
+        orders_k = sorted(signs)
+        shifts = np.concatenate([f_grid - k_u * f_m for k_u in orders_k])
+        rows = spectral_correlation(spectrum, shifts, m * d).reshape(2, len(orders_k), -1)
+        for j, k_u in enumerate(orders_k):
+            corr_cache[(m, k_u)], corr_cache[(-m, k_u)] = rows[:, j]
+
+    # each term's base and fringe, built once per (key, ub) and per k_v
+    v_grid = 2.0 * np.pi * link.phi * f_grid
+    bases: dict[tuple[int, int, int], np.ndarray] = {}
+    fringes: dict[int, np.ndarray] = {}
+    continuum = np.zeros(f_grid.shape, dtype=complex)
+    for ua, ub, phase, k_v, k_u, coeff in terms:
+        key = (ua - ub, k_u, ub)
+        if key not in bases:
+            bases[key] = np.exp(2j * np.pi * (f_grid - k_u * f_m) * (ub * d)) * corr_cache[key[:2]]
+        if k_v not in fringes:
+            fringes[k_v] = np.exp(1j * omega * k_v * v_grid)
+        continuum += coeff * phase * fringes[k_v] * bases[key]
 
     imag_peak = float(np.max(np.abs(continuum.imag), initial=0.0))
     real_peak = float(np.max(np.abs(continuum.real), initial=0.0))

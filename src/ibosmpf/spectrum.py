@@ -7,7 +7,9 @@ and a tabulated PSD interpreted as a piecewise-linear density with zero
 extension.  For that interpolant the autocorrelation and the intensity
 autoconvolution are exact; the cross spectrum (and with it the engine
 continuum) is a Gauss-Legendre quadrature whose panels ignore the grid's
-kinks, so its error grows with the raggedness of the samples.
+kinks, so its error grows with the raggedness of the samples; it
+integrates each distinct |f| once and takes negative f from the mirror
+identity CC(-f, s) = exp(-j 2 pi f s) CC(f, s).
 
 Conventions
 -----------
@@ -221,7 +223,8 @@ class TabulatedSpectrum(OpticalSpectrum):
         return out if out.size > 1 else float(out[0])
 
     def cross_spectrum(self, f, shift):
-        # one quadrature per distinct shift: a batch of operating points has one delay each
+        # one quadrature per distinct shift (a batch of operating points has
+        # one delay each), over the distinct |f| of that shift
         f, shift = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(shift, dtype=float))
         out = np.empty(f.shape, dtype=complex)
         for value in np.unique(shift):
@@ -259,14 +262,34 @@ def spectral_correlation(spectrum: OpticalSpectrum, f, shift: float) -> np.ndarr
     Row 0 holds the ``+shift`` correlation and row 1 the ``-shift`` one:
     both come from the same node values, each summed with its own phasors
     (see :func:`ibosmpf._quad.band_correlation`).  Needs only the model's
-    PSD and support, so it serves any model; the rows are arrays even for a
-    single f.
+    PSD and support, so it serves any model; the rows are arrays of f's
+    shape, at least one-dimensional.
+
+    Each distinct |f| is integrated once.  Substituting v -> v + h in the
+    integral gives the exact mirror identity CC(-h, s) = exp(-j 2 pi h s)
+    CC(h, s), so a negative f takes its +shift value times exp(+j 2 pi f
+    shift) and its -shift value times exp(-j 2 pi f shift), each from its
+    own quadrature row, so the -shift row is still never the conjugate of
+    the +shift one.  The widest row, and with it the panel count, is the
+    one at the smallest |f| either way.
     """
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    magnitudes, inverse = np.unique(np.abs(f), return_inverse=True)
     sup = spectrum.support()
     if shift == 0.0:
-        out = band_correlation(spectrum.psd, spectrum.psd, sup, sup, f, cycle_rate=0.0)
+        half = band_correlation(spectrum.psd, spectrum.psd, sup, sup, magnitudes, cycle_rate=0.0)
+        out = half[inverse].reshape(f.shape)
         return np.stack((out, out))
-    return band_correlation(spectrum.psd, spectrum.psd, sup, sup, f, cycle_rate=abs(shift), lag=shift)
+    half = band_correlation(
+        spectrum.psd, spectrum.psd, sup, sup, magnitudes, cycle_rate=abs(shift), lag=shift
+    )
+    out = half[:, inverse].reshape((2,) + f.shape)
+    negative = f < 0
+    mirror = np.exp(2j * np.pi * f[negative] * abs(shift))
+    plus, minus = (mirror, mirror.conj()) if shift > 0 else (mirror.conj(), mirror)
+    out[0, negative] *= plus
+    out[1, negative] *= minus
+    return out
 
 
 def tabulate(spectrum: OpticalSpectrum, n_points: int) -> TabulatedSpectrum:

@@ -58,6 +58,43 @@ def test_engine_rejects_coarse_grid():
         general_intensity_psd(link, np.linspace(-440e9, 440e9, 65))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(440e9, -440e9, 9), np.linspace(440e9, -440e9, 1001)],
+    ids=["coarse", "fine"],
+)
+def test_engine_rejects_descending_grid(grid):
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        general_intensity_psd(reference_link(), grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_engine_rejects_non_finite_grid(bad):
+    grid = GRID.copy()
+    grid[100] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        general_intensity_psd(reference_link(), grid)
+
+
+# grids not symmetric about 0: few or none of the engine's quadrature shifts
+# f -+ k f_m have a bit-exact mirror image, and a +-k_u group's panel count
+# comes from one half only
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(-100e9, 440e9, 700), np.linspace(0.0, 440e9, 512)],
+    ids=["offset", "one-sided"],
+)
+@pytest.mark.parametrize("kind,gamma", [("ssb", 0.39), ("dsb", 0.39), ("pm", 0.41)])
+def test_engine_matches_closed_forms_on_grids_without_mirrors(kind, gamma, grid):
+    link = reference_link(scheme_kind=kind, gamma=gamma)
+    engine = general_intensity_psd(link, grid)
+    if kind == "pm":
+        reference = pm_decomposition(link, grid)
+    else:
+        reference = shared_modulator_decomposition(link, grid)
+    _compare(engine, reference, 1e-6)
+
+
 def test_engine_custom_scheme_with_arm_ratio():
     # the polarization-modulator equivalent: one modulated arm, constant
     # second arm scaled by J0; lines must stay real and nonnegative

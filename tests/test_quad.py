@@ -7,7 +7,10 @@ engine fills its +lag and -lag correlation keys from one call of
 per-node phasors.  Negating the lag must swap the two rows exactly, and
 each row must agree with a quadrature that evaluates exp(j 2 pi v lag) at
 every node, and on the rectangular source with the closed-form cross
-spectrum, to 1e-12 of the row peak.
+spectrum, to 1e-12 of the row peak.  ``spectral_correlation`` integrates
+each distinct |f| once and scales a negative f's rows by the mirror
+identity; every row must agree with the quadrature at its own shift, on
+real and complex sources alike.
 """
 
 from collections import Counter
@@ -21,7 +24,7 @@ from ibosmpf import spectrum as spectrum_module
 from ibosmpf.engine import general_intensity_psd
 from ibosmpf.freq_domain import _weights
 from ibosmpf.modulation import polarization_modulator_scheme
-from ibosmpf.spectrum import spectral_correlation, tabulate
+from ibosmpf.spectrum import OpticalSpectrum, TabulatedSpectrum, spectral_correlation, tabulate
 
 LINK = reference_link()
 SPECTRA = {
@@ -124,13 +127,59 @@ def test_pair_equals_separate_evaluations(name, lag):
             assert _peak_error(row, exact) <= min(1e-12, _peak_error(reference, exact))
 
 
+class _OddPhaseSpectrum(OpticalSpectrum):
+    """Complex PSD exp(j sin(2 pi f / 150 GHz)) on +-200 GHz: an odd phase."""
+
+    carrier_f0 = 0.0
+
+    def support(self):
+        return (-200e9, 200e9)
+
+    def psd(self, f):
+        f = np.asarray(f, dtype=float)
+        return np.where(np.abs(f) <= 200e9, np.exp(1j * np.sin(2 * np.pi * f / 150e9)), 0.0)
+
+
+def _ragged_tabulated():
+    grid = np.linspace(-200e9, 200e9, 4096)
+    return TabulatedSpectrum(grid=grid, values=np.random.default_rng(0).uniform(0.5, 1.5, grid.size))
+
+
+MIRROR_SOURCES = {
+    "rectangular": lambda: LINK.spectrum,
+    "ragged-tabulated": _ragged_tabulated,
+    "odd-phase-complex": _OddPhaseSpectrum,
+}
+
+
+@pytest.mark.parametrize("name", MIRROR_SOURCES)
+@pytest.mark.parametrize("lag", [0.0, 7.94e-11])
+def test_mirror_rows_equal_direct_quadrature(name, lag):
+    # a negative f comes from the quadrature at |f| times its own phase per
+    # row; the direct quadrature integrates each f at its own shift
+    spec = MIRROR_SOURCES[name]()
+    sup = spec.support()
+    f = np.linspace(-300e9, 300e9, 601)
+    rows = spectral_correlation(spec, f, lag)
+    direct = _quad.band_correlation(spec.psd, spec.psd, sup, sup, f, abs(lag), lag=lag)
+    if not lag:
+        direct = np.stack((direct, direct))
+    for row, reference in zip(rows, direct):
+        assert _peak_error(row, reference) <= 1e-12
+    if name == "odd-phase-complex" and lag:
+        assert _peak_error(rows[1], rows[0].conj()) > 1e-3
+
+
 @pytest.mark.parametrize(
     "kind, quadratures",
-    [("ssb", 9), ("dsb", 15), ("pm", 11), ("polarization", 7)],
+    [("ssb", 6), ("dsb", 9), ("pm", 7), ("polarization", 4), ("tabulated", 6)],
 )
 def test_engine_quadrature_counts(monkeypatch, kind, quadratures):
+    # one quadrature per (|lag multiple|, |k_u|) group of continuum keys
     if kind == "polarization":
         link = replace(LINK, scheme=polarization_modulator_scheme(0.41, LINK.scheme.f_m))
+    elif kind == "tabulated":
+        link = LINK.with_spectrum(SPECTRA["tabulated"])
     else:
         link = reference_link(scheme_kind=kind, gamma=0.41 if kind == "pm" else 0.39)
     calls = Counter()
