@@ -195,10 +195,8 @@ def run_snr(args, scenario: Scenario) -> int:
         columns += ["mc_snr_dbhz", "mc_stderr_db"]
     points = list(_swept_links(scenario))
     if use_mc:  # the ensemble measures a tone on a Welch bin: center each link there
-        welch = WelchConfig()
-        for i, (x, link) in enumerate(points):
-            f_m = welch.snap_frequency(link.passband_center(), grid.dt)
-            points[i] = x, link.with_delay_for_center(f_m).with_modulation_frequency(f_m)
+        snap = WelchConfig().snap_frequency
+        points = [(x, link.with_delay_for_center(snap(link.passband_center(), grid.dt))) for x, link in points]
     reports = _snr_reports([link for _, link in points])
     rows = []
     failures = []

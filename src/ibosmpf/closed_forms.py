@@ -137,8 +137,10 @@ def noise_psd_shared(link: LinkConfig, f):
     return out if out.ndim else float(out)
 
 
-def _fundamental_power(link: LinkConfig | LinkBatch, f_m):
-    """Sum of the +-f_m line weights of the shared arm; a scalar f_m gives a float."""
+def _fundamental_power(link: LinkConfig | LinkBatch, f_m, kind: ModulationKind):
+    """Sum of the +-f_m line weights of the shared arm of a ``kind`` link; a scalar f_m gives a float."""
+    if link.scheme.kind is not kind:
+        raise ConfigurationError(f"signal_power_{kind.value} requires the {kind.value.upper()} scheme")
     arm = _shared_arm(link, "shared-modulator signal power")
     f_m = np.asarray(link.scheme.f_m if f_m is None else f_m, dtype=float)
     minus, plus = _line_weights(link, arm, (1, -1), f_m)
@@ -151,9 +153,7 @@ def signal_power_ssb(link: LinkConfig, f_m=None):
 
     ``f_m`` may be an array; a scalar returns a float.
     """
-    if link.scheme.kind is not ModulationKind.SSB:
-        raise ConfigurationError("signal_power_ssb requires an SSB scheme")
-    return _fundamental_power(link, f_m)
+    return _fundamental_power(link, f_m, ModulationKind.SSB)
 
 
 def signal_power_dsb(link: LinkConfig, f_m=None):
@@ -163,9 +163,7 @@ def signal_power_dsb(link: LinkConfig, f_m=None):
     8 (gamma/2)^2 cos^2(pi f_m v_m) |H(v_m)|^2; see the README notes.
     ``f_m`` may be an array; a scalar returns a float.
     """
-    if link.scheme.kind is not ModulationKind.DSB:
-        raise ConfigurationError("signal_power_dsb requires a DSB scheme")
-    return _fundamental_power(link, f_m)
+    return _fundamental_power(link, f_m, ModulationKind.DSB)
 
 
 def dsb_fading_null_frequency(phi: float, order: int = 0) -> float:
@@ -208,10 +206,10 @@ def _cos_fringe_argument(f_c, phi: float) -> np.ndarray:
     return np.cos(theta).astype(float)
 
 
-def _ssb_noise_terms(link: LinkConfig | LinkBatch, f_c) -> dict:
-    """Noise at +-f_c per cyclic order: the main band and the two images."""
+def _ssb_noise_terms(link: LinkConfig | LinkBatch) -> dict:
+    """Noise at +-f_m per cyclic order: the main band and the two images."""
     arm, _ = link.arms()
-    terms = _continuum_terms(link, arm, np.asarray(f_c, dtype=float))
+    terms = _continuum_terms(link, arm, np.asarray(link.scheme.f_m, dtype=float))
     parts = {"main_band": 0, "upconverted_sum": 1, "upconverted_baseband": -1}
     return {name: 2.0 * terms.get(s, 0.0) for name, s in parts.items()}
 
@@ -223,8 +221,8 @@ def _ssb_compact(cth, gamma):
 def _snr_forms(kind: ModulationKind):
     """A scheme's (signal, breakdown, compact) closed forms for the SNR.
 
-    ``signal(batch, f_c)`` is the tone power, ``breakdown(batch, f_c)`` the
-    named noise parts in 1 Hz at +-f_c, and ``compact(cos th, gamma)`` the
+    ``signal(batch)`` is the power of the batch's tone, ``breakdown(batch)``
+    the named noise parts in 1 Hz at +-f_m, and ``compact(cos th, gamma)`` the
     denominator of the rectangular-spectrum estimate B / compact; each works
     on arrays over the batch's points.
     """
@@ -238,58 +236,54 @@ def _snr_forms(kind: ModulationKind):
 def snr_sweep(links) -> list[SnrReport]:
     """SNR reports at the passband centers of SSB or PM ``links``, in their order.
 
-    Each link is retuned to its center (f_m = f_c) and its gamma checked on
-    its own.  Links that share the spectrum object, phi, scheme kind,
-    optical carrier and splitter form one :class:`~ibosmpf.config.LinkBatch`,
-    whose closed forms are evaluated once, as arrays over its points.  They
-    are evaluated on the unit-PSD copy of the spectrum, so the ratio has no
-    PSD level in it.  Every power is quadratic in the PSD, so the reported
-    ones are those unit values times the square of the PSD scale; a squared
-    scale that overflows, a gamma whose square underflows and an SNR that
+    Each link's passband and gamma are checked on its own.  Links that share
+    the spectrum object, phi, scheme kind and splitter form one
+    :class:`~ibosmpf.config.LinkBatch`, built once at their centers (f_m =
+    f_c) on the unit-PSD copy of the spectrum, so the ratio has no PSD level
+    in it; its closed forms are evaluated once, as arrays over its points.
+    Every power is quadratic in the PSD, so the reported ones are those unit
+    values times the square of the PSD scale; a squared scale that
+    overflows, a gamma whose square underflows and an SNR that
     underflows raise :class:`DomainError`.
     """
-    centers = []
     batches: dict = {}
     for i, link in enumerate(links):
         if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
             raise ConfigurationError(f"no SNR closed form for scheme {link.scheme.kind.value}")
-        centers.append(link.passband_center())
+        link.passband_center()  # raises without a positive passband
         gamma = link.scheme.gamma
         if gamma <= 0:
             raise ConfigurationError("SNR needs gamma > 0")
         if gamma**2 == 0:  # the compact form divides by it
             raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
         # the same spectrum object: a bandwidth sweep's points each have their own
-        key = (id(link.spectrum), link.phi, link.scheme.kind, link.interferometer.carrier_f0,
-               link.interferometer.arm_ratio_k)
+        key = (id(link.spectrum), link.phi, link.scheme.kind, link.interferometer.arm_ratio_k)
         batches.setdefault(key, []).append(i)
     reports = [None] * len(links)
     for indices in batches.values():
-        batch = LinkBatch([links[i] for i in indices])
-        tuned = batch.with_modulation_frequency([centers[i] for i in indices])
-        for i, report in zip(indices, _batch_reports(tuned)):
+        for i, report in zip(indices, _batch_reports([links[i] for i in indices])):
             reports[i] = report
     return reports
 
 
-def _batch_reports(batch: LinkBatch) -> list[SnrReport]:
-    """One :class:`SnrReport` per point of a batch retuned to its centers."""
-    signal, breakdown, compact = _snr_forms(batch.scheme.kind)
-    spectrum = batch.spectrum
-    unit = batch.with_spectrum(spectrum.with_unit_scale())
+def _batch_reports(links) -> list[SnrReport]:
+    """One :class:`SnrReport` per link of one batch, at its passband center."""
+    spectrum = links[0].spectrum
+    unit = LinkBatch(links, spectrum.with_unit_scale())
+    signal, breakdown, compact = _snr_forms(unit.scheme.kind)
     scale = spectrum.total_power() / unit.spectrum.total_power()
     power_scale = scale * scale
     if not math.isfinite(power_scale):
         raise DomainError(f"squared PSD level overflows: ({scale:g} W/Hz)**2 is not finite")
 
-    f_c = batch.scheme.f_m
-    gamma = batch.scheme.gamma
-    unit_signal = signal(unit, f_c)
-    unit_terms = breakdown(unit, f_c)
+    f_c = unit.scheme.f_m
+    gamma = unit.scheme.gamma
+    unit_signal = signal(unit)
+    unit_terms = breakdown(unit)
     snr_linear = unit_signal / sum(unit_terms.values())
     if isinstance(spectrum, RectangularSpectrum):
         with np.errstate(over="ignore"):  # 1/gamma**2 may overflow; the estimate then underflows below
-            approx = spectrum.b / compact(_cos_fringe_argument(f_c, batch.phi), gamma)
+            approx = spectrum.b / compact(_cos_fringe_argument(f_c, unit.phi), gamma)
     else:
         approx = snr_linear
     valid = (snr_linear > 0) & (approx > 0)
@@ -306,7 +300,7 @@ def _batch_reports(batch: LinkBatch) -> list[SnrReport]:
         terms = {name: column[i] * power_scale for name, column in columns.items()}
         reports.append(
             SnrReport(
-                scheme=batch.scheme.kind.value,
+                scheme=unit.scheme.kind.value,
                 center_frequency=f,
                 snr_linear=snr,
                 snr_db_hz=10.0 * math.log10(snr),

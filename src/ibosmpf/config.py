@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -83,25 +82,26 @@ class LinkConfig:
 
 
 class LinkBatch:
-    """Operating points that the closed forms evaluate in one pass.
+    """Operating points that the closed forms evaluate in one pass, each at its passband center.
 
-    The points share the spectrum, the dispersion, the optical carrier, the
-    splitter and the scheme kind; the caller groups them so.  The batch
-    reads like a :class:`LinkConfig` whose ``delay``, ``carrier_phase``,
-    ``scheme.f_m`` and ``scheme.gamma`` are arrays over its points, and
-    whose :meth:`arms` coefficients are arrays too.
+    The points share the dispersion, the splitter and the scheme kind; the
+    caller groups them so.  The batch reads like a :class:`LinkConfig` on
+    ``spectrum`` (for the SNR, the points' unit-PSD copy) whose ``delay``,
+    ``carrier_phase``, ``scheme.f_m`` and ``scheme.gamma`` are arrays over
+    its points, with f_m = d / (2 pi phi), and whose :meth:`arms`
+    coefficients are arrays too.
     """
 
-    def __init__(self, links):
+    def __init__(self, links, spectrum: OpticalSpectrum):
         first = links[0]
-        self.spectrum = first.spectrum
+        self.spectrum = spectrum
         self.phi = first.phi
-        self.interferometer = first.interferometer  # its carrier and splitter; not its delay
+        self.interferometer = first.interferometer  # its splitter; not its delay or carrier
         self.delay = np.array([link.delay for link in links])
         self.carrier_phase = np.array([link.carrier_phase for link in links])
         self.scheme = SimpleNamespace(
             kind=first.scheme.kind,
-            f_m=np.array([link.scheme.f_m for link in links]),
+            f_m=self.delay / (2.0 * np.pi * self.phi),  # center_frequency's expression
             gamma=np.array([link.scheme.gamma for link in links]),
         )
         self._schemes = tuple(link.scheme for link in links)
@@ -121,18 +121,6 @@ class LinkBatch:
                 for i in (0, 1)
             )
         return self._arms
-
-    def with_modulation_frequency(self, f_m) -> "LinkBatch":
-        batch = copy.copy(self)
-        batch.scheme = SimpleNamespace(
-            kind=self.scheme.kind, f_m=np.asarray(f_m, dtype=float), gamma=self.scheme.gamma
-        )
-        return batch
-
-    def with_spectrum(self, spectrum: OpticalSpectrum) -> "LinkBatch":
-        batch = copy.copy(self)
-        batch.spectrum = spectrum
-        return batch
 
 
 def reference_link(

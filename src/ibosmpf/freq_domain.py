@@ -76,22 +76,23 @@ def freq_domain_signal_power(link: LinkConfig) -> float:
     return 2.0 * (gamma / 2.0) ** 2 * abs(q) ** 2
 
 
-def freq_domain_noise_psd(link: LinkConfig, f) -> float:
-    """Continuum intensity-noise PSD at f via the six spectral pairings."""
+def freq_domain_noise_psd(link: LinkConfig, f):
+    """Continuum intensity-noise PSD at f via the six spectral pairings; a scalar f gives a float."""
     gamma = _require_ssb(link)
     f_m = link.scheme.f_m
     x1, x3, y2, y5, sup1, sup3, rate = _weights(link, f_m)
-    f = np.atleast_1d(np.asarray(f, dtype=float))
+    f = np.asarray(f, dtype=float)
+    shifts = f.ravel()
     g2 = (gamma / 2.0) ** 2
 
     def conj_of(w):
         return lambda v: np.conj(w(v))
 
-    total = band_correlation(x1, x1, sup1, sup1, f, rate)
-    total += g2 * band_correlation(y2, conj_of(y2), sup1, sup1, f, rate)
-    total += g2 * band_correlation(x3, x1, sup3, sup1, f, rate)
-    total += g2 * band_correlation(x1, x3, sup1, sup3, f, rate)
-    total += g2 * band_correlation(y5, conj_of(y5), sup3, sup3, f, rate)
-    total += g2 * g2 * band_correlation(x3, x3, sup3, sup3, f, rate)
-    out = np.real(total)
-    return out if out.size > 1 else float(out[0])
+    total = band_correlation(x1, x1, sup1, sup1, shifts, rate)
+    total += g2 * band_correlation(y2, conj_of(y2), sup1, sup1, shifts, rate)
+    total += g2 * band_correlation(x3, x1, sup3, sup1, shifts, rate)
+    total += g2 * band_correlation(x1, x3, sup1, sup3, shifts, rate)
+    total += g2 * band_correlation(y5, conj_of(y5), sup3, sup3, shifts, rate)
+    total += g2 * g2 * band_correlation(x3, x3, sup3, sup3, shifts, rate)
+    out = np.real(total).reshape(f.shape)
+    return out if out.ndim else float(out)

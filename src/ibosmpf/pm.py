@@ -103,8 +103,8 @@ def _pm_parameters(link: LinkConfig | LinkBatch):
     return special.j0(gamma), special.j1(gamma)
 
 
-def _continuum_terms(link: LinkConfig | LinkBatch, f, group) -> dict:
-    """Continuum terms at the frequencies f, summed per ``group(ua, ub, k)`` label."""
+def _continuum_terms(link: LinkConfig | LinkBatch, f) -> dict:
+    """Continuum terms at the frequencies f, summed per :func:`_physical_group` label."""
     j0, j1 = _pm_parameters(link)
     f_m = link.scheme.f_m
     omega = 2.0 * math.pi * f_m
@@ -124,17 +124,9 @@ def _continuum_terms(link: LinkConfig | LinkBatch, f, group) -> dict:
                 if (k, ua - ub) not in cross:
                     cross[(k, ua - ub)] = spectrum.cross_spectrum(f_k, ua * d - ub * d)
                 bases[(k, ua, ub)] = np.exp(2j * np.pi * f_k * (ub * d)) * cross[(k, ua - ub)]
-            label = group(ua, ub, k)
+            label = _physical_group(ua, ub, k)
             totals[label] = totals.get(label, 0.0) + coeff * phases[n] * bases[(k, ua, ub)]
     return totals
-
-
-def pm_continuum(link: LinkConfig, f):
-    """Continuum intensity-noise PSD of the phase-modulated link at f."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    totals = _continuum_terms(link, f, lambda ua, ub, k: "total")
-    out = np.real(totals["total"])
-    return out if out.size > 1 else float(out[0])
 
 
 def _physical_group(ua: int, ub: int, k: int) -> str:
@@ -151,9 +143,14 @@ def pm_continuum_grouped(link: LinkConfig | LinkBatch, f) -> dict:
     On a batch, f holds one frequency per point; a scalar f gives floats.
     """
     f = np.asarray(f, dtype=float)
-    totals = _continuum_terms(link, np.atleast_1d(f), _physical_group)
+    totals = _continuum_terms(link, np.atleast_1d(f))
     names = ("main_band", "upconverted", "second_harmonic", "interferometric_cross")
     return {name: totals[name].real if f.ndim else float(totals[name].real[0]) for name in names}
+
+
+def pm_continuum(link: LinkConfig, f):
+    """Continuum intensity-noise PSD of the phase-modulated link at f: its labelled parts summed."""
+    return sum(pm_continuum_grouped(link, f).values())
 
 
 def pm_line_weights(link: LinkConfig | LinkBatch, f_m=None, orders=(-2, -1, 0, 1, 2)) -> dict:
@@ -214,9 +211,9 @@ def signal_power_pm(link: LinkConfig, f_m=None):
     return weights[1] + weights[-1]
 
 
-def _noise_terms(link: LinkBatch, f_c) -> dict:
-    """Noise at +-f_c per physical part, as the SNR reports it."""
-    return {name: 2.0 * v for name, v in pm_continuum_grouped(link, f_c).items()}
+def _noise_terms(link: LinkBatch) -> dict:
+    """Noise at +-f_m per physical part, as the SNR reports it."""
+    return {name: 2.0 * v for name, v in pm_continuum_grouped(link, link.scheme.f_m).items()}
 
 
 def _compact(cth, gamma):

@@ -22,7 +22,8 @@ so that F[R0(u + a) R0*(u + b)](f) = exp(j 2 pi f b) * CC(f, a - b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class RectangularSpectrum(OpticalSpectrum):
 
     def psd(self, f):
         f = np.asarray(f, dtype=float)
-        return np.where(np.abs(f) <= self.b / 2.0, self.n0, 0.0)
+        return (np.abs(f) <= self.b / 2.0) * self.n0
 
     def autocorrelation(self, lag):
         lag = np.asarray(lag, dtype=float)
@@ -115,7 +116,8 @@ class RectangularSpectrum(OpticalSpectrum):
             * sinc(np.pi * width * shift)
             * np.exp(1j * np.pi * f * shift)
         )
-        return np.where(width > 0, out, 0.0 + 0.0j)
+        out = np.where(width > 0, out, 0.0 + 0.0j)
+        return out if out.ndim else complex(out)
 
     def support(self) -> tuple[float, float]:
         return (-self.b / 2.0, self.b / 2.0)
@@ -136,7 +138,6 @@ class TabulatedSpectrum(OpticalSpectrum):
     grid: np.ndarray  # uniformly spaced baseband frequencies [Hz]
     values: np.ndarray  # nonnegative PSD samples [W/Hz]
     carrier_f0: float = 0.0
-    _acorr_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -161,7 +162,6 @@ class TabulatedSpectrum(OpticalSpectrum):
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_acorr_coeffs", None)
 
     @property
     def step(self) -> float:
@@ -191,24 +191,22 @@ class TabulatedSpectrum(OpticalSpectrum):
         out = step * sinc(np.pi * step * lag) ** 2 * series.reshape(lag.shape)
         return complex(out[0]) if scalar else out
 
+    @cached_property
     def _hat_correlation_coeffs(self) -> np.ndarray:
-        cached = self._acorr_coeffs
-        if cached is None:
-            from scipy import fft as sp_fft
+        from scipy import fft as sp_fft
 
-            # c[m] = sum_k v[k] v[k－m], m = -(N-1)..(N-1), as a zero-padded
-            # real-FFT product (the steps of scipy.signal.fftconvolve)
-            size = 2 * self.values.size - 1
-            n_fft = sp_fft.next_fast_len(size, True)
-            product = sp_fft.rfft(self.values, n_fft) * sp_fft.rfft(self.values[::-1], n_fft)
-            cached = sp_fft.irfft(product, n_fft)[:size]
-            object.__setattr__(self, "_acorr_coeffs", cached)
-        return cached
+        # c[m] = sum_k v[k] v[k－m], m = -(N-1)..(N-1), as a zero-padded
+        # real-FFT product (the steps of scipy.signal.fftconvolve)
+        size = 2 * self.values.size - 1
+        n_fft = sp_fft.next_fast_len(size, True)
+        product = sp_fft.rfft(self.values, n_fft) * sp_fft.rfft(self.values[::-1], n_fft)
+        return sp_fft.irfft(product, n_fft)[:size]
 
     def intensity_autoconvolution(self, f):
+        scalar = np.ndim(f) == 0
         f = np.atleast_1d(np.asarray(f, dtype=float))
         step = self.step
-        coeffs = self._hat_correlation_coeffs()
+        coeffs = self._hat_correlation_coeffs
         n = self.values.size
         out = np.zeros(f.shape)
         m_center = f / step
@@ -220,7 +218,7 @@ class TabulatedSpectrum(OpticalSpectrum):
             valid = (idx >= 0) & (idx < coeffs.size) & (kernel > 0)
             out[valid] += coeffs[idx[valid]] * kernel[valid]
         out *= step
-        return out if out.size > 1 else float(out[0])
+        return float(out[0]) if scalar else out
 
     def cross_spectrum(self, f, shift):
         # one quadrature per distinct shift (a batch of operating points has
@@ -230,7 +228,7 @@ class TabulatedSpectrum(OpticalSpectrum):
         for value in np.unique(shift):
             at = shift == value
             out[at] = spectral_correlation(self, f[at], float(value))[0]
-        return out if out.size > 1 else complex(out.flat[0])
+        return out if out.ndim else complex(out)
 
     def support(self) -> tuple[float, float]:
         step = self.step

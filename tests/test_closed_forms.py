@@ -446,7 +446,7 @@ def _powers_on_link(link):
     f_c = link.passband_center()
     tuned = link.with_modulation_frequency(f_c)
     if link.scheme.kind.value == "ssb":
-        parts = closed_forms._ssb_noise_terms(tuned, f_c)
+        parts = closed_forms._ssb_noise_terms(tuned)
         return signal_power_ssb(tuned, f_c), sum(parts.values()), parts
     parts = {name: 2.0 * v for name, v in pm.pm_continuum_grouped(tuned, f_c).items()}
     return pm.signal_power_pm(tuned, f_c), sum(parts.values()), parts

@@ -95,6 +95,37 @@ def test_engine_matches_closed_forms_on_grids_without_mirrors(kind, gamma, grid)
     _compare(engine, reference, 1e-6)
 
 
+def _sum_rule_links():
+    ref = reference_link()
+    polarization = replace(ref, scheme=polarization_modulator_scheme(0.41, ref.scheme.f_m))
+    return {
+        "ssb": reference_link(scheme_kind="ssb", gamma=0.39),
+        "dsb": reference_link(scheme_kind="dsb", gamma=0.39),
+        "pm": reference_link(scheme_kind="pm", gamma=0.41),
+        "polarization": replace(polarization, interferometer=replace(ref.interferometer, arm_ratio_k=0.6)),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,route",
+    [(kind, "engine") for kind in ("ssb", "dsb", "pm", "polarization")]
+    + [(kind, "closed_form") for kind in ("ssb", "dsb", "pm")],
+)
+def test_gaussian_sum_rule(kind, route):
+    """The field is circular Gaussian, so E[I^2] = 2 E[I]^2 at every t: the
+    whole continuum integrates to the sum of every line power, DC included.
+    The 4001-point trapezoid over +-(B + 3 f_m) is good to about 4e-8."""
+    link = _sum_rule_links()[kind]
+    closed_form = pm_decomposition if kind == "pm" else shared_modulator_decomposition
+    evaluate = general_intensity_psd if route == "engine" else closed_form
+    edge = link.spectrum.b + 3.0 * link.scheme.f_m
+    grid = np.linspace(-edge, edge, 4001)
+    decomp = evaluate(link, grid)
+    lines = decomp.line_powers.sum()
+    assert 0.0 in decomp.line_frequencies
+    assert abs(np.trapezoid(decomp.continuum, grid) - lines) <= 1e-7 * lines
+
+
 def test_engine_custom_scheme_with_arm_ratio():
     # the polarization-modulator equivalent: one modulated arm, constant
     # second arm scaled by J0; lines must stay real and nonnegative

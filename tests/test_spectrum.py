@@ -199,3 +199,39 @@ def test_unit_scale_copy():
     spec = make_rect(n0=7.5)
     unit = spec.with_unit_scale()
     assert unit.n0 == 1.0 and unit.b == spec.b
+
+
+# --- one shape rule ---------------------------------------------------
+
+
+def _shape_evaluators():
+    from ibosmpf import reference_link
+    from ibosmpf.freq_domain import freq_domain_noise_psd
+    from ibosmpf.pm import pm_continuum
+
+    ssb = reference_link()
+    tab = tabulate(ssb.spectrum, 256)
+    pm_link = reference_link(scheme_kind="pm", gamma=0.41)
+    return {
+        "freq_domain_noise_psd": (lambda f: freq_domain_noise_psd(ssb, f), float),
+        "tabulated_autoconvolution": (tab.intensity_autoconvolution, float),
+        "tabulated_cross_spectrum": (lambda f: tab.cross_spectrum(f, 79.4e-12), complex),
+        "rect_cross_spectrum": (lambda f: ssb.spectrum.cross_spectrum(f, 79.4e-12), complex),
+        "pm_continuum": (lambda f: pm_continuum(pm_link, f), float),
+    }
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2, 3)])
+@pytest.mark.parametrize("name", list(_shape_evaluators()))
+def test_evaluators_return_the_shape_of_their_input(name, shape):
+    """An array gives an array of its shape, one element included; a 0-d
+    input gives a Python scalar.  The values are those of the flat call."""
+    evaluate, scalar_type = _shape_evaluators()[name]
+    f = np.linspace(2e9, 300e9, 6)[: int(np.prod(shape))].reshape(shape)
+    got = evaluate(f)
+    flat = evaluate(f.ravel())
+    if shape:
+        assert isinstance(got, np.ndarray) and got.shape == shape
+    else:
+        assert type(got) is scalar_type
+    np.testing.assert_array_equal(np.ravel(got), flat)
