@@ -1,29 +1,20 @@
 """Stochastic-field oracle: synthesize, propagate, detect, estimate.
 
-Incoherent light is synthesized in the frequency domain (independent
-circular Gaussian variates per bin, scaled by sqrt(G df / 2)), and the
-stages pass the field on as that spectrum S, in the normalization where
-the time-domain field is ``ifft(S, norm="forward")``.  The interferometer
-is a spectral filter on it: an arm with modulator m, delay tau and complex
-amplitude c contributes m(t) ifft(S c exp(-j 2 pi f tau)), so arms that
-share one modulator are one filter and one inverse transform.  The sum of
-the arms is transformed back, multiplied by the dispersion all-pass,
-zero-padded to the full grid, transformed to time and square-law detected.
-The source has no power outside its support and every arm is a harmonic
-sum at a tone on the grid's frequency lattice, so the arms, the modulation
-and the dispersion run on the M in-band bins only, where M is the smallest
-power of two that holds the intensity's band (a quarter of the bins for
-the 3.2 nm reference link on the default grid).  A realization then takes
-one full-length transform and two band-length ones when the arms share a
-modulator or one arm is unmodulated, three when both arms carry different
-modulations; a tone off the lattice is not band-limited and runs at M = N.
-The factors that depend only on the link and the grid (synthesis
-amplitude, band size, arm filters and waveforms, dispersion all-pass) are
-computed once per ensemble and shared by its realizations.
-Welch-averaged periodograms of the real intensity, calibrated in power/Hz
-and mirrored onto negative frequencies, then estimate the two-sided
-intensity PSD; discrete lines are integrated over a few bins with the
-local floor subtracted.
+Incoherent light is synthesized as its spectrum S: independent circular
+Gaussian variates per bin, scaled by sqrt(G df / 2), the time-domain field
+being ``ifft(S, norm="forward")``.  An arm with modulator m, delay tau and
+complex amplitude c contributes m(t) ifft(S c exp(-j 2 pi f tau)), so arms
+that share one modulator are one spectral filter and one transform.  The
+source has no power outside its support and every arm is a harmonic sum at
+a tone on the grid's frequency lattice, so arms, modulation and dispersion
+run on the M in-band bins only (M = N/4 for the 3.2 nm reference link on
+the default grid, M = N for a tone off the lattice).  The result is
+zero-padded to the detection length and square-law detected: on the full
+grid in :func:`propagate` by default, at every (N/M)-th grid time in
+:func:`estimate_snr`, where those samples of the band-limited intensity are
+exact and Welch sees the same bins and segments at the lower rate.  Welch
+periodograms, mirrored onto negative frequencies, estimate the two-sided
+intensity PSD; lines are integrated over a few bins less the local floor.
 
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
@@ -99,11 +90,9 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 # intensity samples per batched transform in estimate_psd
 _WELCH_BLOCK = 2**19
 # grid samples that the concurrent realizations of one estimate_snr call may
-# hold together; a realization peaks at 32 bytes per sample (the field's
-# spectrum and the 16-byte work buffer of the full-length transform that
-# overwrites it; detection squares |E| in place and holds 24; resident
-# memory sampled through SSB and PM realizations at 2^20 samples), so this
-# keeps them under about 128 MB
+# hold together: a realization peaks at 24 (SSB) and 28 (PM) bytes per grid
+# sample at M = N/4 (the 16-byte draw and band-length arrays; resident memory
+# at 2^20 samples), 32 and 40 at M = N/2, so this keeps M <= N/4 under 128 MB
 _INFLIGHT_SAMPLES = 2**22
 
 
@@ -143,6 +132,7 @@ class _Plan(NamedTuple):
 
     amplitude: np.ndarray  # sqrt(G df / 2) per FFT bin
     band: int  # M, from _band: the field's bins are the grid's first and last M/2
+    detection: SimulationGrid  # the grid times where propagate squares |E|
     # (spectral filter, waveform m(t)) per distinct modulator, on the M in-band
     # bins and at every N/M-th grid time; an unmodulated arm has waveform None
     # and its constant folded into the filter
@@ -184,20 +174,34 @@ def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int]:
 def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     """Build the grid-only factors once; every realization of an ensemble reuses them."""
     _, band = _band(link, grid)
-    n = grid.n_samples
-    freqs = grid.frequencies()
-    freqs = np.concatenate((freqs[: band // 2], freqs[n - band // 2 :]))
+    in_band = SimulationGrid(grid.dt * (grid.n_samples // band), band)
+    freqs = in_band.frequencies()
     m1, m2 = build_scheme(link.scheme)
     delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
     delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
-    t = np.arange(0, n, n // band) * grid.dt
+    t = in_band.times()
     pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(1.0, m1), (delayed, m2)]
     return _Plan(
         amplitude=_amplitude(link.spectrum, grid),
         band=band,
+        detection=grid,
         arms=tuple((f * m.coefficient(0), None) if m.is_constant() else (f, m.evaluate(t)) for f, m in pairs),
         dispersion=_phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2),
     )
+
+
+def _band_rate_plan(link: LinkConfig, grid: SimulationGrid, nperseg: int) -> _Plan:
+    """``_plan`` detecting every s-th grid time, for Welch segments of ``nperseg``.
+
+    s is the largest power of two dividing N/M and nperseg/2 that leaves
+    segments of 16 samples or more: segments and half-segment hops stay
+    whole, and the intensity (|f| <= 2F < M df / 2) is sampled exactly.
+    """
+    plan = _plan(link, grid)
+    stride = math.gcd(grid.n_samples // plan.band, nperseg // 2) if nperseg % 2 == 0 else 1
+    while nperseg // stride < 16:  # WelchConfig's shortest segment
+        stride //= 2
+    return plan._replace(detection=SimulationGrid(grid.dt * stride, grid.n_samples // stride))
 
 
 def synthesize_field(
@@ -230,8 +234,8 @@ def propagate(
     frequency-domain phase (no sample rounding), as part of one spectral
     filter per distinct arm modulator; dispersion is one all-pass
     multiplication.  Both run on the plan's M in-band bins, and the
-    result is zero-padded back to the full grid for detection.  ``plan``
-    must come from ``_plan(link, grid)``.
+    result is detected on ``plan.detection``: the full grid for
+    ``_plan(link, grid)``, every s-th grid time for ``_band_rate_plan``.
     """
     # scipy.fft gives numpy.fft's values but allocates one work buffer per
     # transform where numpy.fft allocates two; at 2^20 points the page
@@ -242,7 +246,7 @@ def propagate(
         raise ConfigurationError("field length does not match the grid")
     if plan is None:
         plan = _plan(link, grid)
-    n, half = grid.n_samples, plan.band // 2
+    n, half, d = grid.n_samples, plan.band // 2, plan.detection.n_samples
     band = np.concatenate((spectrum[:half], spectrum[n - half :]))
     unmodulated = modulated = None
     last = len(plan.arms) - 1
@@ -261,13 +265,13 @@ def propagate(
         if unmodulated is not None:
             combined += unmodulated
     combined *= plan.dispersion
-    # zero-padded back into the field's own buffer: no second full-length
+    # zero-padded into the field's own buffer: no second detection-length
     # array, and no band-length one left alive through detection
     spectrum[:half] = combined[:half]
-    spectrum[half : n - half] = 0.0
-    spectrum[n - half :] = combined[half:]
+    spectrum[half : d - half] = 0.0
+    spectrum[d - half : d] = combined[half:]
     del band, arm, modulated, unmodulated, combined
-    field = sp_fft.ifft(spectrum, norm="forward", overwrite_x=True)
+    field = sp_fft.ifft(spectrum[:d], norm="forward", overwrite_x=True)
     intensity = np.abs(field)
     return np.square(intensity, out=intensity)
 
@@ -407,23 +411,20 @@ def estimate_snr(
     grid.validate_for(hi - lo, f_m, order)
 
     df = welch.bin_width(grid.dt)
-    lines = np.empty(n_realizations)
-    floors = np.empty(n_realizations)
-    snrs = np.empty(n_realizations)
+    lines, floors = np.empty((2, n_realizations))
     probes = {f: np.empty(n_realizations) for f in probe_frequencies}
-    plan = _plan(link, grid)
+    plan = _band_rate_plan(link, grid, welch.nperseg)
+    detection = plan.detection  # Welch sees the same bins and segments at this rate
+    detect_welch = WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples)
 
     def realization(r: int) -> None:
         # nested so that no name holds the spectrum once propagate has used it
         intensity = propagate(
             synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=plan), link, grid, plan=plan
         )
-        decomp = estimate_psd(intensity, grid, welch)
-        line, _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
-        floor = floor_density(decomp.frequencies, decomp.continuum, f_m)
-        lines[r] = line
-        floors[r] = floor
-        snrs[r] = line / floor
+        decomp = estimate_psd(intensity, detection, detect_welch)
+        lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
+        floors[r] = floor_density(decomp.frequencies, decomp.continuum, f_m)
         for f_probe in probe_frequencies:
             probes[f_probe][r] = floor_density(decomp.frequencies, decomp.continuum, f_probe)
 
@@ -436,15 +437,13 @@ def estimate_snr(
     def _stats(values: np.ndarray) -> tuple[float, float]:
         return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
-    quantities = {
-        "line_power": _stats(lines),
-        "noise_psd": _stats(floors),
-        "snr_linear": _stats(snrs),
-    }
-    for f_probe, values in probes.items():
-        quantities[f"floor@{f_probe:.6g}"] = _stats(values)
+    quantities = {"line_power": _stats(lines), "noise_psd": _stats(floors), "snr_linear": _stats(lines / floors)}
+    quantities |= {f"floor@{f_probe:.6g}": _stats(values) for f_probe, values in probes.items()}
     return McEstimate(
         n_realizations=n_realizations,
         quantities=quantities,
-        metadata={"f_m": f_m, "seed": seed, "nperseg": welch.nperseg, "dt": grid.dt, "band_bins": plan.band},
+        metadata=dict(
+            f_m=f_m, seed=seed, nperseg=welch.nperseg, dt=grid.dt,
+            band_bins=plan.band, detect_samples=detection.n_samples,
+        ),
     )

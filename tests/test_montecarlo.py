@@ -32,7 +32,7 @@ from ibosmpf.modulation import (
     build_scheme,
     polarization_modulator_scheme,
 )
-from ibosmpf.montecarlo import _plan, extract_line, floor_density, realization_rng
+from ibosmpf.montecarlo import _band_rate_plan, _plan, extract_line, floor_density, realization_rng
 
 SMALL_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**16)
 MID_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**18)
@@ -400,6 +400,7 @@ def test_estimate_snr_deterministic():
     b = estimate_snr(link, grid, n_realizations=8, seed=5, welch=welch)
     assert a.quantities == b.quantities
     assert a.metadata["band_bins"] == grid.n_samples // 4
+    assert a.metadata["detect_samples"] == grid.n_samples // 4
     c = estimate_snr(link, grid, n_realizations=8, seed=6, welch=welch)
     assert a.quantities != c.quantities
 
@@ -437,20 +438,36 @@ def test_estimate_snr_runs_each_stage_once_per_realization(monkeypatch, kind):
     assert 1 <= counts["evaluate"] <= 2
 
 
-@pytest.mark.parametrize("kind", ["ssb", "polarization"])
-def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
-    welch = WelchConfig(nperseg=4096)
-    link, f_m = _retuned(LINKS[kind], SMALL_GRID, welch)
-    n, seed = 8, 4
+def _serial_quantities(link, grid, welch, n, seed, plan=None):
+    """``estimate_snr``'s quantities from a serial loop over the public stages.
+
+    Without ``plan`` each realization is detected and Welch-averaged on the
+    full grid; with one, at ``plan.detection`` with the same bin width.
+    """
+    detection = grid if plan is None else plan.detection
+    detect_welch = WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples)
+    f_m = link.scheme.f_m
     lines, floors = np.empty(n), np.empty(n)
     for r in range(n):
-        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(seed, r))
-        decomp = estimate_psd(propagate(spectrum, link, SMALL_GRID), SMALL_GRID, welch)
-        lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, welch.bin_width(SMALL_GRID.dt))
+        spectrum = synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=plan)
+        decomp = estimate_psd(propagate(spectrum, link, grid, plan=plan), detection, detect_welch)
+        lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, welch.bin_width(grid.dt))
         floors[r] = floor_density(decomp.frequencies, decomp.continuum, f_m)
 
     def stats(values):
         return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+
+    return {"line_power": stats(lines), "noise_psd": stats(floors), "snr_linear": stats(lines / floors)}
+
+
+@pytest.mark.parametrize("kind", ["ssb", "polarization"])
+def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
+    welch = WelchConfig(nperseg=4096)
+    link, _ = _retuned(LINKS[kind], SMALL_GRID, welch)
+    n, seed = 8, 4
+    plan = _band_rate_plan(link, SMALL_GRID, welch.nperseg)
+    assert plan.detection.n_samples == SMALL_GRID.n_samples // 4
+    want = _serial_quantities(link, SMALL_GRID, welch, n, seed, plan)
 
     # more workers than this machine may have CPUs and frequent thread
     # switches, so that realizations interleave
@@ -461,11 +478,52 @@ def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
         est = estimate_snr(link, SMALL_GRID, n_realizations=n, seed=seed, welch=welch)
     finally:
         sys.setswitchinterval(interval)
-    assert est.quantities == {
-        "line_power": stats(lines),
-        "noise_psd": stats(floors),
-        "snr_linear": stats(lines / floors),
-    }
+    assert est.quantities == want
+
+
+@pytest.mark.parametrize("nperseg", [3 * 2**10, 4095])
+def test_full_rate_fallback_equals_full_rate_chain(nperseg):
+    # a tone snapped to these segments is off the grid's frequency lattice,
+    # so the field is not band-limited and estimate_snr detects on the full grid
+    welch = WelchConfig(nperseg=nperseg)
+    link, _ = _retuned(reference_link(), SMALL_GRID, welch)
+    plan = _band_rate_plan(link, SMALL_GRID, nperseg)
+    assert plan.band == plan.detection.n_samples == SMALL_GRID.n_samples
+    est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=6, welch=welch)
+    assert est.metadata["detect_samples"] == SMALL_GRID.n_samples
+    assert est.quantities == _serial_quantities(link, SMALL_GRID, welch, 8, 6)
+
+
+def test_detection_stride():
+    # N/M = 4 at 3.2 nm; the stride divides nperseg/2, so that segments and
+    # half-segment hops stay whole, and leaves segments of 16 samples or more
+    link, _ = _retuned(reference_link(), SMALL_GRID, BAND_WELCH)
+    n = SMALL_GRID.n_samples
+    assert _plan(link, SMALL_GRID).detection == SMALL_GRID
+    for nperseg, stride in ((4096, 4), (3 * 2**10, 4), (4 * 17, 2), (4094, 1), (4095, 1), (32, 2), (16, 1)):
+        detection = _band_rate_plan(link, SMALL_GRID, nperseg).detection
+        assert detection == SimulationGrid(SMALL_GRID.dt * stride, n // stride)
+
+
+@pytest.mark.parametrize("kind", ["ssb", "pm"])
+def test_band_rate_welch_matches_full_rate_chain_at_full_scale(kind):
+    # the benchmark links: one realization detected at every 4th grid time
+    # against the full-length chain; the intensity is exact at those times,
+    # and only window leakage beyond the band aliases (measured <= 5.4e-13)
+    grid, welch = montecarlo.DEFAULT_GRID, WelchConfig()
+    link, f_m = _retuned(reference_link(scheme_kind=kind, gamma=0.39 if kind == "ssb" else 0.41), grid, welch)
+    plan = _band_rate_plan(link, grid, welch.nperseg)
+    assert plan.detection.n_samples == grid.n_samples // 4
+
+    def line_and_floor(detect_plan):
+        detection = grid if detect_plan is None else detect_plan.detection
+        spectrum = synthesize_field(link.spectrum, grid, realization_rng(1234, 0))
+        intensity = propagate(spectrum, link, grid, plan=detect_plan)
+        decomp = estimate_psd(intensity, detection, WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples))
+        line, _ = extract_line(decomp.frequencies, decomp.continuum, f_m, welch.bin_width(grid.dt))
+        return line, floor_density(decomp.frequencies, decomp.continuum, f_m)
+
+    np.testing.assert_allclose(line_and_floor(plan), line_and_floor(None), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -580,6 +638,27 @@ def test_band_transform_counts(monkeypatch, kind, band_transforms):
     spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
     propagate(spectrum, link, SMALL_GRID, plan=plan)
     assert calls == {SMALL_GRID.n_samples: 1, SMALL_GRID.n_samples // 4: band_transforms}
+
+
+@pytest.mark.parametrize(
+    "kind, band_transforms",
+    [("ssb", 3), ("dsb", 3), ("pm", 3), ("polarization", 3), ("two_modulated_arms", 4)],
+)
+def test_band_rate_transform_counts(monkeypatch, kind, band_transforms):
+    # detected at the band rate, as estimate_snr detects: band-length transforms only
+    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    plan = _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg)
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+
+        def counting(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+            calls[np.size(x)] += 1
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
+    propagate(spectrum, link, SMALL_GRID, plan=plan)
+    assert calls == {SMALL_GRID.n_samples // 4: band_transforms}
 
 
 def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):
