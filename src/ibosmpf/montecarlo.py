@@ -4,13 +4,13 @@ Incoherent light is synthesized as its spectrum S: independent circular
 Gaussian variates per bin, scaled by sqrt(G df / 2), the time-domain field
 being ``ifft(S, norm="forward")``.  An arm with modulator m, delay tau and
 complex amplitude c contributes m(t) ifft(S c exp(-j 2 pi f tau)), so arms
-that share one modulator are one spectral filter and one transform.  The
-source has no power outside its support and every arm is a harmonic sum at
-a tone on the grid's frequency lattice, so arms, modulation and dispersion
-run on the M in-band bins only (M = N/4 for the 3.2 nm reference link on
-the default grid, M = N for a tone off the lattice).  The result is
-zero-padded to the detection length and square-law detected: on the full
-grid in :func:`propagate` by default, at every (N/M)-th grid time in
+that share one modulator are one spectral filter.  The source has no power
+outside its support and every arm is a harmonic sum, so arms, modulation
+and dispersion run on the M in-band bins only; at a tone f_m = c df on the
+grid's frequency lattice, harmonic n of m(t) shifts those bins by n c.  A
+tone off the lattice is not band-limited: M = N, and the arms go through
+time.  One inverse transform detects |E|^2: on the full grid in
+:func:`propagate` by default, at every (N/M)-th grid time in
 :func:`estimate_snr`, where those samples of the band-limited intensity are
 exact and Welch sees the same bins and segments at the lower rate.  Welch
 periodograms, mirrored onto negative frequencies, estimate the two-sided
@@ -89,11 +89,11 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
 # intensity samples per batched transform in estimate_psd
 _WELCH_BLOCK = 2**19
-# grid samples that the concurrent realizations of one estimate_snr call may
-# hold together: a realization peaks at 24 (SSB) and 28 (PM) bytes per grid
-# sample at M = N/4 (the 16-byte draw and band-length arrays; resident memory
-# at 2^20 samples), 32 and 40 at M = N/2, so this keeps M <= N/4 under 128 MB
-_INFLIGHT_SAMPLES = 2**22
+# bytes the concurrent realizations of one estimate_snr call may hold: one
+# peaks at 16 + 48 M/N bytes per grid sample, the draw and up to three band
+# arrays (resident, freed buffers unmapped, at 2^20 samples: 24 (SSB) and 28
+# (PM) at M = N/4, 32 and 40 at M = N/2, 48 and 64 at M = N, off the lattice)
+_INFLIGHT_BYTES = 2**27
 
 
 @dataclass(frozen=True)
@@ -128,64 +128,74 @@ def _usable_cpus() -> int:
 
 
 class _Plan(NamedTuple):
-    """Factors of one (link, grid) pair that no realization changes."""
+    """Factors of one (link, grid) pair that no realization changes, on the M in-band bins."""
 
-    amplitude: np.ndarray  # sqrt(G df / 2) per FFT bin
+    amplitude: np.ndarray  # sqrt(G df / 2) on the band's bins
     band: int  # M, from _band: the field's bins are the grid's first and last M/2
     detection: SimulationGrid  # the grid times where propagate squares |E|
-    # (spectral filter, waveform m(t)) per distinct modulator, on the M in-band
-    # bins and at every N/M-th grid time; an unmodulated arm has waveform None
-    # and its constant folded into the filter
-    arms: tuple[tuple[np.ndarray | float, np.ndarray | None], ...]
+    # (spectral filter, modulation) per distinct modulator; the modulation is
+    # None for a constant m (folded into the filter), {n c mod M: M_n} (bin
+    # shifts) at a tone on the lattice, else m(t) at every N/M-th grid time
+    arms: tuple[tuple[np.ndarray | float, np.ndarray | dict[int, complex] | None], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
 
 
-def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid) -> np.ndarray:
-    """Per-bin synthesis amplitude sqrt(G df / 2) of circular Gaussian variates."""
+def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid, freqs: np.ndarray) -> np.ndarray:
+    """Synthesis amplitude sqrt(G df / 2) of circular Gaussian variates at the grid's bins ``freqs``."""
     if 0.5 * grid.sample_rate < spectrum.support()[1]:
         raise ConfigurationError("dt: grid violates the spectrum's Nyquist limit")
-    psd = np.asarray(spectrum.psd(grid.frequencies()), dtype=float)
+    psd = np.asarray(spectrum.psd(freqs), dtype=float)
     return np.sqrt(psd * (0.5 * grid.df))
 
 
-def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int]:
-    """Largest harmonic order K over both arms, and the band size M in bins.
+def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int | None]:
+    """Largest harmonic order K over both arms, the band size M in bins, and c.
 
     The source has no power outside its support, every arm is a harmonic
     sum, and delay and dispersion act bin by bin, so the modulated field
     occupies |f| <= F = max|support| + K f_m.  M is the smallest power of
     two with M df > 4 F, the width of the intensity's band |f| <= 2 F (the
-    field alone would fit in M df > 2 F).  A tone off the df lattice is not
-    band-limited: M = N then.
+    field alone would fit in M df > 2 F).  A tone on the df lattice makes c
+    whole cycles in the record; one off it (c None) is not band-limited:
+    M = N then.
     """
     m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
     n = grid.n_samples
     cycles = m1.f_m * grid.duration
-    if order and abs(cycles - round(cycles)) > 4.0 * math.ulp(cycles):
-        return order, n
+    lattice = round(cycles) if abs(cycles - round(cycles)) <= 4.0 * math.ulp(cycles) else None
+    if order and lattice is None:
+        return order, n, None
     edge = max(abs(f) for f in link.spectrum.support()) + order * m1.f_m
     band = 2
     while band < n and band * grid.df <= 4.0 * edge:
         band *= 2
-    return order, band
+    return order, band, lattice
 
 
 def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     """Build the grid-only factors once; every realization of an ensemble reuses them."""
-    _, band = _band(link, grid)
+    _, band, lattice = _band(link, grid)
     in_band = SimulationGrid(grid.dt * (grid.n_samples // band), band)
-    freqs = in_band.frequencies()
+    freqs = in_band.frequencies()  # == the grid's first and last M/2 bins
     m1, m2 = build_scheme(link.scheme)
     delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
     delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
-    t = in_band.times()
     pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(1.0, m1), (delayed, m2)]
+
+    def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
+        if lattice is None:
+            return m.evaluate(in_band.times())
+        shifts = {}
+        for n, coefficient in m.coeffs.items():
+            shifts[n * lattice % band] = shifts.get(n * lattice % band, 0) + coefficient
+        return shifts
+
     return _Plan(
-        amplitude=_amplitude(link.spectrum, grid),
+        amplitude=_amplitude(link.spectrum, grid, freqs),
         band=band,
         detection=grid,
-        arms=tuple((f * m.coefficient(0), None) if m.is_constant() else (f, m.evaluate(t)) for f, m in pairs),
+        arms=tuple((f * m.coefficient(0), None) if m.is_constant() else (f, modulation(m)) for f, m in pairs),
         dispersion=_phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2),
     )
 
@@ -217,9 +227,12 @@ def synthesize_field(
     ``scipy.fft.ifft(S, norm="forward")``.  No transform runs here.
     ``plan`` must come from a link whose spectrum is ``spectrum``.
     """
-    amplitude = _amplitude(spectrum, grid) if plan is None else plan.amplitude
-    xhat = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
-    xhat *= amplitude
+    amplitude = _amplitude(spectrum, grid, grid.frequencies()) if plan is None else plan.amplitude
+    n, half = grid.n_samples, amplitude.size // 2
+    xhat = rng.standard_normal(2 * n).view(np.complex128)
+    xhat[:half] *= amplitude[:half]  # a band-length amplitude: no power between its halves
+    xhat[half : n - half] = 0.0
+    xhat[n - half :] *= amplitude[half:]
     return xhat
 
 
@@ -233,8 +246,9 @@ def propagate(
     to keep it.  The differential delay is applied as an exact
     frequency-domain phase (no sample rounding), as part of one spectral
     filter per distinct arm modulator; dispersion is one all-pass
-    multiplication.  Both run on the plan's M in-band bins, and the
-    result is detected on ``plan.detection``: the full grid for
+    multiplication.  Both run on the plan's M in-band bins, as does the
+    modulation at a tone on the lattice (bin shifts, no transform), and
+    one inverse transform detects on ``plan.detection``: the full grid for
     ``_plan(link, grid)``, every s-th grid time for ``_band_rate_plan``.
     """
     # scipy.fft gives numpy.fft's values but allocates one work buffer per
@@ -248,29 +262,37 @@ def propagate(
         plan = _plan(link, grid)
     n, half, d = grid.n_samples, plan.band // 2, plan.detection.n_samples
     band = np.concatenate((spectrum[:half], spectrum[n - half :]))
-    unmodulated = modulated = None
+    combined = modulated = None  # on the bins, and in time
     last = len(plan.arms) - 1
-    for k, (spectral_filter, waveform) in enumerate(plan.arms):
+    for k, (spectral_filter, modulation) in enumerate(plan.arms):
         arm = np.multiply(band, spectral_filter, out=band if k == last else None)
-        if waveform is None:  # m(t) is a constant: no round trip through time
-            unmodulated = arm if unmodulated is None else np.add(unmodulated, arm, out=unmodulated)
-            continue
-        arm = sp_fft.ifft(arm, norm="forward", overwrite_x=True)
-        arm *= waveform
-        modulated = arm if modulated is None else np.add(modulated, arm, out=modulated)
-    if modulated is None:
-        combined = unmodulated
-    else:
-        combined = sp_fft.fft(modulated, norm="forward", overwrite_x=True)
-        if unmodulated is not None:
-            combined += unmodulated
+        if modulation is None:  # m is a constant, folded into the filter
+            combined = arm if combined is None else np.add(combined, arm, out=combined)
+        elif isinstance(modulation, dict):  # M_n shifted by n c bins, for a tone on the lattice
+            for shift, coefficient in modulation.items():
+                head, tail = arm[plan.band - shift :], arm[: plan.band - shift]
+                if combined is None:  # in the draw's last M bins, free now, when they clear its first M/2
+                    combined = spectrum[n - plan.band :] if 2 * plan.band <= n else np.empty_like(arm)
+                    np.multiply(head, coefficient, out=combined[:shift])
+                    np.multiply(tail, coefficient, out=combined[shift:])
+                else:
+                    combined[:shift] += head * coefficient
+                    combined[shift:] += tail * coefficient
+        else:  # a tone off the lattice: a round trip through time
+            arm = sp_fft.ifft(arm, norm="forward", overwrite_x=True)
+            arm *= modulation
+            modulated = arm if modulated is None else np.add(modulated, arm, out=modulated)
+    if modulated is not None:
+        modulated = sp_fft.fft(modulated, norm="forward", overwrite_x=True)
+        combined = modulated if combined is None else np.add(modulated, combined, out=modulated)
     combined *= plan.dispersion
     # zero-padded into the field's own buffer: no second detection-length
-    # array, and no band-length one left alive through detection
+    # array, and no band-length one left alive through detection; a combined
+    # in its last M bins is moved before the zero fill, or lies beyond it
     spectrum[:half] = combined[:half]
     spectrum[half : d - half] = 0.0
     spectrum[d - half : d] = combined[half:]
-    del band, arm, modulated, unmodulated, combined
+    del band, arm, modulated, combined
     field = sp_fft.ifft(spectrum[:d], norm="forward", overwrite_x=True)
     intensity = np.abs(field)
     return np.square(intensity, out=intensity)
@@ -407,7 +429,7 @@ def estimate_snr(
     f_m = welch.snap_frequency(f_m, grid.dt)
     link = link.with_modulation_frequency(f_m)
     lo, hi = link.spectrum.support()
-    order, _ = _band(link, grid)
+    order, _, lattice = _band(link, grid)
     grid.validate_for(hi - lo, f_m, order)
 
     df = welch.bin_width(grid.dt)
@@ -430,7 +452,7 @@ def estimate_snr(
 
     # the draws, transforms and array arithmetic release the interpreter
     # lock, so realizations overlap on threads; the width bounds their memory
-    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_SAMPLES // grid.n_samples))
+    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_BYTES // (16 * grid.n_samples + 48 * plan.band)))
     with ThreadPoolExecutor(max_workers=width) as pool:
         list(pool.map(realization, range(n_realizations)))  # raises what a realization raised
 
@@ -444,6 +466,6 @@ def estimate_snr(
         quantities=quantities,
         metadata=dict(
             f_m=f_m, seed=seed, nperseg=welch.nperseg, dt=grid.dt,
-            band_bins=plan.band, detect_samples=detection.n_samples,
+            band_bins=plan.band, detect_samples=detection.n_samples, lattice_bins=lattice or 0,
         ),
     )

@@ -26,6 +26,7 @@ from ibosmpf.closed_forms import noise_psd_shared, signal_power_dsb, signal_powe
 from ibosmpf.engine import fundamental_line_power
 from ibosmpf import montecarlo
 from ibosmpf.modulation import (
+    MAX_HARMONIC_ORDER,
     HarmonicModulation,
     ModulationKind,
     SchemeConfig,
@@ -169,12 +170,26 @@ def _two_modulated_arms_link():
     return replace(base, scheme=scheme)
 
 
+def _all_orders_link():
+    """Custom scheme with every harmonic order up to the supported one on both arms, unbalanced splitter."""
+    base = reference_link()
+    orders = range(-MAX_HARMONIC_ORDER, MAX_HARMONIC_ORDER + 1)
+    scheme = SchemeConfig(
+        kind=ModulationKind.CUSTOM,
+        f_m=base.scheme.f_m,
+        m1_coeffs={n: (0.6 - 0.2j * n) / (1 + n * n) for n in orders},
+        m2_coeffs={n: 0.5 * (0.6j) ** abs(n) * (1 if n >= 0 else -1) for n in orders},
+    )
+    return replace(base, scheme=scheme, interferometer=replace(base.interferometer, arm_ratio_k=0.8))
+
+
 LINKS = {
     "ssb": reference_link(scheme_kind="ssb"),
     "dsb": reference_link(scheme_kind="dsb"),
     "pm": reference_link(scheme_kind="pm", gamma=0.41),
     "polarization": _polarization_link(),
     "two_modulated_arms": _two_modulated_arms_link(),
+    "all_orders": _all_orders_link(),
 }
 
 
@@ -401,6 +416,8 @@ def test_estimate_snr_deterministic():
     assert a.quantities == b.quantities
     assert a.metadata["band_bins"] == grid.n_samples // 4
     assert a.metadata["detect_samples"] == grid.n_samples // 4
+    # the tone makes a whole number of cycles in the record: its harmonics shift bins
+    assert a.metadata["lattice_bins"] == round(a.metadata["f_m"] * grid.duration) > 0
     c = estimate_snr(link, grid, n_realizations=8, seed=6, welch=welch)
     assert a.quantities != c.quantities
 
@@ -424,6 +441,7 @@ def _count_calls(monkeypatch) -> Counter:
     for name in ("synthesize_field", "propagate", "estimate_psd"):
         monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
     monkeypatch.setattr(HarmonicModulation, "evaluate", counting("evaluate", HarmonicModulation.evaluate))
+    monkeypatch.setattr(RectangularSpectrum, "psd", counting("psd", RectangularSpectrum.psd))
     return counts
 
 
@@ -435,7 +453,10 @@ def test_estimate_snr_runs_each_stage_once_per_realization(monkeypatch, kind):
     estimate_snr(link, SMALL_GRID, n_realizations=8, seed=2, welch=welch)
     stages = {name: counts[name] for name in ("synthesize_field", "propagate", "estimate_psd")}
     assert stages == {"synthesize_field": 8, "propagate": 8, "estimate_psd": 8}
-    assert 1 <= counts["evaluate"] <= 2
+    # the tone is on the lattice, so the arms shift bins and evaluate no
+    # waveform; one psd call is the plan's amplitude, built once per call
+    assert counts["evaluate"] == 0
+    assert counts["psd"] == 1
 
 
 def _serial_quantities(link, grid, welch, n, seed, plan=None):
@@ -491,6 +512,7 @@ def test_full_rate_fallback_equals_full_rate_chain(nperseg):
     assert plan.band == plan.detection.n_samples == SMALL_GRID.n_samples
     est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=6, welch=welch)
     assert est.metadata["detect_samples"] == SMALL_GRID.n_samples
+    assert est.metadata["lattice_bins"] == 0
     assert est.quantities == _serial_quantities(link, SMALL_GRID, welch, 8, 6)
 
 
@@ -592,11 +614,11 @@ def test_band_intensity_as_accurate_as_full_length_chain(link):
         error = np.abs(intensity - exact)
         return float(np.max(error / exact)), float(error.max() / exact.max())
 
-    # the float64 chains evaluate the same phases and share most of their
-    # rounding: they sit about 5e-14 of the peak from the long-double chain
-    # but within about 1e-14 of each other, and link by link the band chain's
-    # errors are 0.7-1.3 times the full-length chain's; the factor allows that
-    # spread, while a lost or aliased in-band bin costs orders of magnitude more
+    # the float64 chains sit about 5e-14 of the peak from the long-double
+    # chain; the band chain modulates by exact bin shifts where the full-length
+    # chain rounds its phases, and link by link its errors are 0.5-1.2 times
+    # the full-length chain's; the factor allows that spread, while a lost or
+    # aliased in-band bin costs orders of magnitude more
     for got, want in zip(errors(band), errors(full)):
         assert got <= 1.5 * want
 
@@ -620,13 +642,25 @@ def test_band_size():
     assert _plan(off_lattice, SMALL_GRID).band == n
 
 
-@pytest.mark.parametrize(
-    "kind, band_transforms",
-    [("ssb", 2), ("dsb", 2), ("pm", 2), ("polarization", 2), ("two_modulated_arms", 3)],
-)
-def test_band_transform_counts(monkeypatch, kind, band_transforms):
-    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+def test_off_lattice_tone_modulates_through_time(monkeypatch):
+    # 163.84 cycles of 10 GHz in the record: the tone is off the df lattice,
+    # so the arms keep their waveforms on the full grid, evaluated once
+    link = reference_link(f_m=10e9)
+    counts = _count_calls(monkeypatch)
     plan = _plan(link, SMALL_GRID)
+    assert counts["evaluate"] == 1 and plan.band == SMALL_GRID.n_samples
+    (_, waveform), = plan.arms
+    m, _ = build_scheme(link.scheme)
+    np.testing.assert_array_equal(waveform, m.evaluate(SMALL_GRID.times()))
+    _, want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
+    for kwargs in ({}, {"plan": plan}):
+        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
+        intensity = propagate(spectrum, link, SMALL_GRID, **kwargs)
+        np.testing.assert_allclose(intensity, want, rtol=1e-12, atol=0)
+
+
+def _transform_sizes(monkeypatch) -> Counter:
+    """Count scipy.fft transforms by their input size."""
     calls = Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
 
@@ -635,9 +669,63 @@ def test_band_transform_counts(monkeypatch, kind, band_transforms):
             return _fn(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counting)
-    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
-    propagate(spectrum, link, SMALL_GRID, plan=plan)
-    assert calls == {SMALL_GRID.n_samples: 1, SMALL_GRID.n_samples // 4: band_transforms}
+    return calls
+
+
+def _time_domain_twin(plan, link, grid):
+    """``plan`` with each bin-shift modulation replaced by its waveform at every N/M-th grid time."""
+    times = SimulationGrid(grid.dt * (grid.n_samples // plan.band), plan.band).times()
+    m1, m2 = build_scheme(link.scheme)
+    modulators = (m1,) if m2 is m1 else (m1, m2)
+    arms = tuple(
+        (f, m.evaluate(times) if isinstance(modulation, dict) else modulation)
+        for (f, modulation), m in zip(plan.arms, modulators)
+    )
+    return plan._replace(arms=arms)
+
+
+def _routes(monkeypatch, link, plan):
+    """Transform sizes and intensity of one realization, through bin shifts and through time."""
+    calls = _transform_sizes(monkeypatch)
+    out = {}
+    for route, route_plan in (("shift", plan), ("time", _time_domain_twin(plan, link, SMALL_GRID))):
+        calls.clear()
+        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=route_plan)
+        intensity = propagate(spectrum, link, SMALL_GRID, plan=route_plan)
+        out[route] = dict(calls), intensity
+    (shift_calls, shifted), (time_calls, timed) = out["shift"], out["time"]
+    # exact roots of unity against rounded phases 2 pi n f_m t
+    assert np.max(np.abs(shifted - timed)) <= 1e-12 * timed.max()
+    return shift_calls, time_calls
+
+
+@pytest.mark.parametrize("kind", ["pm", "two_modulated_arms"])
+@pytest.mark.parametrize("stride", [2, 4])
+def test_shifted_band_detects_at_every_stride(kind, stride):
+    # the shifted harmonics accumulate in the draw's last M bins, which the
+    # zero-padding then overwrites, for any detection length from M to N
+    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    plan = _plan(link, SMALL_GRID)
+    assert plan.band == SMALL_GRID.n_samples // 4
+    strided = plan._replace(detection=SimulationGrid(SMALL_GRID.dt * stride, SMALL_GRID.n_samples // stride))
+    full, got = (
+        propagate(synthesize_field(link.spectrum, SMALL_GRID, realization_rng(2, 0), plan=p), link, SMALL_GRID, plan=p)
+        for p in (plan, strided)
+    )
+    assert np.max(np.abs(got - full[::stride])) <= 1e-12 * full.max()
+
+
+@pytest.mark.parametrize(
+    "kind, band_transforms",
+    [("ssb", 2), ("dsb", 2), ("pm", 2), ("polarization", 2), ("two_modulated_arms", 3)],
+)
+def test_band_transform_counts(monkeypatch, kind, band_transforms):
+    # on the lattice the arms shift bins, so the one transform is the full-grid
+    # detection; the same band taken through time needs band_transforms more
+    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    shift_calls, time_calls = _routes(monkeypatch, link, _plan(link, SMALL_GRID))
+    assert shift_calls == {SMALL_GRID.n_samples: 1}
+    assert time_calls == {SMALL_GRID.n_samples: 1, SMALL_GRID.n_samples // 4: band_transforms}
 
 
 @pytest.mark.parametrize(
@@ -645,20 +733,12 @@ def test_band_transform_counts(monkeypatch, kind, band_transforms):
     [("ssb", 3), ("dsb", 3), ("pm", 3), ("polarization", 3), ("two_modulated_arms", 4)],
 )
 def test_band_rate_transform_counts(monkeypatch, kind, band_transforms):
-    # detected at the band rate, as estimate_snr detects: band-length transforms only
+    # detected at the band rate, as estimate_snr detects: one band-length
+    # transform, where the same band taken through time needs band_transforms
     link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
-    plan = _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg)
-    calls = Counter()
-    for name in ("fft", "ifft", "rfft", "irfft"):
-
-        def counting(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
-            calls[np.size(x)] += 1
-            return _fn(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counting)
-    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
-    propagate(spectrum, link, SMALL_GRID, plan=plan)
-    assert calls == {SMALL_GRID.n_samples // 4: band_transforms}
+    shift_calls, time_calls = _routes(monkeypatch, link, _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg))
+    assert shift_calls == {SMALL_GRID.n_samples // 4: 1}
+    assert time_calls == {SMALL_GRID.n_samples // 4: band_transforms}
 
 
 def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):
