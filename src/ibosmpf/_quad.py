@@ -8,16 +8,17 @@ most ~1.5 oscillation cycles, which keeps a 16-point rule near machine
 accuracy.  The shifts are evaluated in row blocks of about ``_BLOCK``
 nodes, so the temporaries stay cache-sized whatever the shift count.
 
-A lagged integral carries the phase exp(+-j 2 pi v lag).  A node of row i
-sits at v = lo_i + width_i (c_p + h x_q), with c_p the centre of panel p,
-h the panel half-width on [0, 1] and x_q a Gauss node, so the phase
-factors into one phasor per row and panel, exp(j 2 pi lag (lo_i + width_i
-c_p)), times one per row and Gauss node, exp(j 2 pi lag width_i h x_q):
-P + 16 exponentials per row instead of 16 P.
+An integrand is called as ``w(v, phasor)``, ``phasor(rate)`` being exp(j 2
+pi rate v) at its nodes.  Node q of panel p in row i sits at v = lo_i +
+width_i (c_p + h x_q), so the phasor is one exponential per row and panel
+times one per row and Gauss node: P + 16 per row instead of 16 P, as for
+the ``lag`` phases.  An integrand may return a leading axis of stacked
+integrands sharing a node set; each stacked product is summed on its own.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,9 +30,21 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 2**14
 
 
+def _phasors(rate, lo, width, centers, half):
+    """exp(j 2 pi rate v) as (rows x panels, rows x Gauss nodes) factors."""
+    angle = 2.0 * np.pi * rate
+    panel = np.exp(1j * angle * (lo[:, None] + width[:, None] * centers[None, :]))
+    return panel, np.exp(1j * angle * (half * width)[:, None] * _NODES[None, :])
+
+
+def _phasor(lo, width, centers, half, rate):
+    panel, node = _phasors(rate, lo, width, centers, half)
+    return (panel[:, :, None] * node[:, None, :]).reshape(lo.size, centers.size * _NODES.size)
+
+
 def band_correlation(
-    w1: Callable[[np.ndarray], np.ndarray],
-    w2: Callable[[np.ndarray], np.ndarray],
+    w1: Callable[..., np.ndarray],
+    w2: Callable[..., np.ndarray],
     support1: tuple[float, float],
     support2: tuple[float, float],
     shifts: np.ndarray,
@@ -44,12 +57,13 @@ def band_correlation(
     integrated.  ``cycle_rate`` bounds the oscillation of the combined
     integrand in cycles per hertz; four panels are added to that count.
 
-    A nonzero ``lag`` returns two rows, the integrals times exp(+j 2 pi v
-    lag) (row 0) and exp(-j 2 pi v lag) (row 1), from the same node values,
-    each with its own phasors: the -lag row is never the conjugate of the
-    +lag one, so a complex integrand shows.  They are computed for |lag|,
-    so negating the lag swaps them exactly.  ``cycle_rate`` must cover
-    |lag|.  Each row's sum does not depend on the row blocking.
+    A nonzero ``lag`` adds an axis of two rows, the integrals times exp(+j
+    2 pi v lag) (row 0) and exp(-j 2 pi v lag) (row 1), from the same node
+    values.  Complex values are summed with each row's own phasors, so a
+    complex integrand shows; real ones take one real sum against the (Re,
+    Im) node phasors, and the -lag row is its conjugate.  Negating the lag
+    swaps the rows exactly; ``cycle_rate`` must cover |lag|.  Each row's
+    sum does not depend on the row blocking.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     lo1, hi1 = support1
@@ -63,25 +77,34 @@ def band_correlation(
     centers = np.linspace(0.0, 1.0, n_panels + 1)[:-1] + half
     unit_nodes = (centers[:, None] + half * _NODES[None, :]).ravel()
     unit_weights = np.tile(half * _WEIGHTS, n_panels)
-    rate = 2.0 * np.pi * abs(lag)
 
     # zero-overlap rows stay 0 and are never evaluated
-    out = np.zeros((2,) + shifts.shape if lag else shifts.shape, dtype=complex)
     live = np.flatnonzero(width)
+    if lag:
+        # row i: half width_i sum_p A_ip sum_q values_ipq B_iq, the Gauss weights in B
+        panel_all, node_all = _phasors(abs(lag), lo[live], width[live], centers, half)
+        node_all *= _WEIGHTS
+        re_im_all = np.stack((node_all.real, node_all.imag), axis=-1)
+    out = None
     rows = max(1, _BLOCK // unit_nodes.size)
-    for start in range(0, live.size, rows):
+    for start in range(0, max(live.size, 1), rows):  # an empty block still fixes the shape
         idx = live[start : start + rows]
         nodes = lo[idx, None] + width[idx, None] * unit_nodes[None, :]
-        values = w1(nodes) * w2(nodes - shifts[idx, None])
+        phasor1 = partial(_phasor, lo[idx], width[idx], centers, half)
+        phasor2 = partial(_phasor, lo[idx] - shifts[idx], width[idx], centers, half)
+        values = w1(nodes, phasor1) * w2(nodes - shifts[idx, None], phasor2)
+        if out is None:
+            out = np.zeros(values.shape[:-2] + ((2,) if lag else ()) + shifts.shape, dtype=complex)
         if not lag:
-            out[idx] = np.einsum("ij,ij->i", values, width[idx, None] * unit_weights[None, :])
+            out[..., idx] = np.einsum("...ij,ij->...i", values, width[idx, None] * unit_weights[None, :])
             continue
-        # row i: half width_i sum_p A_ip sum_q values_ipq B_iq, the Gauss weights in B
-        scale = half * width[idx]
-        values = values.reshape(idx.size, n_panels, _NODES.size).astype(complex, copy=False)
-        panel = np.exp(1j * rate * (lo[idx, None] + width[idx, None] * centers[None, :]))
-        node = np.exp(1j * rate * scale[:, None] * _NODES[None, :]) * _WEIGHTS
-        plus = np.einsum("ip,ip->i", panel, (values @ node[:, :, None])[..., 0])
-        minus = np.einsum("ip,ip->i", panel.conj(), (values @ node.conj()[:, :, None])[..., 0])
-        out[:, idx] = scale * (np.stack((plus, minus)) if lag > 0 else np.stack((minus, plus)))
+        panel, node, re_im = (a[start : start + rows] for a in (panel_all, node_all, re_im_all))
+        values = values.reshape(values.shape[:-1] + (n_panels, _NODES.size))
+        if np.iscomplexobj(values):
+            plus = np.einsum("ip,...ip->...i", panel, (values @ node[:, :, None])[..., 0])
+            minus = np.einsum("ip,...ip->...i", panel.conj(), (values @ node.conj()[:, :, None])[..., 0])
+        else:  # the (Re, Im) sums viewed as one complex sum per panel
+            plus = np.einsum("ip,...ip->...i", panel, (values @ re_im).view(complex)[..., 0])
+            minus = plus.conj()
+        out[..., idx] = half * width[idx] * np.stack((plus, minus) if lag > 0 else (minus, plus), axis=-2)
     return out

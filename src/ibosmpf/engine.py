@@ -10,22 +10,17 @@ coefficient pair (and arm amplitude ratio) is supported.
 Discrete lines come from the lag-independent parts evaluated directly from
 the autocorrelation; the continuum requires transforms of shifted
 autocorrelation products, computed as numeric spectral correlation
-integrals (:func:`ibosmpf.spectrum.spectral_correlation`, Gauss-Legendre
-panels over the band overlap) for every spectrum model.  The cached
-(lag multiple m, k_u) keys are collected first and filled one quadrature
-per (|m|, |k_u|) group: its +-lag rows are the +-m keys, summed from the
-same node values with phases built from one phasor per panel and one per
-Gauss node, and its shifts f -+ |k_u| f_m are the +-k_u keys, which the
-mirror identity of :func:`~ibosmpf.spectrum.spectral_correlation` makes
-nearly free on a grid symmetric about 0.  The -lag sum uses its own
-(conjugate) phasors and is never taken as the conjugate of the +lag sum,
-which would blind the continuum's realness check to a complex source PSD.
-Each term's base (per key and ub) and fringe (per k_v) is built once per
-call.  The line weights
-evaluate each autocorrelation lag once and check that those values are
-Hermitian, R0(-u) = R0(u)*, before their realness check.  That numeric
-route is deliberately independent of the per-scheme closed forms, which use
-the analytic transforms instead; the two are cross-checked in the tests.
+integrals (:func:`ibosmpf.spectrum.spectral_correlation`) for every
+spectrum model.  The cached (lag multiple m, k_u) keys are filled one
+quadrature per (|m|, |k_u|) group: its +-lag rows are the +-m keys and its
+shifts f -+ |k_u| f_m the +-k_u keys, which the mirror identity makes
+nearly free on a grid symmetric about 0.  A complex source PSD keeps its
+own -lag phasors (see :mod:`ibosmpf._quad`), so the continuum's realness
+check still sees it.  The line weights evaluate each autocorrelation lag
+once and check that those values are Hermitian, R0(-u) = R0(u)*, before
+their realness check.  That numeric route is deliberately independent of
+the per-scheme closed forms, which use the analytic transforms instead;
+the two are cross-checked in the tests.
 """
 
 from __future__ import annotations

@@ -8,6 +8,11 @@ weight |L(f)|^2 = 2 + 2 cos(theta0 + 2 pi f d).  The fourth moment then
 splits into six noise pairings and a coherent signal pairing, each a
 product of single-band integrals evaluated here by direct quadrature.
 
+The six pairings run in four quadratures: x1 x1 with y2 y2* and x3 x3 with
+y5 y5* share a node set each (stacked, see :mod:`ibosmpf._quad`), each still
+its own product; no identity between pairings is used.  The comb and the
+dispersion phases, linear in v, are the quadrature's phasors times constants.
+
 This is a second, independent implementation of the same physics as the
 closed forms in :mod:`ibosmpf.closed_forms`; the two must agree to 1e-9.
 """
@@ -24,40 +29,30 @@ from .errors import ConfigurationError
 from .modulation import ModulationKind
 
 
-def _weights(link: LinkConfig, f_m: float):
+def _bands(link: LinkConfig, f_m: float):
+    """``band``, D = exp(-j phi (2 pi f_m)^2 / 2), v_m, the two supports and the cycle rate.
+
+    ``band(offset)`` is x(v) = G(v - offset) |L(v - offset)|^2 (x1, x3 at 0, f_m);
+    ``band(offset, c, tilt)`` stacks [x, c x exp(j 2 pi tilt v)]: y2 = x1 T(v + f_m)
+    T*(v) takes (0, D, -v_m), y5 = x3 T(v - f_m) T*(v) (f_m, D, v_m), conjugates (D*, -tilt).
+    """
     spectrum = link.spectrum
     d = link.delay
-    theta0 = link.carrier_phase
-    phi = link.phi
-    v_m = 2.0 * math.pi * phi * f_m
+    v_m = 2.0 * math.pi * link.phi * f_m
 
-    def comb(v):
-        return 2.0 + 2.0 * np.cos(theta0 + 2.0 * np.pi * v * d)
+    def band(offset, *twin):
+        # |L|^2 = 2 + 2 Re(comb exp(j 2 pi d v)); theta0 >> 2 pi keeps its own factor, unrounded
+        comb = np.exp(1j * link.carrier_phase) * np.exp(-2j * math.pi * offset * d)
 
-    def x1(v):
-        return spectrum.psd(v) * comb(v)
+        def w(v, phasor):
+            x = spectrum.psd(v - offset) * (2.0 + 2.0 * np.real(comb * phasor(d)))
+            return np.stack((x, twin[0] * x * phasor(twin[1]))) if twin else x
 
-    def x3(v):
-        return spectrum.psd(v - f_m) * comb(v - f_m)
-
-    def t_pair_up(v):
-        # T(v + f_m) T*(v) for the quadratic dispersion phase
-        return np.exp(-1j * phi * 0.5 * ((2.0 * np.pi * (v + f_m)) ** 2 - (2.0 * np.pi * v) ** 2))
-
-    def y2(v):
-        return x1(v) * t_pair_up(v)
-
-    def y5(v):
-        # T(v - f_m) T*(v) on the shifted band
-        return x3(v) * np.exp(
-            -1j * phi * 0.5 * ((2.0 * np.pi * (v - f_m)) ** 2 - (2.0 * np.pi * v) ** 2)
-        )
+        return w
 
     lo, hi = spectrum.support()
-    sup1 = (lo, hi)
-    sup3 = (lo + f_m, hi + f_m)
-    rate = 2.0 * abs(d) + 2.0 * abs(v_m)
-    return x1, x3, y2, y5, sup1, sup3, rate
+    dispersion = np.exp(-0.5j * link.phi * (2.0 * math.pi * f_m) ** 2)
+    return band, dispersion, v_m, (lo, hi), (lo + f_m, hi + f_m), 2.0 * abs(d) + 2.0 * abs(v_m)
 
 
 def _require_ssb(link: LinkConfig) -> float:
@@ -70,29 +65,23 @@ def _require_ssb(link: LinkConfig) -> float:
 def freq_domain_signal_power(link: LinkConfig) -> float:
     """Detected RF power at +-f_m via the spectral-component pairing."""
     gamma = _require_ssb(link)
-    x1, x3, y2, y5, sup1, sup3, rate = _weights(link, link.scheme.f_m)
-    # int y2(v) dv: the correlation with a unit weight at zero shift
-    q = band_correlation(y2, np.ones_like, sup1, sup1, 0.0, rate)[0]
-    return 2.0 * (gamma / 2.0) ** 2 * abs(q) ** 2
+    band, dispersion, v_m, sup1, _, rate = _bands(link, link.scheme.f_m)
+    # int y2(v) dv: row 1 of [x1, y2] against a unit weight at zero shift
+    q = band_correlation(band(0.0, dispersion, -v_m), lambda v, _: np.ones_like(v), sup1, sup1, 0.0, rate)
+    return 2.0 * (gamma / 2.0) ** 2 * abs(q[1, 0]) ** 2
 
 
 def freq_domain_noise_psd(link: LinkConfig, f):
     """Continuum intensity-noise PSD at f via the six spectral pairings; a scalar f gives a float."""
     gamma = _require_ssb(link)
-    f_m = link.scheme.f_m
-    x1, x3, y2, y5, sup1, sup3, rate = _weights(link, f_m)
     f = np.asarray(f, dtype=float)
-    shifts = f.ravel()
-    g2 = (gamma / 2.0) ** 2
-
-    def conj_of(w):
-        return lambda v: np.conj(w(v))
-
-    total = band_correlation(x1, x1, sup1, sup1, shifts, rate)
-    total += g2 * band_correlation(y2, conj_of(y2), sup1, sup1, shifts, rate)
-    total += g2 * band_correlation(x3, x1, sup3, sup1, shifts, rate)
-    total += g2 * band_correlation(x1, x3, sup1, sup3, shifts, rate)
-    total += g2 * band_correlation(y5, conj_of(y5), sup3, sup3, shifts, rate)
-    total += g2 * g2 * band_correlation(x3, x3, sup3, sup3, shifts, rate)
-    out = np.real(total).reshape(f.shape)
+    if not np.all(np.isfinite(f)):
+        raise ConfigurationError("noise frequency f must be finite")
+    f_m, shifts, g2 = link.scheme.f_m, f.ravel(), (gamma / 2.0) ** 2
+    band, dispersion, v_m, sup1, sup3, rate = _bands(link, f_m)
+    x1, x3, dc = band(0.0), band(f_m), dispersion.conj()
+    x1x1, y2y2 = band_correlation(band(0.0, dispersion, -v_m), band(0.0, dc, v_m), sup1, sup1, shifts, rate)
+    x3x3, y5y5 = band_correlation(band(f_m, dispersion, v_m), band(f_m, dc, -v_m), sup3, sup3, shifts, rate)
+    cross = band_correlation(x3, x1, sup3, sup1, shifts, rate) + band_correlation(x1, x3, sup1, sup3, shifts, rate)
+    out = np.real(x1x1 + g2 * (y2y2 + cross + y5y5) + g2 * g2 * x3x3).reshape(f.shape)
     return out if out.ndim else float(out)

@@ -257,36 +257,29 @@ def _hat_autocorrelation(s: np.ndarray) -> np.ndarray:
 def spectral_correlation(spectrum: OpticalSpectrum, f, shift: float) -> np.ndarray:
     """``int G(v) G(v - f) exp(+-j 2 pi v shift) dv`` for each f, by quadrature.
 
-    Row 0 holds the ``+shift`` correlation and row 1 the ``-shift`` one:
-    both come from the same node values, each summed with its own phasors
-    (see :func:`ibosmpf._quad.band_correlation`).  Needs only the model's
-    PSD and support, so it serves any model; the rows are arrays of f's
-    shape, at least one-dimensional.
+    Row 0 holds the ``+shift`` correlation and row 1 the ``-shift`` one,
+    both from the same node values (see :func:`ibosmpf._quad.band_correlation`).
+    Needs only the model's PSD and support, so it serves any model; the rows
+    are arrays of f's shape, at least one-dimensional.
 
-    Each distinct |f| is integrated once.  Substituting v -> v + h in the
-    integral gives the exact mirror identity CC(-h, s) = exp(-j 2 pi h s)
-    CC(h, s), so a negative f takes its +shift value times exp(+j 2 pi f
-    shift) and its -shift value times exp(-j 2 pi f shift), each from its
-    own quadrature row, so the -shift row is still never the conjugate of
-    the +shift one.  The widest row, and with it the panel count, is the
-    one at the smallest |f| either way.
+    Each distinct |f| is integrated once.  Substituting v -> v + h gives the
+    exact mirror identity CC(-h, s) = exp(-j 2 pi h s) CC(h, s), so a
+    negative f takes each row's value at |f| times that row's own phase,
+    exp(+-j 2 pi f shift).  The widest row, and with it the panel count, is
+    the one at the smallest |f| either way.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
     magnitudes, inverse = np.unique(np.abs(f), return_inverse=True)
     sup = spectrum.support()
-    if shift == 0.0:
-        half = band_correlation(spectrum.psd, spectrum.psd, sup, sup, magnitudes, cycle_rate=0.0)
-        out = half[inverse].reshape(f.shape)
-        return np.stack((out, out))
-    half = band_correlation(
-        spectrum.psd, spectrum.psd, sup, sup, magnitudes, cycle_rate=abs(shift), lag=shift
-    )
-    out = half[:, inverse].reshape((2,) + f.shape)
+
+    def psd(v, _phasor):
+        return spectrum.psd(v)
+
+    half = band_correlation(psd, psd, sup, sup, magnitudes, cycle_rate=abs(shift), lag=shift)
+    out = np.broadcast_to(half, (2,) + magnitudes.shape)[:, inverse].reshape((2,) + f.shape)
     negative = f < 0
-    mirror = np.exp(2j * np.pi * f[negative] * abs(shift))
-    plus, minus = (mirror, mirror.conj()) if shift > 0 else (mirror.conj(), mirror)
-    out[0, negative] *= plus
-    out[1, negative] *= minus
+    out[0, negative] *= np.exp(2j * np.pi * f[negative] * shift)
+    out[1, negative] *= np.exp(-2j * np.pi * f[negative] * shift)
     return out
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ibosmpf import (
     ConfigurationError,
@@ -74,3 +78,39 @@ def test_rejects_non_ssb():
     link = reference_link(scheme_kind="pm", gamma=0.4)
     with pytest.raises(ConfigurationError):
         freq_domain_signal_power(link)
+
+
+@given(
+    b=st.floats(50e9, 800e9),
+    log_n0=st.floats(-3.0, 3.0),
+    phi=st.floats(0.2e-21, 4e-21),
+    f_c=st.floats(2e9, 18e9),
+    gamma=st.floats(0.05, 1.2),
+    theta0=st.floats(0.0, 2.0 * math.pi),
+)
+def test_drawn_links_with_a_drawn_carrier_phase(b, log_n0, phi, f_c, gamma, theta0):
+    # C4 with the carrier phase drawn independently of the delay: the
+    # interferometer's carrier sits near 193 THz, moved so that 2 pi f0 d is
+    # theta0 plus a whole number of cycles
+    d = 2.0 * math.pi * phi * f_c
+    f0 = (round(193e12 * d) + theta0 / (2.0 * math.pi)) / d
+    link = LinkConfig(
+        spectrum=RectangularSpectrum(n0=10.0**log_n0, b=b, carrier_f0=193e12),
+        interferometer=InterferometerSpec(delay_d=d, carrier_f0=f0),
+        dispersion=DispersionSpec(phi=phi),
+        scheme=SchemeConfig(kind=ModulationKind.SSB, f_m=f_c, gamma=gamma),
+    )
+    f_c = link.passband_center()
+    assert freq_domain_signal_power(link) == pytest.approx(signal_power_ssb(link, f_c), rel=1e-9)
+    noise = freq_domain_noise_psd(link, np.array([f_c, 0.35 * f_c]))
+    for value, f in zip(noise, (f_c, 0.35 * f_c)):
+        assert value == pytest.approx(noise_psd_shared(link, f), rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_a_non_finite_frequency(bad):
+    link = reference_link()
+    with pytest.raises(ConfigurationError, match="f must be finite"):
+        freq_domain_noise_psd(link, bad)
+    with pytest.raises(ConfigurationError, match="f must be finite"):
+        freq_domain_noise_psd(link, np.array([4e9, bad]))

@@ -11,6 +11,11 @@ spectrum, to 1e-12 of the row peak.  ``spectral_correlation`` integrates
 each distinct |f| once and scales a negative f's rows by the mirror
 identity; every row must agree with the quadrature at its own shift, on
 real and complex sources alike.
+
+Integrands are called as ``w(v, phasor)``.  ``phasor(rate)`` must match
+exp(j 2 pi rate v) evaluated at every node; a stacked integrand's rows must
+equal the pairings integrated one by one; a real integrand must give the
+rows of the same integrand passed as complex.
 """
 
 from collections import Counter
@@ -22,7 +27,7 @@ import pytest
 from ibosmpf import _quad, reference_link
 from ibosmpf import spectrum as spectrum_module
 from ibosmpf.engine import general_intensity_psd
-from ibosmpf.freq_domain import _weights
+from ibosmpf.freq_domain import _bands
 from ibosmpf.modulation import polarization_modulator_scheme
 from ibosmpf.spectrum import OpticalSpectrum, TabulatedSpectrum, spectral_correlation, tabulate
 
@@ -36,19 +41,27 @@ SPECTRA = {
 SHIFTS = np.linspace(-450e9, 450e9, 997)
 
 
+def _row(w, i):
+    return lambda v, phasor: w(v, phasor)[i]
+
+
 def _freq_domain_cases():
-    x1, x3, y2, y5, sup1, sup3, rate = _weights(LINK, LINK.scheme.f_m)
-
-    def conj_of(w):
-        return lambda v: np.conj(w(v))
-
+    """The six pairings one by one, then the two stacked quadratures."""
+    f_m = LINK.scheme.f_m
+    band, dispersion, v_m, sup1, sup3, rate = _bands(LINK, f_m)
+    x1, x3 = band(0.0), band(f_m)
+    x1_y2, x1_y2c = band(0.0, dispersion, -v_m), band(0.0, dispersion.conj(), v_m)
+    x3_y5, x3_y5c = band(f_m, dispersion, v_m), band(f_m, dispersion.conj(), -v_m)
+    y2, y2c, y5, y5c = (_row(w, 1) for w in (x1_y2, x1_y2c, x3_y5, x3_y5c))
     return {
         "x1,x1": (x1, x1, sup1, sup1, rate),
-        "y2,y2*": (y2, conj_of(y2), sup1, sup1, rate),
+        "y2,y2*": (y2, y2c, sup1, sup1, rate),
         "x3,x1": (x3, x1, sup3, sup1, rate),
         "x1,x3": (x1, x3, sup1, sup3, rate),
-        "y5,y5*": (y5, conj_of(y5), sup3, sup3, rate),
+        "y5,y5*": (y5, y5c, sup3, sup3, rate),
         "x3,x3": (x3, x3, sup3, sup3, rate),
+        "[x1,y2],[x1,y2*]": (x1_y2, x1_y2c, sup1, sup1, rate),
+        "[x3,y5],[x3,y5*]": (x3_y5, x3_y5c, sup3, sup3, rate),
     }
 
 
@@ -71,7 +84,22 @@ def test_blocked_equals_one_block_freq_domain(monkeypatch, case):
     hi = np.minimum(sup1[1], sup2[1] + SHIFTS)
     empty = hi <= lo
     assert empty.any() and not empty.all()
-    assert np.all(blocked[empty] == 0.0)
+    assert np.all(blocked[..., empty] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "stacked, x_row, y_row",
+    [("[x1,y2],[x1,y2*]", "x1,x1", "y2,y2*"), ("[x3,y5],[x3,y5*]", "x3,x3", "y5,y5*")],
+)
+def test_stacked_rows_equal_their_own_quadratures(stacked, x_row, y_row):
+    cases = _freq_domain_cases()
+    w1, w2, sup1, sup2, rate = cases[stacked]
+    x, y = _quad.band_correlation(w1, w2, sup1, sup2, SHIFTS, rate)
+    w1, w2, sup1, sup2, rate = cases[y_row]
+    assert np.array_equal(y, _quad.band_correlation(w1, w2, sup1, sup2, SHIFTS, rate))
+    # the real x pairing, stacked with a complex one, is summed as complex: 2.5e-15 measured
+    w1, w2, sup1, sup2, rate = cases[x_row]
+    assert _peak_error(x, _quad.band_correlation(w1, w2, sup1, sup2, SHIFTS, rate)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", SPECTRA)
@@ -95,7 +123,13 @@ def test_no_overlap_keeps_the_leading_axis():
     far = np.array([-1e12, 1e12, 2e12])
     assert np.array_equal(spectral_correlation(spec, far, LINK.delay), np.zeros((2, 3)))
     sup = spec.support()
-    assert np.array_equal(_quad.band_correlation(spec.psd, spec.psd, sup, sup, far, 0.0), np.zeros(3))
+
+    def psd(v, _):
+        return spec.psd(v)
+
+    assert np.array_equal(_quad.band_correlation(psd, psd, sup, sup, far, 0.0), np.zeros(3))
+    stacked = _freq_domain_cases()["[x1,y2],[x1,y2*]"]
+    assert np.array_equal(_quad.band_correlation(*stacked[:4], far, stacked[4]), np.zeros((2, 3)))
 
 
 def _peak_error(values, reference):
@@ -110,10 +144,10 @@ def test_pair_equals_separate_evaluations(name, lag):
     shift = lag * LINK.delay
 
     def direct(shift):
-        def w1(v):
+        def w1(v, _):
             return spec.psd(v) * np.exp(2j * np.pi * v * shift)
 
-        return _quad.band_correlation(w1, spec.psd, sup, sup, SHIFTS, abs(shift))
+        return _quad.band_correlation(w1, lambda v, _: spec.psd(v), sup, sup, SHIFTS, abs(shift))
 
     pair = spectral_correlation(spec, SHIFTS, shift)
     mirror = spectral_correlation(spec, SHIFTS, -shift)
@@ -161,7 +195,11 @@ def test_mirror_rows_equal_direct_quadrature(name, lag):
     sup = spec.support()
     f = np.linspace(-300e9, 300e9, 601)
     rows = spectral_correlation(spec, f, lag)
-    direct = _quad.band_correlation(spec.psd, spec.psd, sup, sup, f, abs(lag), lag=lag)
+
+    def psd(v, _):
+        return spec.psd(v)
+
+    direct = _quad.band_correlation(psd, psd, sup, sup, f, abs(lag), lag=lag)
     if not lag:
         direct = np.stack((direct, direct))
     for row, reference in zip(rows, direct):
@@ -192,3 +230,50 @@ def test_engine_quadrature_counts(monkeypatch, kind, quadratures):
     monkeypatch.setattr(spectrum_module, "band_correlation", counting)
     general_intensity_psd(link, np.linspace(-430e9, 430e9, 257))
     assert calls == {"band_correlation": quadratures}
+
+
+def test_phasor_matches_a_per_node_exponential():
+    # the C4 draws reach d = v_m = 2 pi phi f_c with phi <= 4e-21 s^2 and
+    # f_c <= 18 GHz, on an 800 GHz band shifted by up to 18 GHz: about 190
+    # cycles at the band edge.  The nodes themselves round by up to ~1.6e-4 Hz
+    # there (4.5e-13 rad) and the per-node exponential by ~1.3e-13 rad, so
+    # the factored phasor can only match to a few 1e-13 (5.3e-13 measured).
+    rate = 2 * np.pi * 4e-21 * 18e9
+    sup = (-400e9 + 18e9, 400e9 + 18e9)
+    seen = []
+
+    def w(v, phasor):
+        seen.append((v, phasor(rate), phasor(-rate)))
+        return np.ones_like(v)
+
+    _quad.band_correlation(w, w, sup, sup, np.array([0.0, 0.35 * 18e9, 7e9]), 4 * rate)
+    assert len(seen) == 6  # one row per block here, two integrands each
+    for v, plus, minus in seen:
+        exact = np.exp(2j * np.pi * rate * v)
+        assert np.max(np.abs(plus - exact)) <= 1e-12
+        assert np.max(np.abs(minus - exact.conj())) <= 1e-12
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+@pytest.mark.parametrize("lag", [1, -2])
+def test_real_integrand_matches_the_complex_path(name, lag):
+    # real node values take one real sum against the (Re, Im) node phasors
+    spec = SPECTRA[name]
+    sup = spec.support()
+    shift = lag * LINK.delay
+
+    def real(v, _):
+        return spec.psd(v)
+
+    def complex_(v, _):
+        return spec.psd(v).astype(complex)
+
+    rows = {}
+    for label, w in (("real", real), ("complex", complex_)):
+        pair = _quad.band_correlation(w, real, sup, sup, SHIFTS, abs(shift), lag=shift)
+        mirror = _quad.band_correlation(w, real, sup, sup, SHIFTS, abs(shift), lag=-shift)
+        assert np.array_equal(pair, mirror[::-1])
+        rows[label] = pair
+    # the two sums round differently: 6.9e-15 of the row peak measured
+    for got, reference in zip(rows["real"], rows["complex"]):
+        assert _peak_error(got, reference) <= 2e-14
