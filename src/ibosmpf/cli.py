@@ -75,8 +75,7 @@ def _write_table(args, scenario: Scenario, command: str, columns: list[str], row
             f"# seed: {seed if seed is not None else '-'}",
             ",".join(columns),
         ]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -90,7 +89,7 @@ def _write_table(args, scenario: Scenario, command: str, columns: list[str], row
             "columns": columns,
             "rows": [{c: row[c] for c in columns} for row in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _indented_json(payload) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -98,20 +97,29 @@ def _write_table(args, scenario: Scenario, command: str, columns: list[str], row
         sys.stdout.write(text)
 
 
+def _indented_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` for flat rows, the rows C-encoded at once.
+
+    An encoded string holds no raw newline, so "},\n      {" only joins rows.
+    """
+    head = json.dumps({**payload, "rows": None}, indent=2)
+    rows = json.dumps(payload["rows"], separators=(",\n      ", ": "))
+    if payload["rows"]:
+        rows = "[\n    {\n      " + rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+    return head[: -len("null\n}")] + rows + "\n}"
+
+
 def _effective_seed(args, scenario: Scenario):
     if args.seed is not None:
         return args.seed
-    if scenario.mc is not None:
-        return scenario.mc.seed
-    return None
+    return scenario.mc.seed if scenario.mc is not None else None
 
 
 def _mc_setup(args, scenario: Scenario):
     if scenario.mc is None:
         raise ConfigurationError("field mc: block required for --mc")
     grid = SimulationGrid(dt=scenario.mc.dt, n_samples=scenario.mc.samples)
-    seed = _effective_seed(args, scenario)
-    return grid, scenario.mc.realizations, seed
+    return grid, scenario.mc.realizations, _effective_seed(args, scenario)
 
 
 # SimulationGrid attribute that the grid checks' messages start with -> scenario field
@@ -198,8 +206,7 @@ def run_snr(args, scenario: Scenario) -> int:
         snap = WelchConfig().snap_frequency
         points = [(x, link.with_delay_for_center(snap(link.passband_center(), grid.dt))) for x, link in points]
     reports = _snr_reports([link for _, link in points])
-    rows = []
-    failures = []
+    rows, failures = [], []
     for (x, link), report in zip(points, reports):
         row = {
             "x": float(x),
@@ -213,9 +220,7 @@ def run_snr(args, scenario: Scenario) -> int:
             row["mc_snr_dbhz"] = est.snr_db
             row["mc_stderr_db"] = est.snr_stderr_db
             if args.compare and abs(est.snr_db - report.snr_db_hz) > args.tol_db:
-                failures.append(
-                    f"x={x:g}: MC {est.snr_db:.2f} dB vs exact {report.snr_db_hz:.2f} dB"
-                )
+                failures.append(f"x={x:g}: MC {est.snr_db:.2f} dB vs exact {report.snr_db_hz:.2f} dB")
         rows.append(row)
     if args.compare and "snr_db_hz" in scenario.expect:
         if len(rows) != 1:
@@ -251,8 +256,7 @@ def run_passband(args, scenario: Scenario) -> int:
                 f"field sweep.{end}: detuning {lowest:g} Hz puts the Monte-Carlo tone at "
                 f"{min(tones):g} Hz, at or below 0 Hz (the passband center is {f_c:g} Hz)"
             )
-        powers = []
-        errs = []
+        powers, errs = [], []
         for det, f_m in zip(detunings, tones):
             est = _estimate(link, grid, n_real, seed, f_m=f_m)
             power = est.mean("line_power")
@@ -263,12 +267,8 @@ def run_passband(args, scenario: Scenario) -> int:
                 )
             powers.append(power)
             errs.append(est.stderr("line_power"))
-        powers = np.asarray(powers)
-        errs = np.asarray(errs)
-        mc_cols = (
-            10.0 * np.log10(powers / powers.max()),
-            10.0 / math.log(10.0) * errs / powers,
-        )
+        powers, errs = np.asarray(powers), np.asarray(errs)
+        mc_cols = (10.0 * np.log10(powers / powers.max()), 10.0 / math.log(10.0) * errs / powers)
         columns += ["mc_shape_db", "mc_stderr_db"]
     rows = []
     for i, det in enumerate(detunings):
@@ -299,19 +299,12 @@ def run_oeo(args, scenario: Scenario) -> int:
     for f, v in zip(f_offsets, values):
         cycles = f * tau
         is_peak = int(abs(cycles - round(cycles)) < 1e-9 * max(1.0, abs(cycles)))
-        rows.append(
-            {"f_offset_hz": float(f), "s_rf_db": float(10.0 * math.log10(v)), "is_peak": is_peak}
-        )
+        rows.append({"f_offset_hz": float(f), "s_rf_db": float(10.0 * math.log10(v)), "is_peak": is_peak})
     _write_table(args, scenario, "oeo", ["f_offset_hz", "s_rf_db", "is_peak"], rows)
     return 0
 
 
-_RUNNERS = {
-    "response": run_response,
-    "snr": run_snr,
-    "passband": run_passband,
-    "oeo": run_oeo,
-}
+_RUNNERS = {"response": run_response, "snr": run_snr, "passband": run_passband, "oeo": run_oeo}
 
 
 def main(argv=None) -> int:

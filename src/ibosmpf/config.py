@@ -146,9 +146,4 @@ def reference_link(
     if f_m is None:
         f_m = center_frequency(delay_s, dispersion.phi)
     scheme = SchemeConfig(kind=ModulationKind(scheme_kind), f_m=f_m, gamma=gamma)
-    return LinkConfig(
-        spectrum=spectrum,
-        interferometer=interferometer,
-        dispersion=dispersion,
-        scheme=scheme,
-    )
+    return LinkConfig(spectrum=spectrum, interferometer=interferometer, dispersion=dispersion, scheme=scheme)

@@ -14,7 +14,8 @@ integrals (:func:`ibosmpf.spectrum.spectral_correlation`) for every
 spectrum model.  The cached (lag multiple m, k_u) keys are filled one
 quadrature per (|m|, |k_u|) group: its +-lag rows are the +-m keys and its
 shifts f -+ |k_u| f_m the +-k_u keys, which the mirror identity makes
-nearly free on a grid symmetric about 0.  A complex source PSD keeps its
+nearly free on a grid symmetric about 0: magnitudes equal up to rounding
+share one quadrature row.  A complex source PSD keeps its
 own -lag phasors (see :mod:`ibosmpf._quad`), so the continuum's realness
 check still sees it.  The line weights evaluate each autocorrelation lag
 once and check that those values are Hermitian, R0(-u) = R0(u)*, before

@@ -8,8 +8,8 @@ extension.  For that interpolant the autocorrelation and the intensity
 autoconvolution are exact; the cross spectrum (and with it the engine
 continuum) is a Gauss-Legendre quadrature whose panels ignore the grid's
 kinks, so its error grows with the raggedness of the samples; it
-integrates each distinct |f| once and takes negative f from the mirror
-identity CC(-f, s) = exp(-j 2 pi f s) CC(f, s).
+integrates each |f| once, magnitudes equal up to rounding sharing one row,
+and takes negative f from the mirror identity CC(-f, s) = exp(-j 2 pi f s) CC(f, s).
 
 Conventions
 -----------
@@ -31,6 +31,9 @@ from ._quad import band_correlation
 from .errors import ConfigurationError
 
 _SINC_SERIES_CUTOFF = 1e-4
+# magnitudes |f| at most this many ulps of the largest |f| apart share one
+# quadrature row: np.linspace makes a grid symmetric only up to rounding
+_MERGE_ULPS = 8
 # complex values per lag x grid block of the tabulated transform; a grid
 # longer than this is transformed one lag at a time
 _ACORR_BLOCK = 2**20
@@ -171,12 +174,14 @@ class TabulatedSpectrum(OpticalSpectrum):
         # hat expansion integrates to step * sum(values)
         return float(self.values.sum() * self.step)
 
+    @cached_property
+    def _extended(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid and values with one zero sample past each end."""
+        lo, hi = self.support()
+        return np.concatenate(([lo], self.grid, [hi])), np.concatenate(([0.0], self.values, [0.0]))
+
     def psd(self, f):
-        f = np.asarray(f, dtype=float)
-        step = self.step
-        grid_ext = np.concatenate(([self.grid[0] - step], self.grid, [self.grid[-1] + step]))
-        values_ext = np.concatenate(([0.0], self.values, [0.0]))
-        return np.interp(f, grid_ext, values_ext, left=0.0, right=0.0)
+        return np.interp(np.asarray(f, dtype=float), *self._extended, left=0.0, right=0.0)
 
     def autocorrelation(self, lag):
         scalar = np.ndim(lag) == 0
@@ -236,9 +241,7 @@ class TabulatedSpectrum(OpticalSpectrum):
 
     def with_unit_scale(self) -> "TabulatedSpectrum":
         scale = float(self.values.max())
-        return TabulatedSpectrum(
-            grid=self.grid, values=self.values / scale, carrier_f0=self.carrier_f0
-        )
+        return TabulatedSpectrum(grid=self.grid, values=self.values / scale, carrier_f0=self.carrier_f0)
 
 
 def _hat_autocorrelation(s: np.ndarray) -> np.ndarray:
@@ -247,10 +250,8 @@ def _hat_autocorrelation(s: np.ndarray) -> np.ndarray:
     out = np.zeros(s.shape)
     inner = s <= 1.0
     outer = (s > 1.0) & (s < 2.0)
-    si = s[inner]
-    out[inner] = 2.0 / 3.0 - si**2 + si**3 / 2.0
-    so = s[outer]
-    out[outer] = (2.0 - so) ** 3 / 6.0
+    out[inner] = 2.0 / 3.0 - s[inner] ** 2 + s[inner] ** 3 / 2.0
+    out[outer] = (2.0 - s[outer]) ** 3 / 6.0
     return out
 
 
@@ -262,14 +263,22 @@ def spectral_correlation(spectrum: OpticalSpectrum, f, shift: float) -> np.ndarr
     Needs only the model's PSD and support, so it serves any model; the rows
     are arrays of f's shape, at least one-dimensional.
 
-    Each distinct |f| is integrated once.  Substituting v -> v + h gives the
+    Each |f| is integrated once: sorted magnitudes that step by at most
+    ``_MERGE_ULPS`` ulps of the largest share one row, taken at its smallest,
+    so both halves of an ``np.linspace`` grid (symmetric about 0 only up to
+    rounding) cost one row per pair.  Substituting v -> v + h gives the
     exact mirror identity CC(-h, s) = exp(-j 2 pi h s) CC(h, s), so a
-    negative f takes each row's value at |f| times that row's own phase,
-    exp(+-j 2 pi f shift).  The widest row, and with it the panel count, is
-    the one at the smallest |f| either way.
+    negative f takes its row's value times its own exact phase, exp(+-j 2 pi
+    f shift) on the +-shift row.  The widest row, and with it the panel
+    count, is the one at the smallest |f| either way.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    magnitudes, inverse = np.unique(np.abs(f), return_inverse=True)
+    mag = np.abs(f).ravel()
+    order = np.argsort(mag)
+    # a NaN step or tolerance fails the test, so a NaN |f| keeps a row of its own
+    new_row = ~(np.diff(mag[order], prepend=-np.inf) <= _MERGE_ULPS * np.spacing(mag.max(initial=0.0)))
+    magnitudes, inverse = mag[order][new_row], np.empty(mag.size, dtype=int)
+    inverse[order] = np.cumsum(new_row) - 1
     sup = spectrum.support()
 
     def psd(v, _phasor):

@@ -1,6 +1,7 @@
 import json
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -540,3 +541,27 @@ def test_json_mirrors_csv(tmp_path):
         assert float(csv_row["signal_power_db"]) == pytest.approx(
             json_row["signal_power_db"], abs=1e-9
         )
+
+
+JSON_ROWS = [
+    {"x": 1.5e9, "y": float("nan"), "s": "ssb"},
+    {"x": float("inf"), "y": -float("inf"), "s": 'a "quoted", },{ row'},
+    {"x": 3, "y": None, "s": "\u00e9t\u00e9 \u2603 \\ \t"},
+    {"x": -0.0, "y": 1e-300, "s": "},\n      {"},
+    {"x": True, "y": 2**70, "s": ""},
+]
+
+
+@pytest.mark.parametrize("rows", [JSON_ROWS, JSON_ROWS[:1], []], ids=["rows", "one-row", "no-rows"])
+def test_json_table_is_the_indented_dump(tmp_path, rows):
+    # the rows are encoded in one call and re-indented; the bytes must be
+    # those of json.dumps(payload, indent=2)
+    out = tmp_path / "t.json"
+    args = SimpleNamespace(format="json", out=str(out), seed=None)
+    scenario = SimpleNamespace(output_format="csv", output_path=None, raw_text="link: {}\n", mc=None)
+    cli._write_table(args, scenario, "snr", ["x", "y", "s"], rows)
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert payload["columns"] == ["x", "y", "s"] and json.dumps(payload["rows"]) == json.dumps(rows)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert cli._indented_json(payload) == json.dumps(payload, indent=2)

@@ -8,9 +8,9 @@ per-node phasors.  Negating the lag must swap the two rows exactly, and
 each row must agree with a quadrature that evaluates exp(j 2 pi v lag) at
 every node, and on the rectangular source with the closed-form cross
 spectrum, to 1e-12 of the row peak.  ``spectral_correlation`` integrates
-each distinct |f| once and scales a negative f's rows by the mirror
-identity; every row must agree with the quadrature at its own shift, on
-real and complex sources alike.
+each |f| once, magnitudes equal up to rounding sharing a row, and scales a
+negative f's rows by the mirror identity; every row must agree with the
+quadrature at its own shift, on real and complex sources alike.
 
 Integrands are called as ``w(v, phasor)``.  ``phasor(rate)`` must match
 exp(j 2 pi rate v) evaluated at every node; a stacked integrand's rows must
@@ -18,13 +18,13 @@ equal the pairings integrated one by one; a real integrand must give the
 rows of the same integrand passed as complex.
 """
 
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ibosmpf import _quad, reference_link
+from ibosmpf import engine as engine_module
 from ibosmpf import spectrum as spectrum_module
 from ibosmpf.engine import general_intensity_psd
 from ibosmpf.freq_domain import _bands
@@ -189,23 +189,46 @@ MIRROR_SOURCES = {
 @pytest.mark.parametrize("name", MIRROR_SOURCES)
 @pytest.mark.parametrize("lag", [0.0, 7.94e-11])
 def test_mirror_rows_equal_direct_quadrature(name, lag):
-    # a negative f comes from the quadrature at |f| times its own phase per
-    # row; the direct quadrature integrates each f at its own shift
+    # a negative f comes from the quadrature at its row's |f| times its own
+    # phase per row; the direct quadrature integrates each f at its own
+    # shift.  The benchmark grid is symmetric about 0 only up to rounding:
+    # its mirrored magnitudes share a row although they differ by an ulp.
     spec = MIRROR_SOURCES[name]()
     sup = spec.support()
-    f = np.linspace(-300e9, 300e9, 601)
-    rows = spectral_correlation(spec, f, lag)
 
     def psd(v, _):
         return spec.psd(v)
 
-    direct = _quad.band_correlation(psd, psd, sup, sup, f, abs(lag), lag=lag)
-    if not lag:
-        direct = np.stack((direct, direct))
-    for row, reference in zip(rows, direct):
-        assert _peak_error(row, reference) <= 1e-12
-    if name == "odd-phase-complex" and lag:
-        assert _peak_error(rows[1], rows[0].conj()) > 1e-3
+    for f in (np.linspace(-300e9, 300e9, 601), np.linspace(-440e9, 440e9, 1024)):
+        rows = spectral_correlation(spec, f, lag)
+        direct = _quad.band_correlation(psd, psd, sup, sup, f, abs(lag), lag=lag)
+        if not lag:
+            direct = np.stack((direct, direct))
+        for row, reference in zip(rows, direct):
+            assert _peak_error(row, reference) <= 1e-12
+        if name == "odd-phase-complex" and lag:
+            assert _peak_error(rows[1], rows[0].conj()) > 1e-3
+
+
+def _engine_link(kind):
+    if kind == "polarization":
+        return replace(LINK, scheme=polarization_modulator_scheme(0.41, LINK.scheme.f_m))
+    if kind == "tabulated":
+        return LINK.with_spectrum(SPECTRA["tabulated"])
+    return reference_link(scheme_kind=kind, gamma=0.41 if kind == "pm" else 0.39)
+
+
+def _quadrature_rows(monkeypatch):
+    """Record the shift count of every ``band_correlation`` call of spectrum.py."""
+    rows = []
+    original = spectrum_module.band_correlation
+
+    def counting(w1, w2, support1, support2, shifts, *args, **kwargs):
+        rows.append(np.size(shifts))
+        return original(w1, w2, support1, support2, shifts, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "band_correlation", counting)
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -214,22 +237,48 @@ def test_mirror_rows_equal_direct_quadrature(name, lag):
 )
 def test_engine_quadrature_counts(monkeypatch, kind, quadratures):
     # one quadrature per (|lag multiple|, |k_u|) group of continuum keys
-    if kind == "polarization":
-        link = replace(LINK, scheme=polarization_modulator_scheme(0.41, LINK.scheme.f_m))
-    elif kind == "tabulated":
-        link = LINK.with_spectrum(SPECTRA["tabulated"])
-    else:
-        link = reference_link(scheme_kind=kind, gamma=0.41 if kind == "pm" else 0.39)
-    calls = Counter()
-    original = spectrum_module.band_correlation
+    rows = _quadrature_rows(monkeypatch)
+    general_intensity_psd(_engine_link(kind), np.linspace(-430e9, 430e9, 257))
+    assert len(rows) == quadratures
 
-    def counting(*args, **kwargs):
-        calls["band_correlation"] += 1
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum_module, "band_correlation", counting)
-    general_intensity_psd(link, np.linspace(-430e9, 430e9, 257))
-    assert calls == {"band_correlation": quadratures}
+@pytest.mark.parametrize("kind", ["ssb", "dsb", "pm", "polarization", "tabulated"])
+def test_engine_rows_on_the_benchmark_grid(monkeypatch, kind):
+    # 512 rows for the 1024 shifts at k_u = 0, 1024 for the 2048 shifts f -+
+    # |k_u| f_m at |k_u| >= 1: one row per mirrored |f|.  The grid mirrors
+    # 230 of its 512 magnitudes only up to an ulp (np.unique keeps 742).
+    rows = _quadrature_rows(monkeypatch)
+    shifts = []
+    original = engine_module.spectral_correlation
+
+    def recording(spectrum, f, shift):
+        shifts.append(np.size(f))
+        return original(spectrum, f, shift)
+
+    monkeypatch.setattr(engine_module, "spectral_correlation", recording)
+    general_intensity_psd(_engine_link(kind), np.linspace(-440e9, 440e9, 1024))
+    assert {1024, 2048} <= set(shifts)
+    assert rows == [{1024: 512, 2048: 1024}[n] for n in shifts]
+
+
+def test_magnitudes_apart_by_more_than_rounding_keep_their_rows(monkeypatch):
+    rows = _quadrature_rows(monkeypatch)
+    spec = LINK.spectrum
+    near = np.nextafter(440e9, np.inf)
+    for f in ([440e9, -near], [-440e9, 440e9 + 1.0], [0.0, -0.0, 1.0]):
+        spectral_correlation(spec, np.array(f), LINK.delay)
+    assert rows == [1, 2, 2]
+    # each f keeps its own exact mirror phase on the shared row
+    f = np.array([40e9, -np.nextafter(40e9, 0.0)])
+    pair = spectral_correlation(spec, f, LINK.delay)
+    assert pair[0, 1] == pair[0, 0] * np.exp(2j * np.pi * f[1] * LINK.delay)
+    assert pair[1, 1] == pair[1, 0] * np.exp(-2j * np.pi * f[1] * LINK.delay)
+
+
+def test_empty_shifts_give_empty_rows():
+    for spec in SPECTRA.values():
+        for lag in (0.0, LINK.delay):
+            assert spectral_correlation(spec, np.array([]), lag).shape == (2, 0)
 
 
 def test_phasor_matches_a_per_node_exponential():
