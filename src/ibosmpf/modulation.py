@@ -76,6 +76,20 @@ def _phasor(angle: np.ndarray) -> np.ndarray:
     return out
 
 
+def bessel_j01(gamma) -> tuple[np.ndarray, np.ndarray]:
+    """J0 and J1 at each gamma: Fourier coefficients of exp(j gamma sin theta) (Jacobi-Anger).
+
+    The trapezoid rule on N = 64 + 2 ceil(max|gamma|) points of one period aliases only
+    J_{n +- N}, below rounding; J0 = 1 - mean(2 sin^2(phase / 2)) keeps its small-gamma deficit to full precision.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    points = 64 + 2 * math.ceil(np.max(np.abs(gamma), initial=0.0))
+    sine = np.sin(2.0 * np.pi / points * np.arange(points))
+    phase = gamma[..., None] * sine
+    half = np.sin(0.5 * phase)
+    return 1.0 - 2.0 * (half * half).mean(axis=-1), (np.sin(phase) * sine).mean(axis=-1)
+
+
 def cyclic_autocorrelation(m: HarmonicModulation, s: int, v) -> complex:
     """s-th cyclic autocorrelation: sum_q M_q M*_{q-s} exp(j 2 pi f_m q v)."""
     out = cyclic_series(m.coeffs, s, m.f_m * np.asarray(v, dtype=float))
@@ -148,10 +162,7 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
         m = HarmonicModulation(f_m, {0: 1.0, 1: gamma / 2.0})
         return m, m
     if kind is ModulationKind.PM:
-        from scipy import special
-
-        j0 = float(special.j0(gamma))
-        j1 = float(special.j1(gamma))
+        j0, j1 = map(float, bessel_j01(gamma))
         m1 = HarmonicModulation(f_m, {-1: -j1, 0: j0, 1: j1})
         m2 = HarmonicModulation(f_m, {0: 1.0})
         return m1, m2
@@ -164,10 +175,7 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
 
 def polarization_modulator_scheme(gamma: float, f_m: float) -> SchemeConfig:
     """Single-arm equivalent of the polarization-modulator setup."""
-    from scipy import special
-
-    j0 = float(special.j0(gamma))
-    j1 = float(special.j1(gamma))
+    j0, j1 = map(float, bessel_j01(gamma))
     return SchemeConfig(
         kind=ModulationKind.CUSTOM,
         f_m=f_m,
@@ -179,10 +187,7 @@ def polarization_modulator_scheme(gamma: float, f_m: float) -> SchemeConfig:
 
 def dual_input_mzm_scheme(gamma: float, f_m: float) -> SchemeConfig:
     """Single-arm equivalent of the quadrature-biased dual-input modulator."""
-    from scipy import special
-
-    j0 = float(special.j0(gamma))
-    j1 = float(special.j1(gamma))
+    j0, j1 = map(float, bessel_j01(gamma))
     return SchemeConfig(
         kind=ModulationKind.CUSTOM,
         f_m=f_m,

@@ -90,7 +90,8 @@ DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 # intensity samples per batched transform in estimate_psd
 _WELCH_BLOCK = 2**19
 # bytes the concurrent realizations of one estimate_snr call may hold, at 48 per detection
-# sample each: the band, harmonic sum and a product, or Welch's segments and transforms
+# sample each; one measures 40 at its peak: the band, the harmonic sum and |E|^2 at
+# detection, or Welch's segments and transforms
 _INFLIGHT_BYTES = 2**27
 
 
@@ -226,7 +227,7 @@ def synthesize_field(
 ) -> np.ndarray:
     """Spectrum S of a complex envelope with PSD G: per-bin circular Gaussian draws.
 
-    S is in FFT bin order, the field ``scipy.fft.ifft(S, norm="forward")``.
+    S is in FFT bin order, the field ``numpy.fft.ifft(S, norm="forward")``.
     With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
     bins, the grid's first and last M/2, equal to those of the N-bin draw:
     the 2N - 2M normals of the bins between pass through a small buffer.
@@ -249,18 +250,14 @@ def propagate(
     """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
 
     ``spectrum``, as :func:`synthesize_field` returns it (N or the plan's M
-    bins), is overwritten (as by scipy's ``overwrite_x``): pass a copy to
-    keep it.  The differential delay is an exact frequency-domain phase in
+    bins), is overwritten (transforms write into their input): pass a copy
+    to keep it.  The differential delay is an exact frequency-domain phase in
     one spectral filter per distinct arm modulator; dispersion is one
     all-pass product.  Both, and the modulation at a tone on the lattice
     (bin shifts), run on the M in-band bins.  One inverse transform detects
     on ``plan.detection``'s d samples (the grid for ``_plan``, every s-th
     grid time for ``_band_rate_plan``): in place at d = M, else zero-padded.
     """
-    # scipy.fft gives numpy.fft's values with one work buffer per transform where
-    # numpy.fft allocates two, whose page faults cost a fifth of a 2^20-point one
-    from scipy import fft as sp_fft
-
     if plan is None:
         plan = _plan(link, grid)
     n, m, d, half = grid.n_samples, plan.band, plan.detection.n_samples, plan.band // 2
@@ -268,6 +265,7 @@ def propagate(
         raise ConfigurationError("field length matches neither the grid nor the plan's band")
     band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
     combined = modulated = None  # on the bins, and in time
+    scratch = np.empty(min(m, 2**14), dtype=np.complex128)  # for the harmonics' products
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
         arm = band if spectral_filter is None else np.multiply(band, spectral_filter, out=band if k == last else None)
@@ -280,23 +278,25 @@ def propagate(
                     combined = np.empty_like(arm)
                     np.multiply(head, coefficient, out=combined[:shift])
                     np.multiply(tail, coefficient, out=combined[shift:])
-                else:
-                    combined[:shift] += head * coefficient
-                    combined[shift:] += tail * coefficient
+                else:  # a chunk at a time: no M-length product per harmonic
+                    for target, source in ((combined[:shift], head), (combined[shift:], tail)):
+                        for j in range(0, source.size, scratch.size):
+                            part = source[j : j + scratch.size]
+                            target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
         else:  # a tone off the lattice: a round trip through time
-            arm = sp_fft.ifft(arm, norm="forward", overwrite_x=spectral_filter is not None)
+            arm = np.fft.ifft(arm, norm="forward", out=None if spectral_filter is None else arm)
             arm *= modulation
             modulated = arm if modulated is None else np.add(modulated, arm, out=modulated)
     if modulated is not None:
-        modulated = sp_fft.fft(modulated, norm="forward", overwrite_x=True)
+        modulated = np.fft.fft(modulated, norm="forward", out=modulated)
         combined = modulated if combined is None else np.add(modulated, combined, out=modulated)
     combined *= plan.dispersion
     if d > m:  # into a grid-length input's own buffer, from which the band was copied
         padded = spectrum[:d] if spectrum.size >= d else np.empty(d, dtype=np.complex128)
         padded[:half], padded[half : d - half], padded[d - half :] = combined[:half], 0.0, combined[half:]
         combined = padded
-    del spectrum, band, arm, modulated  # no band-length array left alive through detection
-    intensity = np.abs(sp_fft.ifft(combined, norm="forward", overwrite_x=True))
+    del spectrum, band, arm, modulated, scratch  # no band-length array left alive through detection
+    intensity = np.abs(np.fft.ifft(combined, norm="forward", out=combined))
     return np.square(intensity, out=intensity)
 
 
@@ -310,8 +310,6 @@ def estimate_psd(
     the negative frequencies.  The returned decomposition carries no
     lines; :func:`extract_line` integrates a tone from its continuum.
     """
-    from scipy import fft as sp_fft
-
     nperseg = welch.nperseg
     if nperseg > intensity.size:
         raise ConfigurationError("Welch segment longer than the record")
@@ -324,12 +322,12 @@ def estimate_psd(
         block = segments[start : start + rows]
         block = block - block.mean(axis=1, keepdims=True)
         block *= window
-        block = sp_fft.rfft(block, axis=1)  # freeing the windowed segments
+        block = np.fft.rfft(block, axis=1)  # freeing the windowed segments
         power += (block.real**2 + block.imag**2).sum(axis=0)
     # each one-sided bin is the two-sided density at +f and at -f; for an
     # even segment the Nyquist bin is held once, at -fs/2
     density = power / (len(segments) * grid.sample_rate * (window * window).sum())
-    freqs = sp_fft.rfftfreq(nperseg, 1.0 / grid.sample_rate)
+    freqs = np.fft.rfftfreq(nperseg, 1.0 / grid.sample_rate)
     even = nperseg % 2 == 0
     positive = slice(0, freqs.size - even)
     return SpectralDecomposition(

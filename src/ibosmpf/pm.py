@@ -20,7 +20,7 @@ from .closed_forms import SnrReport, snr_sweep
 from .config import LinkBatch, LinkConfig
 from .decomposition import SpectralDecomposition, _LineLags, real_line_powers
 from .errors import ConfigurationError
-from .modulation import ModulationKind
+from .modulation import ModulationKind, bessel_j01
 
 # Term table: (A-part shifts, B-part shifts, carrier-phase exponent).
 # A(v) = R0(v + va) R0*(v + vb); B(u) = R0(u + ua) R0*(u + ub); the common
@@ -97,10 +97,7 @@ def _pm_parameters(link: LinkConfig | LinkBatch):
     if link.scheme.kind is not ModulationKind.PM:
         raise ConfigurationError("phase-modulation closed forms require a PM scheme")
     link.require_balanced_arms("phase-modulation closed forms")
-    from scipy import special
-
-    gamma = link.scheme.gamma
-    return special.j0(gamma), special.j1(gamma)
+    return bessel_j01(link.scheme.gamma)
 
 
 def _continuum_terms(link: LinkConfig | LinkBatch, f) -> dict:

@@ -198,14 +198,12 @@ class TabulatedSpectrum(OpticalSpectrum):
 
     @cached_property
     def _hat_correlation_coeffs(self) -> np.ndarray:
-        from scipy import fft as sp_fft
-
-        # c[m] = sum_k v[k] v[k－m], m = -(N-1)..(N-1), as a zero-padded
-        # real-FFT product (the steps of scipy.signal.fftconvolve)
+        # c[m] = sum_k v[k] v[k-m], m = -(N-1)..(N-1), as a real-FFT product
+        # zero-padded to the next power of two
         size = 2 * self.values.size - 1
-        n_fft = sp_fft.next_fast_len(size, True)
-        product = sp_fft.rfft(self.values, n_fft) * sp_fft.rfft(self.values[::-1], n_fft)
-        return sp_fft.irfft(product, n_fft)[:size]
+        n_fft = 1 << (size - 1).bit_length()
+        product = np.fft.rfft(self.values, n_fft) * np.fft.rfft(self.values[::-1], n_fft)
+        return np.fft.irfft(product, n_fft)[:size]
 
     def intensity_autoconvolution(self, f):
         scalar = np.ndim(f) == 0

@@ -16,6 +16,7 @@ from ibosmpf import (
     gamma_from_csr,
 )
 from ibosmpf.modulation import (
+    bessel_j01,
     cyclic_orders,
     dual_input_mzm_scheme,
     polarization_modulator_scheme,
@@ -75,6 +76,29 @@ def test_equivalent_single_arm_constructors():
     assert dimzm[1].is_constant()
     assert dimzm[1].coefficient(0) == pytest.approx(1j * scipy_j0(gamma), abs=1e-12)
     assert dimzm[0].coefficient(-1) == pytest.approx(scipy_j1(gamma), abs=1e-12)
+
+
+def test_bessel_j01_matches_scipy():
+    gamma = np.linspace(0.0, 60.0, 6001)
+    j0, j1 = bessel_j01(gamma)  # one node count, that of the largest gamma
+    assert np.max(np.abs(j0 - scipy_j0(gamma))) <= 2e-15
+    assert np.max(np.abs(j1 - scipy_j1(gamma))) <= 2e-15
+    for g in gamma[::60]:  # each on its own node count
+        j0, j1 = bessel_j01(g)
+        assert abs(j0 - scipy_j0(g)) <= 2e-15 and abs(j1 - scipy_j1(g)) <= 2e-15
+    j0, j1 = bessel_j01(-gamma)  # J0 even, J1 odd
+    assert np.max(np.abs(j0 - scipy_j0(gamma))) <= 2e-15
+    assert np.max(np.abs(j1 + scipy_j1(gamma))) <= 2e-15
+
+
+def test_bessel_j01_small_arguments():
+    assert bessel_j01(0.0) == (1.0, 0.0)
+    j0, j1 = bessel_j01(1e-8)
+    assert j0 == scipy_j0(1e-8) == 1.0
+    assert j1 == pytest.approx(scipy_j1(1e-8), rel=1e-15, abs=0)
+    assert np.shape(j0) == np.shape(j1) == ()
+    j0, j1 = bessel_j01(np.full((2, 3), 0.41))
+    assert j0.shape == j1.shape == (2, 3)
 
 
 def test_harmonic_order_cap():

@@ -561,12 +561,12 @@ def test_full_length_transform_counts(monkeypatch, kind, transforms):
     calls = Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
 
-        def counting(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+        def counting(x, *args, _fn=getattr(np.fft, name), **kwargs):
             if np.size(x) == SMALL_GRID.n_samples:
                 calls["full"] += 1
             return _fn(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counting)
+        monkeypatch.setattr(np.fft, name, counting)
     plan = _plan(link, SMALL_GRID)
     spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
     assert calls["full"] == 0
@@ -664,15 +664,15 @@ def test_off_lattice_tone_modulates_through_time(monkeypatch):
 
 
 def _transform_sizes(monkeypatch) -> Counter:
-    """Count scipy.fft transforms by their input size."""
+    """Count numpy.fft transforms by their input size."""
     calls = Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
 
-        def counting(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+        def counting(x, *args, _fn=getattr(np.fft, name), **kwargs):
             calls[np.size(x)] += 1
             return _fn(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counting)
+        monkeypatch.setattr(np.fft, name, counting)
     return calls
 
 

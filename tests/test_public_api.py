@@ -76,7 +76,7 @@ def test_class_method_defined(module, cls, method):
 # package source, and the package's source lines (``wc -l src/ibosmpf/*.py``).
 # Raising either ceiling needs a CHANGES.md line that says why.
 SETTABLE_VALUES_CEILING = 46
-SOURCE_LINES_CEILING = 3202
+SOURCE_LINES_CEILING = 3200
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -37,3 +37,30 @@ def test_estimate_snr_does_not_load_scipy_signal(tmp_path):
     done = _python("-c", code, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_runtime_does_not_load_scipy(tmp_path):
+    # the CLI, the closed forms, the engine and the Monte-Carlo oracle all run
+    # on numpy alone; scipy is a test and benchmark dependency only
+    scenario = ROOT / "scenarios" / "pm_snr_vs_gamma.yaml"
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import numpy as np\n"
+        "from ibosmpf import SimulationGrid, WelchConfig, estimate_snr, reference_link\n"
+        "from ibosmpf.cli import main\n"
+        "from ibosmpf.engine import general_intensity_psd\n"
+        "from ibosmpf.modulation import polarization_modulator_scheme\n"
+        "from ibosmpf.spectrum import tabulate\n"
+        f"assert main(['snr', '--scenario', {str(scenario)!r}, '--out', 'snr.csv']) == 0\n"
+        "pm = reference_link(scheme_kind='pm', gamma=0.41)\n"
+        "grid = SimulationGrid(dt=0.25e-12, n_samples=2**16)\n"
+        "estimate_snr(pm, grid, n_realizations=8, seed=1, welch=WelchConfig(nperseg=4096))\n"
+        "polarization = replace(pm, scheme=polarization_modulator_scheme(0.41, pm.scheme.f_m))\n"
+        "general_intensity_psd(polarization, np.linspace(-40e9, 40e9, 33))\n"
+        "tabulate(pm.spectrum, 256).intensity_autoconvolution(np.linspace(-400e9, 400e9, 9))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = _python("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
