@@ -87,11 +87,10 @@ class SimulationGrid:
 # bench default: 4 THz sample rate, 2**20 samples per realization
 DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
-# intensity samples per batched transform in estimate_psd
-_WELCH_BLOCK = 2**19
-# bytes the concurrent realizations of one estimate_snr call may hold, at 48 per detection
-# sample each; one measures 40 at its peak: the band, the harmonic sum and |E|^2 at
-# detection, or Welch's segments and transforms
+# Welch segments per batched transform in estimate_psd
+_WELCH_ROWS = 8
+# bytes the concurrent realizations of one estimate_snr call may hold, at 48 per detection sample
+# each; at 2^20 samples a worker peaks at 38.9 per band bin: its workspace (32.5) and Welch's groups
 _INFLIGHT_BYTES = 2**27
 
 
@@ -129,24 +128,26 @@ def _usable_cpus() -> int:
 class _Plan(NamedTuple):
     """Factors of one (link, grid) pair that no realization changes, on the M in-band bins."""
 
-    amplitude: np.ndarray  # sqrt(G df / 2) on the band's bins
+    amplitude: np.ndarray | None  # sqrt(G df / 2) on the band's bins; None: synthesize_field computes it per call
     band: int  # M, from _band: the field's bins are the grid's first and last M/2
     order: int  # K, from _band
     lattice: int | None  # c, from _band
     detection: SimulationGrid  # the grid times where propagate squares |E|
     # (spectral filter, modulation) per distinct modulator; the filter is None for an
     # undelayed arm's 1, the modulation None for a constant m (folded into the filter),
-    # {n c mod M: M_n} (bin shifts) at a tone on the lattice, else m(t) at N/M-th grid times
+    # {n c mod M: M_n} (bin shifts) at a tone on the lattice, else m(t) at the grid times
     arms: tuple[tuple[np.ndarray | complex | None, np.ndarray | dict[int, complex] | None], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
+    work: tuple[np.ndarray, ...] | None  # a pool worker's buffers: the draw, the harmonic sum, 2^14 floats
 
 
-def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid, freqs: np.ndarray) -> np.ndarray:
-    """Synthesis amplitude sqrt(G df / 2) of circular Gaussian variates at the grid's bins ``freqs``."""
+def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid, band: int) -> np.ndarray:
+    """Synthesis amplitude sqrt(G df / 2) of circular Gaussian variates at the grid's first and last band/2 bins."""
     if 0.5 * grid.sample_rate < spectrum.support()[1]:
         raise ConfigurationError("dt: grid violates the spectrum's Nyquist limit")
-    psd = np.asarray(spectrum.psd(freqs), dtype=float)
-    return np.sqrt(psd * (0.5 * grid.df))
+    psd = np.asarray(spectrum.psd(np.fft.fftfreq(band, grid.dt * (grid.n_samples // band))), dtype=float)
+    psd *= 0.5 * grid.df
+    return np.sqrt(psd, out=psd)
 
 
 def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int | None]:
@@ -174,42 +175,40 @@ def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int | None]
 
 
 def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
-    """Build the grid-only factors once; every realization of an ensemble reuses them."""
+    """Build the grid-only factors of propagation once; every realization of an ensemble reuses them."""
     order, band, lattice = _band(link, grid)
-    in_band = SimulationGrid(grid.dt * (grid.n_samples // band), band)
-    freqs = in_band.frequencies()  # == the grid's first and last M/2 bins
-    half = np.abs(freqs[: band // 2 + 1])  # bin -k holds -f_k exactly: each phase taken once
-    delayed = _phasor(-2.0 * np.pi * half * link.delay)
-    delayed = np.concatenate((delayed[:-1], delayed[:0:-1].conj()))
+    h, freqs = band // 2, np.arange(band // 2 + 1) * grid.df  # |f| of bins 0 .. M/2, as fftfreq gives them
+    delayed, dispersion = np.empty(band, dtype=np.complex128), np.empty(band, dtype=np.complex128)
+    angles = (-2.0 * np.pi * freqs * link.delay, -link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
+    for phasor, angle in zip((delayed, dispersion), angles):  # bin -k holds -f_k exactly: each phase taken once
+        np.cos(angle, out=phasor.real[: h + 1])
+        np.sin(angle, out=phasor.imag[: h + 1])
+        phasor[h + 1 :] = phasor[h - 1 : 0 : -1]
+    np.negative(delayed.imag[h:], out=delayed.imag[h:])  # the delay's phase is odd in f
     delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
     m1, m2 = build_scheme(link.scheme)
-    pairs = [(1.0 + delayed, m1)] if m2 is m1 else [(None, m1), (delayed, m2)]
+    pairs = [(np.add(delayed, 1.0, out=delayed), m1)] if m2 is m1 else [(None, m1), (delayed, m2)]
 
     def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
-        if lattice is None:
-            return m.evaluate(in_band.times())
+        if lattice is None:  # then M = N
+            return m.evaluate(grid.times())
         shifts = {}
         for n, coefficient in m.coeffs.items():
             shifts[n * lattice % band] = shifts.get(n * lattice % band, 0) + coefficient
         return shifts
 
-    dispersion = _phasor(-link.phi * 0.5 * (2.0 * np.pi * half) ** 2)
+    arms = tuple(
+        (np.multiply(1.0 if f is None else f, m.coefficient(0), out=f), None) if m.is_constant() else (f, modulation(m))
+        for f, m in pairs
+    )
     return _Plan(
-        amplitude=_amplitude(link.spectrum, grid, freqs),
-        band=band,
-        order=order,
-        lattice=lattice,
-        detection=grid,
-        arms=tuple(
-            ((1.0 if f is None else f) * m.coefficient(0), None) if m.is_constant() else (f, modulation(m))
-            for f, m in pairs
-        ),
-        dispersion=np.concatenate((dispersion[:-1], dispersion[:0:-1])),
+        amplitude=None, band=band, order=order, lattice=lattice, detection=grid, arms=arms, dispersion=dispersion,
+        work=None,  # without a workspace each call allocates its own buffers
     )
 
 
 def _band_rate_plan(link: LinkConfig, grid: SimulationGrid, nperseg: int) -> _Plan:
-    """``_plan`` detecting every s-th grid time, for Welch segments of ``nperseg``.
+    """``_plan`` with the synthesis amplitude, detecting every s-th grid time, for Welch segments of ``nperseg``.
 
     s is the largest power of two dividing N/M and nperseg/2 that leaves
     segments of 16 samples or more: segments and half-segment hops stay
@@ -219,7 +218,8 @@ def _band_rate_plan(link: LinkConfig, grid: SimulationGrid, nperseg: int) -> _Pl
     stride = math.gcd(grid.n_samples // plan.band, nperseg // 2) if nperseg % 2 == 0 else 1
     while nperseg // stride < 16:  # WelchConfig's shortest segment
         stride //= 2
-    return plan._replace(detection=SimulationGrid(grid.dt * stride, grid.n_samples // stride))
+    detection = SimulationGrid(grid.dt * stride, grid.n_samples // stride)
+    return plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detection=detection)
 
 
 def synthesize_field(
@@ -229,17 +229,16 @@ def synthesize_field(
 
     S is in FFT bin order, the field ``numpy.fft.ifft(S, norm="forward")``.
     With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
-    bins, the grid's first and last M/2, equal to those of the N-bin draw:
-    the 2N - 2M normals of the bins between pass through a small buffer.
+    bins, the grid's first and last M/2, equal to those of the N-bin draw: the 2N - 2M
+    normals between pass through 2^14 floats; a plan's workspace (8.1 MB at DEFAULT_GRID) holds both.
     """
-    amplitude = _amplitude(spectrum, grid, grid.frequencies()) if plan is None else plan.amplitude
-    band, skip = amplitude.size, 2 * (grid.n_samples - amplitude.size)
-    xhat = np.empty(band, dtype=np.complex128)
-    normals = xhat.view(np.float64)  # the stream's order: real and imaginary part per bin
+    band = grid.n_samples if plan is None else plan.band
+    amplitude = _amplitude(spectrum, grid, band) if plan is None or plan.amplitude is None else plan.amplitude
+    xhat, _, scratch = (plan and plan.work) or (np.empty(band, dtype=np.complex128), None, np.empty(2**13, complex))
+    normals, skip = xhat.view(np.float64), 2 * (grid.n_samples - band)  # real and imaginary part per bin
     rng.standard_normal(out=normals[:band])
-    scratch = np.empty(min(skip, 2**14))  # the powerless bins between: drawn, then dropped
-    for start in range(0, skip, 2**14):
-        rng.standard_normal(out=scratch[: skip - start])
+    for start in range(0, skip, 2**14):  # the powerless bins between: drawn into the scratch, then dropped
+        rng.standard_normal(out=scratch.view(np.float64)[: skip - start])
     rng.standard_normal(out=normals[band:])
     return np.multiply(xhat, amplitude, out=xhat)
 
@@ -249,14 +248,13 @@ def propagate(
 ) -> np.ndarray:
     """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
 
-    ``spectrum``, as :func:`synthesize_field` returns it (N or the plan's M
-    bins), is overwritten (transforms write into their input): pass a copy
-    to keep it.  The differential delay is an exact frequency-domain phase in
-    one spectral filter per distinct arm modulator; dispersion is one
-    all-pass product.  Both, and the modulation at a tone on the lattice
-    (bin shifts), run on the M in-band bins.  One inverse transform detects
-    on ``plan.detection``'s d samples (the grid for ``_plan``, every s-th
-    grid time for ``_band_rate_plan``): in place at d = M, else zero-padded.
+    ``spectrum``, as :func:`synthesize_field` returns it (N or the plan's M bins), is
+    overwritten and may hold the result: pass a copy to keep it.  The differential delay is
+    an exact frequency-domain phase in one spectral filter per distinct arm modulator;
+    dispersion is one all-pass product.  Both, and the modulation at a tone on the lattice
+    (bin shifts), run on the M in-band bins.  Detection on the d samples of ``plan.detection``
+    (every s-th grid time for ``_band_rate_plan``) takes d/M M-point inverse transforms behind
+    phase ramps: within 7.8e-16 of the peak of one zero-padded d-point transform at 2^20 samples.
     """
     if plan is None:
         plan = _plan(link, grid)
@@ -264,8 +262,8 @@ def propagate(
     if spectrum.shape not in ((n,), (m,)):
         raise ConfigurationError("field length matches neither the grid nor the plan's band")
     band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
+    draw, total, scratch = plan.work or (band, np.empty(m, dtype=np.complex128), np.empty(2**13, dtype=np.complex128))
     combined = modulated = None  # on the bins, and in time
-    scratch = np.empty(min(m, 2**14), dtype=np.complex128)  # for the harmonics' products
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
         arm = band if spectral_filter is None else np.multiply(band, spectral_filter, out=band if k == last else None)
@@ -275,7 +273,7 @@ def propagate(
             for shift, coefficient in modulation.items():
                 head, tail = arm[m - shift :], arm[: m - shift]
                 if combined is None:
-                    combined = np.empty_like(arm)
+                    combined = total
                     np.multiply(head, coefficient, out=combined[:shift])
                     np.multiply(tail, coefficient, out=combined[shift:])
                 else:  # a chunk at a time: no M-length product per harmonic
@@ -291,12 +289,15 @@ def propagate(
         modulated = np.fft.fft(modulated, norm="forward", out=modulated)
         combined = modulated if combined is None else np.add(modulated, combined, out=modulated)
     combined *= plan.dispersion
-    if d > m:  # into a grid-length input's own buffer, from which the band was copied
-        padded = spectrum[:d] if spectrum.size >= d else np.empty(d, dtype=np.complex128)
-        padded[:half], padded[half : d - half], padded[d - half :] = combined[:half], 0.0, combined[half:]
-        combined = padded
-    del spectrum, band, arm, modulated, scratch  # no band-length array left alive through detection
-    intensity = np.abs(np.fft.ifft(combined, norm="forward", out=combined))
+    spare = total if combined is draw else draw  # free for detection (a constant arm's sum is the draw)
+    if d == m:
+        intensity = np.abs(np.fft.ifft(combined, norm="forward", out=combined), out=spare.view(np.float64)[:m])
+    else:  # time p + jR (R = d/M) is band sample j of the sum times exp(j 2 pi k p / d) at bin k
+        shifted, intensity = spare, np.empty(d)
+        ramp = np.fft.fftfreq(m, d / (2.0 * np.pi * m))  # 2 pi k / d
+        for p in range(d // m):
+            np.multiply(combined, _phasor(ramp * p), out=shifted)
+            np.abs(np.fft.ifft(shifted, norm="forward", out=shifted), out=intensity[p :: d // m])
     return np.square(intensity, out=intensity)
 
 
@@ -317,19 +318,19 @@ def estimate_psd(
     # periodic Hann window, computed as scipy.signal.get_window("hann", nperseg)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     power = np.zeros(nperseg // 2 + 1)
-    rows = max(1, _WELCH_BLOCK // nperseg)
-    for start in range(0, len(segments), rows):
-        block = segments[start : start + rows]
+    for start in range(0, len(segments), _WELCH_ROWS):
+        block = segments[start : start + _WELCH_ROWS]
         block = block - block.mean(axis=1, keepdims=True)
         block *= window
-        block = np.fft.rfft(block, axis=1)  # freeing the windowed segments
-        power += (block.real**2 + block.imag**2).sum(axis=0)
+        squares = np.fft.rfft(block, axis=1).view(np.float64)  # real and imaginary part per bin
+        np.square(squares, out=squares)
+        for row in squares:  # in row order, as numpy's sum over axis 0 adds them
+            power += np.add(row[0::2], row[1::2], out=row[0::2])
     # each one-sided bin is the two-sided density at +f and at -f; for an
     # even segment the Nyquist bin is held once, at -fs/2
     density = power / (len(segments) * grid.sample_rate * (window * window).sum())
     freqs = np.fft.rfftfreq(nperseg, 1.0 / grid.sample_rate)
-    even = nperseg % 2 == 0
-    positive = slice(0, freqs.size - even)
+    positive = slice(0, freqs.size - (nperseg % 2 == 0))
     return SpectralDecomposition(
         frequencies=np.concatenate((-freqs[:0:-1], freqs[positive])),
         continuum=np.concatenate((density[:0:-1], density[positive])),
@@ -438,22 +439,21 @@ def estimate_snr(
     detection = plan.detection  # Welch sees the same bins and segments at this rate
     detect_welch = WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples)
 
-    def realization(r: int) -> None:
-        # nested so that no name holds the spectrum once propagate has used it
-        intensity = propagate(
-            synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=plan), link, grid, plan=plan
-        )
-        decomp = estimate_psd(intensity, detection, detect_welch)
-        lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
-        floors[r] = floor_density(decomp.frequencies, decomp.continuum, f_m)
-        for f_probe in probe_frequencies:
-            probes[f_probe][r] = floor_density(decomp.frequencies, decomp.continuum, f_probe)
+    def worker(first: int) -> None:  # realizations first, first + width, ... on one workspace
+        own = plan._replace(work=(*np.empty((2, plan.band), dtype=np.complex128), np.empty(2**13, complex)))
+        for r in range(first, n_realizations, width):
+            spectrum = synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=own)
+            decomp = estimate_psd(propagate(spectrum, link, grid, plan=own), detection, detect_welch)
+            lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
+            floors[r] = floor_density(decomp.frequencies, decomp.continuum, f_m)
+            for f_probe in probe_frequencies:
+                probes[f_probe][r] = floor_density(decomp.frequencies, decomp.continuum, f_probe)
 
     # the draws, transforms and array arithmetic release the interpreter
     # lock, so realizations overlap on threads; the width bounds their memory
     width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_BYTES // (48 * detection.n_samples)))
     with ThreadPoolExecutor(max_workers=width) as pool:
-        list(pool.map(realization, range(n_realizations)))  # raises what a realization raised
+        list(pool.map(worker, range(width)))  # raises what a realization raised
 
     def _stats(values: np.ndarray) -> tuple[float, float]:
         return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))

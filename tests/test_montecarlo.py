@@ -280,12 +280,12 @@ def test_estimate_psd_matches_two_sided_welch(nperseg):
 
 
 def test_estimate_psd_matches_welch_across_transform_blocks():
-    # several batched-transform blocks, the last one partial, and a segment
-    # length that divides neither the record nor the block
+    # several batched-transform groups, the last one partial, and a segment
+    # length that does not divide the record
     nperseg = 3000
-    x = 1.0 + realization_rng(81, 0).standard_normal(2 * montecarlo._WELCH_BLOCK + 777) ** 2
+    x = 1.0 + realization_rng(81, 0).standard_normal(2**20 + 777) ** 2
     n_segments = (x.size - nperseg) // (nperseg - nperseg // 2) + 1
-    assert n_segments > 2 * (montecarlo._WELCH_BLOCK // nperseg)
+    assert n_segments > 2 * montecarlo._WELCH_ROWS and n_segments % montecarlo._WELCH_ROWS
     grid = MID_GRID
     freqs, density = scipy_welch(
         x,
@@ -503,6 +503,45 @@ def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
         est = estimate_snr(link, SMALL_GRID, n_realizations=n, seed=seed, welch=welch)
     finally:
         sys.setswitchinterval(interval)
+    assert est.quantities == want
+
+
+WORKSPACE_LAYOUTS = {
+    # d = M < N: the sum in the second workspace buffer, |E|^2 in the first
+    "band-rate": ("pm", 4096),
+    # tones snapped to these segments are off the lattice: M = d = N, arms through time
+    "fallback-3x2^10": ("ssb", 3 * 2**10),
+    "odd-4095": ("polarization", 4095),
+    "off-lattice-5000": ("two_modulated_arms", 5000),
+    # one constant arm: the sum is the draw's own buffer, |E|^2 goes to the second;
+    # at 4095 the stride is 1, so d = N = 4M and detection takes four phase ramps
+    "constant-arm": ("unmodulated", 4096),
+    "constant-arm-4095": ("unmodulated", 4095),
+}
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("layout", WORKSPACE_LAYOUTS.values(), ids=WORKSPACE_LAYOUTS.keys())
+def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, layout, width):
+    kind, nperseg = layout
+    welch = WelchConfig(nperseg=nperseg)
+    base = reference_link(scheme_kind="unmodulated") if kind == "unmodulated" else LINKS[kind]
+    link, _ = _retuned(base, SMALL_GRID, welch)
+    plan = _band_rate_plan(link, SMALL_GRID, nperseg)
+    if kind == "unmodulated":
+        assert plan.band == SMALL_GRID.n_samples // 4 and plan.arms[0][1] is None
+        assert plan.detection.n_samples == SMALL_GRID.n_samples // (4 if nperseg == 4096 else 1)
+    elif nperseg != 4096:
+        assert plan.lattice is None and plan.band == plan.detection.n_samples == SMALL_GRID.n_samples
+    want = _serial_quantities(link, SMALL_GRID, welch, 8, 9, plan)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: width)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert est.metadata["workers"] == width
     assert est.quantities == want
 
 
@@ -724,12 +763,13 @@ def test_shifted_band_detects_at_every_stride(kind, stride):
     [("ssb", 2), ("dsb", 2), ("pm", 2), ("polarization", 2), ("two_modulated_arms", 3)],
 )
 def test_band_transform_counts(monkeypatch, kind, band_transforms):
-    # on the lattice the arms shift bins, so the one transform is the full-grid
-    # detection; the same band taken through time needs band_transforms more
+    # on the lattice the arms shift bins, so the only transforms detect on the
+    # full grid: N/M = 4 band-length ones, one per phase ramp; the same band
+    # taken through time needs band_transforms more
     link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
     shift_calls, time_calls = _routes(monkeypatch, link, _plan(link, SMALL_GRID))
-    assert shift_calls == {SMALL_GRID.n_samples: 1}
-    assert time_calls == {SMALL_GRID.n_samples: 1, SMALL_GRID.n_samples // 4: band_transforms}
+    assert shift_calls == {SMALL_GRID.n_samples // 4: 4}
+    assert time_calls == {SMALL_GRID.n_samples // 4: 4 + band_transforms}
 
 
 @pytest.mark.parametrize(
@@ -826,35 +866,70 @@ def test_plan_phases_from_the_non_negative_half_equal_the_full_evaluation(link, 
             np.testing.assert_array_equal(got, filt)
 
 
-def test_one_realization_holds_band_length_buffers_only(monkeypatch):
-    # on one worker the realizations run one at a time, so the traced peak
-    # above the plan is one realization's.  Band-length buffers held 48.6
-    # bytes per band bin (SSB and PM); a grid-length draw held 96.7 (SSB)
-    # and 112.7 (PM)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+def _traced_estimate(monkeypatch, link, grid, welch, mark):
+    """Run ``estimate_snr`` on one worker under tracemalloc; ``mark(held)`` may set a base and reset the peak.
+
+    Returns the estimate, the traced peak and ``held``, after a first untraced
+    call that loads the imports and the transform caches.
+    """
     held = {}
-    synthesize = montecarlo.synthesize_field
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: mark(held) or 1)
+    estimate_snr(link, grid, n_realizations=8, seed=1, welch=welch)
+    held.clear()
+    tracemalloc.start()
+    try:
+        est = estimate_snr(link, grid, n_realizations=8, seed=1, welch=welch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.metadata["workers"] == 1
+    return est, peak, held
 
-    def first_draw(*args, **kwargs):  # the plan is built: measure from here
-        if not held:
-            held["plan"] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-        return synthesize(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "synthesize_field", first_draw)
+def _from_here(held):
+    """Measure from this point: the current traced level is the base, the peak starts over."""
+    if tracemalloc.is_tracing():
+        held["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+
+def test_one_realization_holds_band_length_buffers_only(monkeypatch):
+    # measured from the built plan, as the pool starts: one worker's workspace
+    # (two band buffers, 32 bytes per band bin, and 2^14 floats of scratch, 8
+    # per bin at M = 2^14) and its realizations' temporaries peak at 50.0 bytes
+    # per band bin for SSB and 49.8 for PM; 6 more would not hold a band-length
+    # float array.  A grid-length draw held 96.7 (SSB) and 112.7 (PM) above its
+    # plan, without a workspace
     welch = WelchConfig(nperseg=2048)
     for kind in ("ssb", "pm"):
         link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), SMALL_GRID, welch)
-        estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=welch)  # imports and transform caches
-        held.clear()
-        tracemalloc.start()
-        try:
-            est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=welch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert est.metadata["workers"] == 1
-        assert (peak - held["plan"]) / est.metadata["band_bins"] < 64
+        est, peak, held = _traced_estimate(monkeypatch, link, SMALL_GRID, welch, _from_here)
+        assert (peak - held["base"]) / est.metadata["band_bins"] < 56
+
+
+@pytest.mark.parametrize("kind", ["ssb", "pm"])
+def test_realizations_after_the_first_allocate_no_band_length_array(monkeypatch, kind):
+    # the workspace is allocated once per worker: from the end of realization 0
+    # on, only Welch's rows of a few segments, numpy's 8192-value cast buffer
+    # and small arrays come and go: 6.5 bytes per band bin at M = 2^16 (SSB
+    # and PM), where one band-length array would take 8 (float) or 16 (complex)
+    welch = WelchConfig(nperseg=8192)
+    link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), MID_GRID, welch)
+    floors, held = [], {}
+    floor_density = montecarlo.floor_density
+
+    def last_of_first(*args, **kwargs):  # realization 0 ends with its second floor: measure from there
+        value = floor_density(*args, **kwargs)
+        floors.append(value)
+        if len(floors) == 2:
+            _from_here(held)
+        return value
+
+    monkeypatch.setattr(montecarlo, "floor_density", last_of_first)
+    est, peak, _ = _traced_estimate(monkeypatch, link, MID_GRID, welch, lambda _: floors.clear())
+    assert est.metadata["band_bins"] == MID_GRID.n_samples // 4
+    assert len(floors) == 16  # one inside extract_line, one for the floor, per realization
+    assert peak - held["base"] < 8 * est.metadata["band_bins"]
 
 
 # --- validation -------------------------------------------------------------------
