@@ -19,12 +19,17 @@ lines are integrated over a few bins less the local floor.
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
 values do not depend on the order or the threads its realizations run on.
+The 2N - 2M powerless bins' normals are drawn once per process: a memo of
+at most 256 entries (shared by the pool workers, keyed by integers) maps the
+PCG64 state ahead of them and their count to the state after them, which a
+later link at that seed sets instead; no output depends on what it holds.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,6 +92,8 @@ class SimulationGrid:
 # bench default: 4 THz sample rate, 2**20 samples per realization
 DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
+# (PCG64 state ints ahead of the dropped normals, their count) -> state after them; oldest evicted first
+_DROPPED, _DROPPED_HELD, _DROPPED_LOCK = {}, 256, threading.Lock()
 # Welch segments per batched transform in estimate_psd
 _WELCH_ROWS = 8
 # bytes the concurrent realizations of one estimate_snr call may hold, at 48 per detection sample
@@ -119,10 +126,7 @@ def realization_rng(root_seed: int, realization: int) -> np.random.Generator:
 
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class _Plan(NamedTuple):
@@ -230,22 +234,33 @@ def synthesize_field(
     S is in FFT bin order, the field ``numpy.fft.ifft(S, norm="forward")``.
     With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
     bins, the grid's first and last M/2, equal to those of the N-bin draw: the 2N - 2M
-    normals between pass through 2^14 floats; a plan's workspace (8.1 MB at DEFAULT_GRID) holds both.
+    normals between pass through 2^14 floats, or once drawn take their memoized end state;
+    a plan's workspace (8.1 MB at DEFAULT_GRID) holds both.
     """
     band = grid.n_samples if plan is None else plan.band
     amplitude = _amplitude(spectrum, grid, band) if plan is None or plan.amplitude is None else plan.amplitude
     xhat, _, scratch = (plan and plan.work) or (np.empty(band, dtype=np.complex128), None, np.empty(2**13, complex))
     normals, skip = xhat.view(np.float64), 2 * (grid.n_samples - band)  # real and imaginary part per bin
     rng.standard_normal(out=normals[:band])
-    for start in range(0, skip, 2**14):  # the powerless bins between: drawn into the scratch, then dropped
-        rng.standard_normal(out=scratch.view(np.float64)[: skip - start])
+    state = rng.bit_generator.state if skip and type(rng.bit_generator) is np.random.PCG64 else None
+    key = state and (*state["state"].values(), state["has_uint32"], state["uinteger"], skip)
+    if (after := _DROPPED.get(key)) is not None:
+        rng.bit_generator.state = after
+    else:
+        for start in range(0, skip, 2**14):  # the powerless bins between: drawn into the scratch, then dropped
+            rng.standard_normal(out=scratch.view(np.float64)[: skip - start])
+        if key is not None:
+            with _DROPPED_LOCK:
+                _DROPPED[key] = rng.bit_generator.state
+                while len(_DROPPED) > _DROPPED_HELD:
+                    del _DROPPED[next(iter(_DROPPED))]
     rng.standard_normal(out=normals[band:])
-    return np.multiply(xhat, amplitude, out=xhat)
+    for part in (xhat.real, xhat.imag):  # through the float views: no complex copy of the amplitude
+        np.multiply(part, amplitude, out=part)
+    return xhat
 
 
-def propagate(
-    spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, plan: _Plan | None = None
-) -> np.ndarray:
+def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, plan: _Plan | None = None) -> np.ndarray:
     """Detected intensity |E(t)|^2 after interferometer, modulation, dispersion.
 
     ``spectrum``, as :func:`synthesize_field` returns it (N or the plan's M bins), is
@@ -340,9 +355,7 @@ def estimate_psd(
     )
 
 
-def extract_line(
-    freqs: np.ndarray, density: np.ndarray, f_line: float, df: float
-) -> tuple[float, float]:
+def extract_line(freqs: np.ndarray, density: np.ndarray, f_line: float, df: float) -> tuple[float, float]:
     """Integrated line power and the local floor density around one tone.
 
     Integrates the 5 bins centred on the tone and subtracts the median
@@ -354,17 +367,11 @@ def extract_line(
         raise ConfigurationError("line too close to the grid edge")
     core = density[lo:hi].sum()
     floor = floor_density(freqs, density, f_line, 3, 8, statistic="median")
-    power = (core - floor * 5) * df
-    return power, floor
+    return (core - floor * 5) * df, floor
 
 
 def floor_density(
-    freqs: np.ndarray,
-    density: np.ndarray,
-    f_center: float,
-    gap: int = 4,
-    span: int = 12,
-    statistic: str = "mean",
+    freqs: np.ndarray, density: np.ndarray, f_center: float, gap: int = 4, span: int = 12, statistic: str = "mean"
 ) -> float:
     """Continuum level near ``f_center``, excluding the central +-gap bins."""
     idx = int(np.argmin(np.abs(freqs - f_center)))
@@ -373,9 +380,7 @@ def floor_density(
     window = np.concatenate([left, right])
     if window.size == 0:
         raise ConfigurationError("no floor bins available")
-    if statistic == "median":
-        return float(np.median(window))
-    return float(window.mean())
+    return float(np.median(window) if statistic == "median" else window.mean())
 
 
 @dataclass
@@ -407,13 +412,8 @@ class McEstimate:
 
 
 def estimate_snr(
-    link: LinkConfig,
-    grid: SimulationGrid = DEFAULT_GRID,
-    n_realizations: int = 64,
-    seed: int = 0,
-    welch: WelchConfig = WelchConfig(),
-    f_m: float | None = None,
-    probe_frequencies: tuple[float, ...] = (),
+    link: LinkConfig, grid: SimulationGrid = DEFAULT_GRID, n_realizations: int = 64, seed: int = 0,
+    welch: WelchConfig = WelchConfig(), f_m: float | None = None, probe_frequencies: tuple[float, ...] = (),
 ) -> McEstimate:
     """Ensemble SNR estimate: line power over local continuum, per hertz.
 

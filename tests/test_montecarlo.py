@@ -533,16 +533,20 @@ def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, layout, width):
         assert plan.detection.n_samples == SMALL_GRID.n_samples // (4 if nperseg == 4096 else 1)
     elif nperseg != 4096:
         assert plan.lattice is None and plan.band == plan.detection.n_samples == SMALL_GRID.n_samples
-    want = _serial_quantities(link, SMALL_GRID, welch, 8, 9, plan)
+    montecarlo._DROPPED.clear()
+    want = _serial_quantities(link, SMALL_GRID, welch, 8, 9, plan)  # leaves the memo warm for seed 9
+    assert len(montecarlo._DROPPED) == (8 if plan.band < SMALL_GRID.n_samples else 0)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: width)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch)
+        warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch)
+        montecarlo._DROPPED.clear()
+        cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch)
     finally:
         sys.setswitchinterval(interval)
-    assert est.metadata["workers"] == width
-    assert est.quantities == want
+    assert warm.metadata["workers"] == cold.metadata["workers"] == width
+    assert warm.quantities == cold.quantities == want
 
 
 @pytest.mark.parametrize("nperseg", [3 * 2**10, 4095])
@@ -828,6 +832,123 @@ def test_band_draw_equals_in_band_bins_of_the_full_draw(grid, nm, f_m, band):
     np.testing.assert_array_equal(full[in_band], got)
 
 
+# --- the memo of dropped stretches ---------------------------------------------------
+
+
+class _CountingGenerator:
+    """A generator that records how many normals each ``standard_normal`` call draws."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, []
+        self.bit_generator = rng.bit_generator
+
+    def standard_normal(self, *, out):
+        self.drawn.append(out.size)
+        return self.rng.standard_normal(out=out)
+
+
+def _retuned_plan(grid, nm):
+    link, _ = _retuned(reference_link(bandwidth_nm=nm), grid, BAND_WELCH)
+    return link, _plan(link, grid)
+
+
+@pytest.mark.parametrize("nm, band", [(3.2, 4), (6.4, 2)])
+def test_memo_miss_hit_and_full_draw_agree(nm, band):
+    link, plan = _retuned_plan(SMALL_GRID, nm)
+    m, n = plan.band, SMALL_GRID.n_samples
+    assert m == n // band
+    montecarlo._DROPPED.clear()
+    miss = _CountingGenerator(realization_rng(7, 3))
+    got_miss = synthesize_field(link.spectrum, SMALL_GRID, miss, plan=plan)
+    assert len(montecarlo._DROPPED) == 1
+    hit = _CountingGenerator(realization_rng(7, 3))
+    got_hit = synthesize_field(link.spectrum, SMALL_GRID, hit, plan=plan)
+    full = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(7, 3))
+    np.testing.assert_array_equal(got_miss, got_hit)
+    np.testing.assert_array_equal(got_hit, full[np.r_[0 : m // 2, n - m // 2 : n]])
+    # both leave the stream at the same place, past all 2N normals
+    assert miss.rng.bit_generator.state == hit.rng.bit_generator.state
+    # the miss draws every normal; the hit only the 2M of the in-band bins
+    assert sum(miss.drawn) == 2 * n
+    assert hit.drawn == [m, m]
+
+
+def test_memo_key_is_exact_integers_and_skips_other_generators():
+    link, plan = _retuned_plan(TINY_GRID, 3.2)
+    m, n = plan.band, TINY_GRID.n_samples
+    montecarlo._DROPPED.clear()
+    for seed in (1, 2):
+        synthesize_field(link.spectrum, TINY_GRID, realization_rng(seed, 0), plan=plan)
+    (key1, after1), (key2, _) = montecarlo._DROPPED.items()
+    assert key1 != key2 and all(type(v) is int for key in (key1, key2) for v in key)
+    assert key1[-1] == 2 * (n - m)  # the count of dropped normals is part of the key
+    # the stored state is the one the stream reaches past the head and the dropped stretch
+    rng = realization_rng(1, 0)
+    rng.standard_normal(m + 2 * (n - m))
+    assert after1 == rng.bit_generator.state
+    # another bit generator bypasses the memo and still draws the in-band bins of its N-bin draw
+    other = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(np.random.MT19937(5)), plan=plan)
+    full = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(np.random.MT19937(5)))
+    np.testing.assert_array_equal(other, full[np.r_[0 : m // 2, n - m // 2 : n]])
+    assert len(montecarlo._DROPPED) == 2
+    # an off-lattice tone (M = N) drops nothing and leaves the memo alone
+    off = reference_link(f_m=10e9)
+    assert _plan(off, TINY_GRID).band == n
+    synthesize_field(off.spectrum, TINY_GRID, realization_rng(3, 0), plan=_plan(off, TINY_GRID))
+    assert len(montecarlo._DROPPED) == 2
+
+
+def test_memo_holds_at_most_its_bound_under_concurrent_workers(monkeypatch):
+    link, plan = _retuned_plan(TINY_GRID, 3.2)
+    want = [synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 0)) for s in range(40)]
+    in_band = np.r_[0 : plan.band // 2, TINY_GRID.n_samples - plan.band // 2 : TINY_GRID.n_samples]
+    monkeypatch.setattr(montecarlo, "_DROPPED_HELD", 3)
+    montecarlo._DROPPED.clear()
+    got, sizes = {}, []
+
+    def worker(first):  # each stream twice, so hits, misses and evictions interleave across threads
+        for j, s in enumerate([*range(first, 40, 4)] * 2):
+            got[s, j] = synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 0), plan=plan)
+            sizes.append(len(montecarlo._DROPPED))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 80 and max(sizes) <= 3 and len(montecarlo._DROPPED) <= 3
+    for (s, _), field in got.items():
+        np.testing.assert_array_equal(field, want[s][in_band])
+    # at the module's own bound the oldest entries go first
+    monkeypatch.undo()
+    montecarlo._DROPPED.clear()
+    for s in range(montecarlo._DROPPED_HELD + 5):
+        synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 1), plan=plan)
+    assert len(montecarlo._DROPPED) == montecarlo._DROPPED_HELD
+    rng = realization_rng(5, 1)
+    rng.standard_normal(plan.band)
+    assert rng.bit_generator.state["state"]["state"] == next(iter(montecarlo._DROPPED))[0]
+
+
+def test_estimate_snr_equal_with_memo_warm_and_cold():
+    welch = WelchConfig(nperseg=4096)
+    links = [_retuned(reference_link(scheme_kind=k, gamma=0.41), SMALL_GRID, welch)[0] for k in ("ssb", "pm")]
+    cold = []
+    for link in links:
+        montecarlo._DROPPED.clear()
+        cold.append(estimate_snr(link, SMALL_GRID, n_realizations=8, seed=12, welch=welch).quantities)
+    montecarlo._DROPPED.clear()
+    warm = [estimate_snr(link, SMALL_GRID, n_realizations=8, seed=12, welch=welch).quantities for link in links]
+    assert len(montecarlo._DROPPED) == 8  # the PM link found the SSB link's eight streams
+    assert warm == cold and cold[0] != cold[1]
+
+
 @pytest.mark.parametrize("kind", ["ssb", "pm", "two_modulated_arms"])
 def test_band_and_grid_length_fields_propagate_alike(kind):
     link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
@@ -910,9 +1031,9 @@ def test_one_realization_holds_band_length_buffers_only(monkeypatch):
 @pytest.mark.parametrize("kind", ["ssb", "pm"])
 def test_realizations_after_the_first_allocate_no_band_length_array(monkeypatch, kind):
     # the workspace is allocated once per worker: from the end of realization 0
-    # on, only Welch's rows of a few segments, numpy's 8192-value cast buffer
-    # and small arrays come and go: 6.5 bytes per band bin at M = 2^16 (SSB
-    # and PM), where one band-length array would take 8 (float) or 16 (complex)
+    # on, only Welch's rows of a few segments and small arrays come and go: 6.5
+    # bytes per band bin at M = 2^16 (SSB and PM), where one band-length array
+    # would take 8 (float) or 16 (complex)
     welch = WelchConfig(nperseg=8192)
     link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), MID_GRID, welch)
     floors, held = [], {}
