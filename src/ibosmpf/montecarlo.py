@@ -11,10 +11,11 @@ the seeded stream is drawn straight into them, the arms, modulation (at a
 tone f_m = c df on the lattice, harmonic n shifts them by n c bins) and
 dispersion act on them, and one M-point inverse transform detects |E|^2 at
 every (N/M)-th grid time, exact samples of the band-limited intensity, on
-which Welch sees the same bins and segments.  A tone off the lattice is
-not band-limited: M = N, and the arms go through time.  Welch periodograms,
-mirrored onto negative frequencies, estimate the two-sided intensity PSD;
-lines are integrated over a few bins less the local floor.
+which Welch sees the same bins and segments.  A modulated tone off the
+lattice is rejected; a Welch segment must divide the record, so every
+tone snapped to its bins is on it.  Welch periodograms, mirrored onto
+negative frequencies, estimate the two-sided intensity PSD; lines are
+integrated over a few bins less the local floor.
 
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
@@ -135,12 +136,12 @@ class _Plan(NamedTuple):
     amplitude: np.ndarray | None  # sqrt(G df / 2) on the band's bins; None: synthesize_field computes it per call
     band: int  # M, from _band: the field's bins are the grid's first and last M/2
     order: int  # K, from _band
-    lattice: int | None  # c, from _band
+    lattice: int  # c, from _band
     detection: SimulationGrid  # the grid times where propagate squares |E|
     # (spectral filter, modulation) per distinct modulator; the filter is None for an
     # undelayed arm's 1, the modulation None for a constant m (folded into the filter),
-    # {n c mod M: M_n} (bin shifts) at a tone on the lattice, else m(t) at the grid times
-    arms: tuple[tuple[np.ndarray | complex | None, np.ndarray | dict[int, complex] | None], ...]
+    # else the bin shifts {n c mod M: M_n}
+    arms: tuple[tuple[np.ndarray | complex | None, dict[int, complex] | None], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
     work: tuple[np.ndarray, ...] | None  # a pool worker's buffers: the draw, the harmonic sum, 2^14 floats
 
@@ -154,23 +155,23 @@ def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid, band: int) -> np
     return np.sqrt(psd, out=psd)
 
 
-def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int | None]:
+def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int]:
     """Largest harmonic order K over both arms, the band size M in bins, and c.
 
     The source has no power outside its support, every arm is a harmonic
     sum, and delay and dispersion act bin by bin, so the modulated field
     occupies |f| <= F = max|support| + K f_m.  M is the smallest power of
     two with M df > 4 F, the width of the intensity's band |f| <= 2 F (the
-    field alone would fit in M df > 2 F).  A tone on the df lattice makes c
-    whole cycles in the record; one off it (c None) is not band-limited: M = N.
+    field alone would fit in M df > 2 F).  The tone f_m = c df makes c whole
+    cycles in the record; a modulated link's tone off that lattice raises.
     """
     m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
     n = grid.n_samples
     cycles = m1.f_m * grid.duration
-    lattice = round(cycles) if abs(cycles - round(cycles)) <= 4.0 * math.ulp(cycles) else None
-    if order and lattice is None:
-        return order, n, None
+    lattice = round(cycles)
+    if order and abs(cycles - lattice) > 4.0 * math.ulp(cycles):
+        raise ConfigurationError("f_m: a modulated tone must make a whole number of cycles in the record")
     edge = max(abs(f) for f in link.spectrum.support()) + order * m1.f_m
     band = 2
     while band < n and band * grid.df <= 4.0 * edge:
@@ -194,8 +195,6 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     pairs = [(np.add(delayed, 1.0, out=delayed), m1)] if m2 is m1 else [(None, m1), (delayed, m2)]
 
     def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
-        if lattice is None:  # then M = N
-            return m.evaluate(grid.times())
         shifts = {}
         for n, coefficient in m.coeffs.items():
             shifts[n * lattice % band] = shifts.get(n * lattice % band, 0) + coefficient
@@ -214,14 +213,12 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
 def _band_rate_plan(link: LinkConfig, grid: SimulationGrid, nperseg: int) -> _Plan:
     """``_plan`` with the synthesis amplitude, detecting every s-th grid time, for Welch segments of ``nperseg``.
 
-    s is the largest power of two dividing N/M and nperseg/2 that leaves
-    segments of 16 samples or more: segments and half-segment hops stay
-    whole, and the intensity (|f| <= 2F < M df / 2) is sampled exactly.
+    s = min(N/M, nperseg/16), both powers of two for an nperseg that divides
+    N: segments and half-segment hops stay whole, segments keep WelchConfig's
+    16 samples or more, and the intensity (|f| <= 2F < M df / 2) is sampled exactly.
     """
     plan = _plan(link, grid)
-    stride = math.gcd(grid.n_samples // plan.band, nperseg // 2) if nperseg % 2 == 0 else 1
-    while nperseg // stride < 16:  # WelchConfig's shortest segment
-        stride //= 2
+    stride = min(grid.n_samples // plan.band, nperseg // 16)
     detection = SimulationGrid(grid.dt * stride, grid.n_samples // stride)
     return plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detection=detection)
 
@@ -266,8 +263,8 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
     ``spectrum``, as :func:`synthesize_field` returns it (N or the plan's M bins), is
     overwritten and may hold the result: pass a copy to keep it.  The differential delay is
     an exact frequency-domain phase in one spectral filter per distinct arm modulator;
-    dispersion is one all-pass product.  Both, and the modulation at a tone on the lattice
-    (bin shifts), run on the M in-band bins.  Detection on the d samples of ``plan.detection``
+    dispersion is one all-pass product.  Both, and the modulation (bin shifts of a tone that
+    must be on the lattice), run on the M in-band bins.  Detection on the d samples of ``plan.detection``
     (every s-th grid time for ``_band_rate_plan``) takes d/M M-point inverse transforms behind
     phase ramps: within 7.8e-16 of the peak of one zero-padded d-point transform at 2^20 samples.
     """
@@ -278,13 +275,13 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
         raise ConfigurationError("field length matches neither the grid nor the plan's band")
     band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
     draw, total, scratch = plan.work or (band, np.empty(m, dtype=np.complex128), np.empty(2**13, dtype=np.complex128))
-    combined = modulated = None  # on the bins, and in time
+    combined = None
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
         arm = band if spectral_filter is None else np.multiply(band, spectral_filter, out=band if k == last else None)
         if modulation is None:  # m is a constant, folded into the filter
             combined = arm if combined is None else np.add(combined, arm, out=combined)
-        elif isinstance(modulation, dict):  # M_n shifted by n c bins, for a tone on the lattice
+        else:  # M_n shifted by n c bins
             for shift, coefficient in modulation.items():
                 head, tail = arm[m - shift :], arm[: m - shift]
                 if combined is None:
@@ -296,13 +293,6 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
                         for j in range(0, source.size, scratch.size):
                             part = source[j : j + scratch.size]
                             target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
-        else:  # a tone off the lattice: a round trip through time
-            arm = np.fft.ifft(arm, norm="forward", out=None if spectral_filter is None else arm)
-            arm *= modulation
-            modulated = arm if modulated is None else np.add(modulated, arm, out=modulated)
-    if modulated is not None:
-        modulated = np.fft.fft(modulated, norm="forward", out=modulated)
-        combined = modulated if combined is None else np.add(modulated, combined, out=modulated)
     combined *= plan.dispersion
     spare = total if combined is draw else draw  # free for detection (a constant arm's sum is the draw)
     if d == m:
@@ -419,12 +409,13 @@ def estimate_snr(
 
     ``f_m`` defaults to the passband center snapped to the nearest Welch
     bin; the snapped value is recorded and must be used for any analytic
-    comparison.  Extra probe frequencies yield floor-density estimates.
+    comparison; ``welch.nperseg`` must divide the record, which puts it on
+    the record's lattice.  Extra probe frequencies yield floor-density estimates.
     """
     if n_realizations < 8:
         raise ConfigurationError("at least 8 realizations are required")
-    if welch.nperseg > grid.n_samples:
-        raise ConfigurationError("Welch segment longer than the record")
+    if grid.n_samples % welch.nperseg:
+        raise ConfigurationError("welch.nperseg: the segment must divide the record's n_samples")
     if f_m is None:
         f_m = link.passband_center()
     f_m = welch.snap_frequency(f_m, grid.dt)
@@ -465,6 +456,6 @@ def estimate_snr(
         quantities=quantities,
         metadata=dict(
             f_m=f_m, seed=seed, nperseg=welch.nperseg, dt=grid.dt,
-            band_bins=plan.band, detect_samples=detection.n_samples, lattice_bins=plan.lattice or 0, workers=width,
+            band_bins=plan.band, detect_samples=detection.n_samples, lattice_bins=plan.lattice, workers=width,
         ),
     )

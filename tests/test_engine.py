@@ -8,7 +8,7 @@ import pytest
 from ibosmpf import ConfigurationError, reference_link
 from ibosmpf.closed_forms import shared_modulator_decomposition
 from ibosmpf.engine import fundamental_line_power, general_intensity_psd
-from ibosmpf.modulation import polarization_modulator_scheme
+from ibosmpf.modulation import ModulationKind, SchemeConfig, polarization_modulator_scheme
 from ibosmpf.pm import pm_decomposition, signal_power_pm
 from ibosmpf.spectrum import tabulate
 
@@ -158,6 +158,25 @@ def test_engine_single_arm_limit():
     assert decomp.line_power_at(0.0) == pytest.approx(p**2, rel=1e-12)
     want = np.asarray(link.spectrum.intensity_autoconvolution(grid))
     np.testing.assert_allclose(decomp.continuum, want, rtol=1e-9, atol=1e-9 * want.max())
+
+
+@pytest.mark.parametrize("k", [0.3, 0.8, 1.0])
+def test_engine_dc_line_of_an_unbalanced_custom_pair(k):
+    # with B d a whole number the arms' fields are uncorrelated, R0(d) = 0, so the
+    # mean intensity is P (sum |M1_n|^2 + k^2 sum |M2_n|^2) and the DC line its square
+    base = reference_link()
+    m1, m2 = {-1: 0.1j, 0: 0.9, 1: 0.2}, {0: 0.7, 1: 0.1, 2: 0.05j}
+    b = base.spectrum.b
+    link = replace(
+        base,
+        scheme=SchemeConfig(kind=ModulationKind.CUSTOM, f_m=base.scheme.f_m, m1_coeffs=m1, m2_coeffs=m2),
+        interferometer=replace(base.interferometer, delay_d=round(b * base.delay) / b, arm_ratio_k=k),
+    )
+    p = link.spectrum.total_power()
+    assert abs(link.spectrum.autocorrelation(link.delay)) <= 1e-15 * p
+    power = p * (sum(abs(c) ** 2 for c in m1.values()) + k**2 * sum(abs(c) ** 2 for c in m2.values()))
+    decomp = general_intensity_psd(link, np.linspace(-20e9, 20e9, 9))
+    assert decomp.line_power_at(0.0) == pytest.approx(power**2, rel=1e-12)
 
 
 def test_engine_tabulated_consistent_with_rectangular():

@@ -40,6 +40,13 @@ from ibosmpf.montecarlo import _band_rate_plan, _plan, extract_line, floor_densi
 SMALL_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**16)
 MID_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**18)
 SPEC = RectangularSpectrum(n0=1.0, b=400e9, carrier_f0=193.4e12)
+BAND_WELCH = WelchConfig(nperseg=4096)
+
+
+def _retuned(link, grid, welch):
+    """``link`` with its passband centre snapped to a Welch bin, which is on the grid's lattice, and its tone there."""
+    f_m = welch.snap_frequency(link.passband_center(), grid.dt)
+    return link.with_delay_for_center(f_m).with_modulation_frequency(f_m), f_m
 
 
 def _field(spectrum, grid, rng):
@@ -185,13 +192,17 @@ def _all_orders_link():
     return replace(base, scheme=scheme, interferometer=replace(base.interferometer, arm_ratio_k=0.8))
 
 
+# on SMALL_GRID's lattice: the passband centre and the tone at a BAND_WELCH bin
 LINKS = {
-    "ssb": reference_link(scheme_kind="ssb"),
-    "dsb": reference_link(scheme_kind="dsb"),
-    "pm": reference_link(scheme_kind="pm", gamma=0.41),
-    "polarization": _polarization_link(),
-    "two_modulated_arms": _two_modulated_arms_link(),
-    "all_orders": _all_orders_link(),
+    name: _retuned(link, SMALL_GRID, BAND_WELCH)[0]
+    for name, link in {
+        "ssb": reference_link(scheme_kind="ssb"),
+        "dsb": reference_link(scheme_kind="dsb"),
+        "pm": reference_link(scheme_kind="pm", gamma=0.41),
+        "polarization": _polarization_link(),
+        "two_modulated_arms": _two_modulated_arms_link(),
+        "all_orders": _all_orders_link(),
+    }.items()
 }
 
 
@@ -201,11 +212,14 @@ def test_plan_matches_reference_chain(link):
     assert abs(math.sin(link.carrier_phase)) > 0.1
     spectrum_want, intensity_want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
     plan = _plan(link, SMALL_GRID)
-    for kwargs in ({}, {"plan": plan}):
+    n, half = SMALL_GRID.n_samples, plan.band // 2
+    assert plan.band < n
+    for kwargs, bins in (({}, slice(None)), ({"plan": plan}, np.r_[0:half, n - half : n])):
         spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
-        np.testing.assert_allclose(spectrum, spectrum_want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(spectrum, spectrum_want[bins], rtol=1e-12, atol=0)
+        # the bin shifts use exact roots of unity where the reference chain rounds 2 pi n f_m t
         intensity = propagate(spectrum, link, SMALL_GRID, **kwargs)
-        np.testing.assert_allclose(intensity, intensity_want, rtol=1e-12, atol=0)
+        assert np.max(np.abs(intensity - intensity_want)) <= 1e-12 * intensity_want.max()
 
 
 def test_dispersion_step_conserves_energy():
@@ -308,11 +322,6 @@ def test_estimate_psd_rejects_long_segment():
 
 
 # --- SNR estimation ---------------------------------------------------------------
-
-
-def _retuned(link, grid, welch):
-    f_m = welch.snap_frequency(link.passband_center(), grid.dt)
-    return link.with_delay_for_center(f_m).with_modulation_frequency(f_m), f_m
 
 
 def _windowed_analytic_floor(noise_fn, f_m, df, gap=4, span=12):
@@ -463,13 +472,13 @@ def test_estimate_snr_runs_each_stage_once_per_realization(monkeypatch, kind):
     assert counts["psd"] == 1
 
 
-def _serial_quantities(link, grid, welch, n, seed, plan=None):
+def _serial_quantities(link, grid, welch, n, seed, plan):
     """``estimate_snr``'s quantities from a serial loop over the public stages.
 
-    Without ``plan`` each realization is detected and Welch-averaged on the
-    full grid; with one, at ``plan.detection`` with the same bin width.
+    Each realization is detected and Welch-averaged at ``plan.detection``,
+    with the bin width of ``welch`` on the full grid.
     """
-    detection = grid if plan is None else plan.detection
+    detection = plan.detection
     detect_welch = WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples)
     f_m = link.scheme.f_m
     lines, floors = np.empty(n), np.empty(n)
@@ -487,8 +496,7 @@ def _serial_quantities(link, grid, welch, n, seed, plan=None):
 
 @pytest.mark.parametrize("kind", ["ssb", "polarization"])
 def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
-    welch = WelchConfig(nperseg=4096)
-    link, _ = _retuned(LINKS[kind], SMALL_GRID, welch)
+    welch, link = BAND_WELCH, LINKS[kind]
     n, seed = 8, 4
     plan = _band_rate_plan(link, SMALL_GRID, welch.nperseg)
     assert plan.detection.n_samples == SMALL_GRID.n_samples // 4
@@ -506,70 +514,50 @@ def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
     assert est.quantities == want
 
 
+_UNMODULATED = _retuned(reference_link(scheme_kind="unmodulated"), SMALL_GRID, BAND_WELCH)[0]
 WORKSPACE_LAYOUTS = {
     # d = M < N: the sum in the second workspace buffer, |E|^2 in the first
-    "band-rate": ("pm", 4096),
-    # tones snapped to these segments are off the lattice: M = d = N, arms through time
-    "fallback-3x2^10": ("ssb", 3 * 2**10),
-    "odd-4095": ("polarization", 4095),
-    "off-lattice-5000": ("two_modulated_arms", 5000),
-    # one constant arm: the sum is the draw's own buffer, |E|^2 goes to the second;
-    # at 4095 the stride is 1, so d = N = 4M and detection takes four phase ramps
-    "constant-arm": ("unmodulated", 4096),
-    "constant-arm-4095": ("unmodulated", 4095),
+    "band-rate": (LINKS["pm"], 4096),
+    # one constant arm: the sum is the draw's own buffer, |E|^2 goes to the second
+    "constant-arm": (_UNMODULATED, 4096),
+    # at 32 the stride is 2 (segments of 16 samples), so d = 2M and detection takes
+    # two phase ramps; the tone is the first Welch bin, 125 GHz, where the centre snaps to 0
+    "constant-arm-d-2M": (_UNMODULATED.with_modulation_frequency(125e9), 32),
 }
 
 
 @pytest.mark.parametrize("width", [1, 4])
 @pytest.mark.parametrize("layout", WORKSPACE_LAYOUTS.values(), ids=WORKSPACE_LAYOUTS.keys())
 def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, layout, width):
-    kind, nperseg = layout
+    link, nperseg = layout
     welch = WelchConfig(nperseg=nperseg)
-    base = reference_link(scheme_kind="unmodulated") if kind == "unmodulated" else LINKS[kind]
-    link, _ = _retuned(base, SMALL_GRID, welch)
     plan = _band_rate_plan(link, SMALL_GRID, nperseg)
-    if kind == "unmodulated":
+    if link.scheme.kind == ModulationKind.UNMODULATED:
         assert plan.band == SMALL_GRID.n_samples // 4 and plan.arms[0][1] is None
-        assert plan.detection.n_samples == SMALL_GRID.n_samples // (4 if nperseg == 4096 else 1)
-    elif nperseg != 4096:
-        assert plan.lattice is None and plan.band == plan.detection.n_samples == SMALL_GRID.n_samples
+        assert plan.detection.n_samples == plan.band * (1 if nperseg == 4096 else 2)
     montecarlo._DROPPED.clear()
     want = _serial_quantities(link, SMALL_GRID, welch, 8, 9, plan)  # leaves the memo warm for seed 9
-    assert len(montecarlo._DROPPED) == (8 if plan.band < SMALL_GRID.n_samples else 0)
+    assert len(montecarlo._DROPPED) == 8
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: width)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch)
+        warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch, f_m=link.scheme.f_m)
         montecarlo._DROPPED.clear()
-        cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch)
+        cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=welch, f_m=link.scheme.f_m)
     finally:
         sys.setswitchinterval(interval)
     assert warm.metadata["workers"] == cold.metadata["workers"] == width
     assert warm.quantities == cold.quantities == want
 
 
-@pytest.mark.parametrize("nperseg", [3 * 2**10, 4095])
-def test_full_rate_fallback_equals_full_rate_chain(nperseg):
-    # a tone snapped to these segments is off the grid's frequency lattice,
-    # so the field is not band-limited and estimate_snr detects on the full grid
-    welch = WelchConfig(nperseg=nperseg)
-    link, _ = _retuned(reference_link(), SMALL_GRID, welch)
-    plan = _band_rate_plan(link, SMALL_GRID, nperseg)
-    assert plan.band == plan.detection.n_samples == SMALL_GRID.n_samples
-    est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=6, welch=welch)
-    assert est.metadata["detect_samples"] == SMALL_GRID.n_samples
-    assert est.metadata["lattice_bins"] == 0
-    assert est.quantities == _serial_quantities(link, SMALL_GRID, welch, 8, 6)
-
-
 def test_detection_stride():
-    # N/M = 4 at 3.2 nm; the stride divides nperseg/2, so that segments and
-    # half-segment hops stay whole, and leaves segments of 16 samples or more
-    link, _ = _retuned(reference_link(), SMALL_GRID, BAND_WELCH)
+    # N/M = 4 at 3.2 nm; the stride min(N/M, nperseg/16) divides nperseg/2, so that
+    # segments and half-segment hops stay whole, and leaves segments of 16 samples or more
+    link = LINKS["ssb"]
     n = SMALL_GRID.n_samples
     assert _plan(link, SMALL_GRID).detection == SMALL_GRID
-    for nperseg, stride in ((4096, 4), (3 * 2**10, 4), (4 * 17, 2), (4094, 1), (4095, 1), (32, 2), (16, 1)):
+    for nperseg, stride in ((4096, 4), (64, 4), (32, 2), (16, 1)):
         detection = _band_rate_plan(link, SMALL_GRID, nperseg).detection
         assert detection == SimulationGrid(SMALL_GRID.dt * stride, n // stride)
 
@@ -595,31 +583,7 @@ def test_band_rate_welch_matches_full_rate_chain_at_full_scale(kind):
     np.testing.assert_allclose(line_and_floor(plan), line_and_floor(None), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize(
-    "kind, transforms",
-    [("ssb", 3), ("dsb", 3), ("pm", 3), ("polarization", 3), ("two_modulated_arms", 4)],
-)
-def test_full_length_transform_counts(monkeypatch, kind, transforms):
-    link = LINKS[kind]
-    calls = Counter()
-    for name in ("fft", "ifft", "rfft", "irfft"):
-
-        def counting(x, *args, _fn=getattr(np.fft, name), **kwargs):
-            if np.size(x) == SMALL_GRID.n_samples:
-                calls["full"] += 1
-            return _fn(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
-    plan = _plan(link, SMALL_GRID)
-    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
-    assert calls["full"] == 0
-    propagate(spectrum, link, SMALL_GRID, plan=plan)
-    assert calls["full"] == transforms
-
-
 # --- band-limited propagation ------------------------------------------------------
-
-BAND_WELCH = WelchConfig(nperseg=4096)
 
 
 def _long_double_chain(link, grid, rng):
@@ -652,7 +616,6 @@ def _band_intensity(link, grid, rng):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here")
 @pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
 def test_band_intensity_as_accurate_as_full_length_chain(link):
-    link, _ = _retuned(link, SMALL_GRID, BAND_WELCH)
     exact = _long_double_chain(link, SMALL_GRID, realization_rng(3, 1))
     _, full = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
     band = _band_intensity(link, SMALL_GRID, realization_rng(3, 1))
@@ -672,7 +635,6 @@ def test_band_intensity_as_accurate_as_full_length_chain(link):
 
 @pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
 def test_band_intensity_matches_reference_chain(link):
-    link, _ = _retuned(link, SMALL_GRID, BAND_WELCH)
     _, want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
     band = _band_intensity(link, SMALL_GRID, realization_rng(3, 1))
     assert np.max(np.abs(band - want)) <= 1e-12 * want.max()
@@ -685,29 +647,27 @@ def test_band_size():
     for nm, band in ((3.2, n // 4), (6.4, n // 2)):
         link, _ = _retuned(reference_link(bandwidth_nm=nm), SMALL_GRID, BAND_WELCH)
         assert _plan(link, SMALL_GRID).band == band
-    off_lattice = reference_link(f_m=10e9)  # 163.84 bins of df
-    assert _plan(off_lattice, SMALL_GRID).band == n
+    with pytest.raises(ConfigurationError, match="^f_m:"):
+        _plan(reference_link(f_m=10e9), SMALL_GRID)  # 163.84 bins of df
 
 
-def test_off_lattice_tone_modulates_through_time(monkeypatch):
-    # 163.84 cycles of 10 GHz in the record: the tone is off the df lattice,
-    # so the arms keep their waveforms on the full grid, evaluated once
+def test_modulated_tone_off_the_lattice_is_rejected():
+    # 163.84 cycles of 10 GHz in the record: no bin shift moves the field by that
     link = reference_link(f_m=10e9)
-    counts = _count_calls(monkeypatch)
-    plan = _plan(link, SMALL_GRID)
-    assert counts["evaluate"] == 1 and plan.band == SMALL_GRID.n_samples
-    (_, waveform), = plan.arms
-    m, _ = build_scheme(link.scheme)
-    np.testing.assert_array_equal(waveform, m.evaluate(SMALL_GRID.times()))
-    _, want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
-    for kwargs in ({}, {"plan": plan}):
-        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
-        intensity = propagate(spectrum, link, SMALL_GRID, **kwargs)
-        np.testing.assert_allclose(intensity, want, rtol=1e-12, atol=0)
+    for call in (
+        lambda: _plan(link, SMALL_GRID),
+        lambda: _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg),
+        lambda: propagate(synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1)), link, SMALL_GRID),
+    ):
+        with pytest.raises(ConfigurationError, match="^f_m:"):
+            call()
+    # a constant arm has no tone to place: the unmodulated link keeps its band at any f_m
+    unmodulated = reference_link(scheme_kind="unmodulated", f_m=10e9)
+    assert _plan(unmodulated, SMALL_GRID).band == SMALL_GRID.n_samples // 4
 
 
-def _transform_sizes(monkeypatch) -> Counter:
-    """Count numpy.fft transforms by their input size."""
+def _realization_transforms(monkeypatch, link, plan) -> dict[int, int]:
+    """numpy.fft transforms of one realization's draw and propagation, counted by their input size."""
     calls = Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
 
@@ -716,34 +676,8 @@ def _transform_sizes(monkeypatch) -> Counter:
             return _fn(x, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
-    return calls
-
-
-def _time_domain_twin(plan, link, grid):
-    """``plan`` with each bin-shift modulation replaced by its waveform at every N/M-th grid time."""
-    times = SimulationGrid(grid.dt * (grid.n_samples // plan.band), plan.band).times()
-    m1, m2 = build_scheme(link.scheme)
-    modulators = (m1,) if m2 is m1 else (m1, m2)
-    arms = tuple(
-        (f, m.evaluate(times) if isinstance(modulation, dict) else modulation)
-        for (f, modulation), m in zip(plan.arms, modulators)
-    )
-    return plan._replace(arms=arms)
-
-
-def _routes(monkeypatch, link, plan):
-    """Transform sizes and intensity of one realization, through bin shifts and through time."""
-    calls = _transform_sizes(monkeypatch)
-    out = {}
-    for route, route_plan in (("shift", plan), ("time", _time_domain_twin(plan, link, SMALL_GRID))):
-        calls.clear()
-        spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=route_plan)
-        intensity = propagate(spectrum, link, SMALL_GRID, plan=route_plan)
-        out[route] = dict(calls), intensity
-    (shift_calls, shifted), (time_calls, timed) = out["shift"], out["time"]
-    # exact roots of unity against rounded phases 2 pi n f_m t
-    assert np.max(np.abs(shifted - timed)) <= 1e-12 * timed.max()
-    return shift_calls, time_calls
+    propagate(synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan), link, SMALL_GRID, plan=plan)
+    return dict(calls)
 
 
 @pytest.mark.parametrize("kind", ["pm", "two_modulated_arms"])
@@ -751,7 +685,7 @@ def _routes(monkeypatch, link, plan):
 def test_shifted_band_detects_at_every_stride(kind, stride):
     # the shifted harmonics accumulate in the draw's last M bins, which the
     # zero-padding then overwrites, for any detection length from M to N
-    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    link = LINKS[kind]
     plan = _plan(link, SMALL_GRID)
     assert plan.band == SMALL_GRID.n_samples // 4
     strided = plan._replace(detection=SimulationGrid(SMALL_GRID.dt * stride, SMALL_GRID.n_samples // stride))
@@ -762,39 +696,31 @@ def test_shifted_band_detects_at_every_stride(kind, stride):
     assert np.max(np.abs(got - full[::stride])) <= 1e-12 * full.max()
 
 
-@pytest.mark.parametrize(
-    "kind, band_transforms",
-    [("ssb", 2), ("dsb", 2), ("pm", 2), ("polarization", 2), ("two_modulated_arms", 3)],
-)
-def test_band_transform_counts(monkeypatch, kind, band_transforms):
-    # on the lattice the arms shift bins, so the only transforms detect on the
-    # full grid: N/M = 4 band-length ones, one per phase ramp; the same band
-    # taken through time needs band_transforms more
-    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
-    shift_calls, time_calls = _routes(monkeypatch, link, _plan(link, SMALL_GRID))
-    assert shift_calls == {SMALL_GRID.n_samples // 4: 4}
-    assert time_calls == {SMALL_GRID.n_samples // 4: 4 + band_transforms}
+TRANSFORM_KINDS = ["ssb", "dsb", "pm", "polarization", "two_modulated_arms"]
 
 
-@pytest.mark.parametrize(
-    "kind, band_transforms",
-    [("ssb", 3), ("dsb", 3), ("pm", 3), ("polarization", 3), ("two_modulated_arms", 4)],
-)
-def test_band_rate_transform_counts(monkeypatch, kind, band_transforms):
-    # detected at the band rate, as estimate_snr detects: one band-length
-    # transform, where the same band taken through time needs band_transforms
-    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
-    shift_calls, time_calls = _routes(monkeypatch, link, _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg))
-    assert shift_calls == {SMALL_GRID.n_samples // 4: 1}
-    assert time_calls == {SMALL_GRID.n_samples // 4: band_transforms}
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_band_transform_counts(monkeypatch, kind):
+    # the arms shift bins, so the only transforms detect on the full grid:
+    # N/M = 4 band-length ones, one per phase ramp
+    link = LINKS[kind]
+    assert _realization_transforms(monkeypatch, link, _plan(link, SMALL_GRID)) == {SMALL_GRID.n_samples // 4: 4}
 
 
-def test_estimate_snr_rejects_long_segment_before_any_realization(monkeypatch):
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_band_rate_transform_counts(monkeypatch, kind):
+    # detected at the band rate, as estimate_snr detects: one band-length transform
+    link = LINKS[kind]
+    plan = _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg)
+    assert _realization_transforms(monkeypatch, link, plan) == {SMALL_GRID.n_samples // 4: 1}
+
+
+@pytest.mark.parametrize("nperseg", [2 * SMALL_GRID.n_samples, 3 * 2**10, 4095, 5000])
+def test_estimate_snr_rejects_a_segment_that_does_not_divide_the_record(monkeypatch, nperseg):
+    # a tone snapped to such a segment's bins would be off the record's lattice
     counts = _count_calls(monkeypatch)
-    with pytest.raises(ConfigurationError):
-        estimate_snr(
-            reference_link(), SMALL_GRID, n_realizations=8, welch=WelchConfig(nperseg=2 * SMALL_GRID.n_samples)
-        )
+    with pytest.raises(ConfigurationError, match="^welch.nperseg:"):
+        estimate_snr(reference_link(), SMALL_GRID, n_realizations=8, welch=WelchConfig(nperseg=nperseg))
     assert counts["synthesize_field"] == 0 and counts["evaluate"] == 0
 
 
@@ -808,7 +734,7 @@ TINY_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**12)
     [
         (SMALL_GRID, 3.2, None, 4),  # M = N/4: six full passes of the skip buffer
         (SMALL_GRID, 6.4, None, 2),  # M = N/2
-        (SMALL_GRID, 3.2, 10e9, 1),  # off the lattice: M = N, nothing skipped
+        (SMALL_GRID, 3.2, 1600 * SMALL_GRID.df, 2),  # a tone of 97.7 GHz on the lattice widens the band: M = N/2
         (TINY_GRID, 3.2, None, 4),  # one partial pass of the skip buffer
     ],
 )
@@ -891,11 +817,12 @@ def test_memo_key_is_exact_integers_and_skips_other_generators():
     full = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(np.random.MT19937(5)))
     np.testing.assert_array_equal(other, full[np.r_[0 : m // 2, n - m // 2 : n]])
     assert len(montecarlo._DROPPED) == 2
-    # an off-lattice tone (M = N) drops nothing and leaves the memo alone
-    off = reference_link(f_m=10e9)
-    assert _plan(off, TINY_GRID).band == n
-    synthesize_field(off.spectrum, TINY_GRID, realization_rng(3, 0), plan=_plan(off, TINY_GRID))
+    # a draw without a plan (all N bins) drops nothing and leaves the memo alone
+    synthesize_field(link.spectrum, TINY_GRID, realization_rng(3, 0))
     assert len(montecarlo._DROPPED) == 2
+    # a tone off the lattice builds no plan to draw with
+    with pytest.raises(ConfigurationError, match="^f_m:"):
+        _plan(reference_link(f_m=10e9), TINY_GRID)
 
 
 def test_memo_holds_at_most_its_bound_under_concurrent_workers(monkeypatch):
@@ -951,7 +878,7 @@ def test_estimate_snr_equal_with_memo_warm_and_cold():
 
 @pytest.mark.parametrize("kind", ["ssb", "pm", "two_modulated_arms"])
 def test_band_and_grid_length_fields_propagate_alike(kind):
-    link, _ = _retuned(LINKS[kind], SMALL_GRID, BAND_WELCH)
+    link = LINKS[kind]
     for plan in (_plan(link, SMALL_GRID), _band_rate_plan(link, SMALL_GRID, BAND_WELCH.nperseg)):
         band = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0), plan=plan)
         full = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0))
