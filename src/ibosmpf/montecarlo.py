@@ -10,20 +10,24 @@ outside its support and every arm is a harmonic sum, so a realization of
 the seeded stream is drawn straight into them, the arms, modulation (at a
 tone f_m = c df on the lattice, harmonic n shifts them by n c bins) and
 dispersion act on them, and one M-point inverse transform detects |E|^2 at
-every (N/M)-th grid time, exact samples of the band-limited intensity, on
-which Welch sees the same bins and segments.  A modulated tone off the
-lattice is rejected; a Welch segment must divide the record, so every
-tone snapped to its bins is on it.  Welch periodograms, mirrored onto
-negative frequencies, estimate the two-sided intensity PSD; lines are
-integrated over a few bins less the local floor.
+every (N/M)-th grid time, exact samples of the band-limited intensity.  A
+modulated tone off the lattice is rejected.  All of it is circular over the
+record, so the intensity is periodic and its DFT a_k = rfft(I, norm="forward")
+holds the tone in bin c alone: the line is |a_c|^2 less the floor's share of
+that bin, the two-sided floor density the mean |a_k|^2 T 0.5-1.5 GHz from c
+over the bins that hold no line (the mean intensity's lines, DC among them,
+are on the multiples of c).
+:func:`estimate_psd` (Welch), :func:`extract_line` and :func:`floor_density`
+estimate them from any record.
 
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
 values do not depend on the order or the threads its realizations run on.
 The 2N - 2M powerless bins' normals are drawn once per process: a memo of
 at most 256 entries (shared by the pool workers, keyed by integers) maps the
-PCG64 state ahead of them and their count to the state after them, which a
-later link at that seed sets instead; no output depends on what it holds.
+PCG64 state ahead of them and their count to the four ints of the state
+after them, which a later link at that seed sets instead; no output
+depends on what it holds.
 """
 
 from __future__ import annotations
@@ -93,13 +97,16 @@ class SimulationGrid:
 # bench default: 4 THz sample rate, 2**20 samples per realization
 DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
-# (PCG64 state ints ahead of the dropped normals, their count) -> state after them; oldest evicted first
+# (PCG64 state ints ahead of the dropped normals, their count) -> state ints after them; oldest evicted first
 _DROPPED, _DROPPED_HELD, _DROPPED_LOCK = {}, 256, threading.Lock()
 # Welch segments per batched transform in estimate_psd
 _WELCH_ROWS = 8
-# bytes the concurrent realizations of one estimate_snr call may hold, at 48 per detection sample
-# each; at 2^20 samples a worker peaks at 38.9 per band bin: its workspace (32.5) and Welch's groups
+# bytes the concurrent realizations of one estimate_snr call may hold, at 48 per band bin
+# each; at 2^20 samples a worker peaks at 32.6 per band bin, nearly all of it its workspace (32.5)
 _INFLIGHT_BYTES = 2**27
+# offsets from the tone (or a probe) [Hz]: the record bins nearest them, every bin between, on both
+# sides, hold the floor, the mean of their periodogram over the bins that hold no line
+_FLOOR_SPAN = (0.5e9, 1.5e9)
 
 
 @dataclass(frozen=True)
@@ -134,10 +141,10 @@ class _Plan(NamedTuple):
     """Factors of one (link, grid) pair that no realization changes, on the M in-band bins."""
 
     amplitude: np.ndarray | None  # sqrt(G df / 2) on the band's bins; None: synthesize_field computes it per call
-    band: int  # M, from _band: the field's bins are the grid's first and last M/2
-    order: int  # K, from _band
-    lattice: int  # c, from _band
-    detection: SimulationGrid  # the grid times where propagate squares |E|
+    band: int  # M: the field's bins are the grid's first and last M/2
+    order: int  # K
+    lattice: int  # c
+    detect: int  # d: propagate squares |E| at every (N/d)-th grid time
     # (spectral filter, modulation) per distinct modulator; the filter is None for an
     # undelayed arm's 1, the modulation None for a constant m (folded into the filter),
     # else the bin shifts {n c mod M: M_n}
@@ -155,15 +162,16 @@ def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid, band: int) -> np
     return np.sqrt(psd, out=psd)
 
 
-def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int]:
-    """Largest harmonic order K over both arms, the band size M in bins, and c.
+def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
+    """Build the grid-only factors of propagation once; every realization of an ensemble reuses them.
 
     The source has no power outside its support, every arm is a harmonic
     sum, and delay and dispersion act bin by bin, so the modulated field
-    occupies |f| <= F = max|support| + K f_m.  M is the smallest power of
-    two with M df > 4 F, the width of the intensity's band |f| <= 2 F (the
-    field alone would fit in M df > 2 F).  The tone f_m = c df makes c whole
-    cycles in the record; a modulated link's tone off that lattice raises.
+    occupies |f| <= F = max|support| + K f_m, K the largest harmonic order
+    over both arms.  The band M is the smallest power of two with M df > 4 F,
+    the width of the intensity's band |f| <= 2 F (the field alone would fit
+    in M df > 2 F).  The tone f_m = c df makes c whole cycles in the record;
+    a modulated link's tone off that lattice raises.
     """
     m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
@@ -176,14 +184,8 @@ def _band(link: LinkConfig, grid: SimulationGrid) -> tuple[int, int, int]:
     band = 2
     while band < n and band * grid.df <= 4.0 * edge:
         band *= 2
-    return order, band, lattice
-
-
-def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
-    """Build the grid-only factors of propagation once; every realization of an ensemble reuses them."""
-    order, band, lattice = _band(link, grid)
     h, freqs = band // 2, np.arange(band // 2 + 1) * grid.df  # |f| of bins 0 .. M/2, as fftfreq gives them
-    delayed, dispersion = np.empty(band, dtype=np.complex128), np.empty(band, dtype=np.complex128)
+    delayed, dispersion = np.empty((2, band), complex)
     angles = (-2.0 * np.pi * freqs * link.delay, -link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
     for phasor, angle in zip((delayed, dispersion), angles):  # bin -k holds -f_k exactly: each phase taken once
         np.cos(angle, out=phasor.real[: h + 1])
@@ -191,7 +193,6 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
         phasor[h + 1 :] = phasor[h - 1 : 0 : -1]
     np.negative(delayed.imag[h:], out=delayed.imag[h:])  # the delay's phase is odd in f
     delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
-    m1, m2 = build_scheme(link.scheme)
     pairs = [(np.add(delayed, 1.0, out=delayed), m1)] if m2 is m1 else [(None, m1), (delayed, m2)]
 
     def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
@@ -205,22 +206,9 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
         for f, m in pairs
     )
     return _Plan(
-        amplitude=None, band=band, order=order, lattice=lattice, detection=grid, arms=arms, dispersion=dispersion,
+        amplitude=None, band=band, order=order, lattice=lattice, detect=n, arms=arms, dispersion=dispersion,
         work=None,  # without a workspace each call allocates its own buffers
     )
-
-
-def _band_rate_plan(link: LinkConfig, grid: SimulationGrid, nperseg: int) -> _Plan:
-    """``_plan`` with the synthesis amplitude, detecting every s-th grid time, for Welch segments of ``nperseg``.
-
-    s = min(N/M, nperseg/16), both powers of two for an nperseg that divides
-    N: segments and half-segment hops stay whole, segments keep WelchConfig's
-    16 samples or more, and the intensity (|f| <= 2F < M df / 2) is sampled exactly.
-    """
-    plan = _plan(link, grid)
-    stride = min(grid.n_samples // plan.band, nperseg // 16)
-    detection = SimulationGrid(grid.dt * stride, grid.n_samples // stride)
-    return plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detection=detection)
 
 
 def synthesize_field(
@@ -236,19 +224,21 @@ def synthesize_field(
     """
     band = grid.n_samples if plan is None else plan.band
     amplitude = _amplitude(spectrum, grid, band) if plan is None or plan.amplitude is None else plan.amplitude
-    xhat, _, scratch = (plan and plan.work) or (np.empty(band, dtype=np.complex128), None, np.empty(2**13, complex))
+    xhat, _, scratch = (plan and plan.work) or (np.empty(band, complex), None, np.empty(2**13, complex))
     normals, skip = xhat.view(np.float64), 2 * (grid.n_samples - band)  # real and imaginary part per bin
     rng.standard_normal(out=normals[:band])
     state = rng.bit_generator.state if skip and type(rng.bit_generator) is np.random.PCG64 else None
     key = state and (*state["state"].values(), state["has_uint32"], state["uinteger"], skip)
-    if (after := _DROPPED.get(key)) is not None:
-        rng.bit_generator.state = after
+    if (after := _DROPPED.get(key)) is not None:  # into the stream's own state dict: its four ints
+        state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"] = after
+        rng.bit_generator.state = state
     else:
         for start in range(0, skip, 2**14):  # the powerless bins between: drawn into the scratch, then dropped
             rng.standard_normal(out=scratch.view(np.float64)[: skip - start])
         if key is not None:
             with _DROPPED_LOCK:
-                _DROPPED[key] = rng.bit_generator.state
+                after = rng.bit_generator.state
+                _DROPPED[key] = (*after["state"].values(), after["has_uint32"], after["uinteger"])
                 while len(_DROPPED) > _DROPPED_HELD:
                     del _DROPPED[next(iter(_DROPPED))]
     rng.standard_normal(out=normals[band:])
@@ -264,17 +254,17 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
     overwritten and may hold the result: pass a copy to keep it.  The differential delay is
     an exact frequency-domain phase in one spectral filter per distinct arm modulator;
     dispersion is one all-pass product.  Both, and the modulation (bin shifts of a tone that
-    must be on the lattice), run on the M in-band bins.  Detection on the d samples of ``plan.detection``
-    (every s-th grid time for ``_band_rate_plan``) takes d/M M-point inverse transforms behind
+    must be on the lattice), run on the M in-band bins.  Detection on the ``plan.detect`` samples d
+    (M inside ``estimate_snr``, N without a plan) takes d/M M-point inverse transforms behind
     phase ramps: within 7.8e-16 of the peak of one zero-padded d-point transform at 2^20 samples.
     """
     if plan is None:
         plan = _plan(link, grid)
-    n, m, d, half = grid.n_samples, plan.band, plan.detection.n_samples, plan.band // 2
+    n, m, d, half = grid.n_samples, plan.band, plan.detect, plan.band // 2
     if spectrum.shape not in ((n,), (m,)):
         raise ConfigurationError("field length matches neither the grid nor the plan's band")
     band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
-    draw, total, scratch = plan.work or (band, np.empty(m, dtype=np.complex128), np.empty(2**13, dtype=np.complex128))
+    draw, total, scratch = plan.work or (band, np.empty(m, complex), np.empty(2**13, complex))
     combined = None
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
@@ -294,11 +284,10 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
                             part = source[j : j + scratch.size]
                             target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
     combined *= plan.dispersion
-    spare = total if combined is draw else draw  # free for detection (a constant arm's sum is the draw)
-    if d == m:
-        intensity = np.abs(np.fft.ifft(combined, norm="forward", out=combined), out=spare.view(np.float64)[:m])
+    if d == m:  # |E|^2 into the draw's buffer, the field through the second (a constant arm's sum is the draw)
+        intensity = np.abs(np.fft.ifft(combined, norm="forward", out=total), out=draw.view(np.float64)[:m])
     else:  # time p + jR (R = d/M) is band sample j of the sum times exp(j 2 pi k p / d) at bin k
-        shifted, intensity = spare, np.empty(d)
+        shifted, intensity = total if combined is draw else draw, np.empty(d)
         ramp = np.fft.fftfreq(m, d / (2.0 * np.pi * m))  # 2 pi k / d
         for p in range(d // m):
             np.multiply(combined, _phasor(ramp * p), out=shifted)
@@ -405,57 +394,61 @@ def estimate_snr(
     link: LinkConfig, grid: SimulationGrid = DEFAULT_GRID, n_realizations: int = 64, seed: int = 0,
     welch: WelchConfig = WelchConfig(), f_m: float | None = None, probe_frequencies: tuple[float, ...] = (),
 ) -> McEstimate:
-    """Ensemble SNR estimate: line power over local continuum, per hertz.
+    """Ensemble SNR estimate: line power over local continuum, per hertz, from each record's periodogram.
 
     ``f_m`` defaults to the passband center snapped to the nearest Welch
     bin; the snapped value is recorded and must be used for any analytic
     comparison; ``welch.nperseg`` must divide the record, which puts it on
-    the record's lattice.  Extra probe frequencies yield floor-density estimates.
+    the record's lattice, and sets nothing else.  Extra probe frequencies
+    yield floor-density estimates over the floor's span around each probe.
     """
     if n_realizations < 8:
         raise ConfigurationError("at least 8 realizations are required")
     if grid.n_samples % welch.nperseg:
         raise ConfigurationError("welch.nperseg: the segment must divide the record's n_samples")
-    if f_m is None:
-        f_m = link.passband_center()
-    f_m = welch.snap_frequency(f_m, grid.dt)
+    f_m = welch.snap_frequency(link.passband_center() if f_m is None else f_m, grid.dt)
     link = link.with_modulation_frequency(f_m)
     lo, hi = link.spectrum.support()
-    plan = _band_rate_plan(link, grid, welch.nperseg)
+    plan = _plan(link, grid)
     grid.validate_for(hi - lo, f_m, plan.order)
+    # the synthesis amplitude, and detection at the M band samples: the intensity (|f| <= 2F < M df / 2) exactly
+    plan = plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detect=plan.band)
 
-    df = welch.bin_width(grid.dt)
-    lines, floors = np.empty((2, n_realizations))
-    probes = {f: np.empty(n_realizations) for f in probe_frequencies}
-    detection = plan.detection  # Welch sees the same bins and segments at this rate
-    detect_welch = WelchConfig(welch.nperseg * detection.n_samples // grid.n_samples)
+    inner, outer = (round(f / grid.df) for f in _FLOOR_SPAN)
+    near = np.r_[-outer : 1 - inner, inner : outer + 1]
+    spans = np.abs([round(f / grid.df) + near for f in (f_m, *probe_frequencies)])  # |a_-k| = |a_k|
+    if not inner or spans.max() > plan.band // 2:  # 1 GHz bins hold the tone in its floor; M/2 is the last
+        raise ConfigurationError("n_samples: the record's bins hold no floor 0.5-1.5 GHz from the tone or a probe")
+    # the mean intensity repeats with the tone, so its lines, DC among them, are the bins k c (gcd(k, c) = c): no floor
+    floors = [span[np.gcd(span, plan.lattice) != plan.lattice] for span in spans]
+    values = np.empty((3 + len(probe_frequencies), n_realizations))  # line, the floor at f_m and each probe, SNR
 
     def worker(first: int) -> None:  # realizations first, first + width, ... on one workspace
-        own = plan._replace(work=(*np.empty((2, plan.band), dtype=np.complex128), np.empty(2**13, complex)))
+        own = plan._replace(work=(*np.empty((2, plan.band), complex), np.empty(2**13, complex)))
         for r in range(first, n_realizations, width):
             spectrum = synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=own)
-            decomp = estimate_psd(propagate(spectrum, link, grid, plan=own), detection, detect_welch)
-            lines[r], _ = extract_line(decomp.frequencies, decomp.continuum, f_m, df)
-            floors[r] = floor_density(decomp.frequencies, decomp.continuum, f_m)
-            for f_probe in probe_frequencies:
-                probes[f_probe][r] = floor_density(decomp.frequencies, decomp.continuum, f_probe)
+            intensity = propagate(spectrum, link, grid, plan=own)
+            # the second buffer, which held the summed spectrum, is free once |E|^2 is in the first
+            coefficients = np.fft.rfft(intensity, norm="forward", out=own.work[1][: plan.band // 2 + 1])
+            values[1:-1, r] = [np.mean(abs(coefficients[bins]) ** 2) * grid.duration for bins in floors]
+            values[0, r] = abs(coefficients[plan.lattice]) ** 2 - values[1, r] / grid.duration
+            values[-1, r] = values[0, r] / values[1, r]
 
     # the draws, transforms and array arithmetic release the interpreter
     # lock, so realizations overlap on threads; the width bounds their memory
-    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_BYTES // (48 * detection.n_samples)))
+    width = min(_usable_cpus(), n_realizations, max(1, _INFLIGHT_BYTES // (48 * plan.band)))
     with ThreadPoolExecutor(max_workers=width) as pool:
         list(pool.map(worker, range(width)))  # raises what a realization raised
 
-    def _stats(values: np.ndarray) -> tuple[float, float]:
-        return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-    quantities = {"line_power": _stats(lines), "noise_psd": _stats(floors), "snr_linear": _stats(lines / floors)}
-    quantities |= {f"floor@{f_probe:.6g}": _stats(values) for f_probe, values in probes.items()}
+    names = ["line_power", "noise_psd", *(f"floor@{f_probe:.6g}" for f_probe in probe_frequencies), "snr_linear"]
     return McEstimate(
         n_realizations=n_realizations,
-        quantities=quantities,
+        quantities={
+            name: (float(row.mean()), float(row.std(ddof=1) / math.sqrt(n_realizations)))
+            for name, row in zip(names, values)
+        },
         metadata=dict(
             f_m=f_m, seed=seed, nperseg=welch.nperseg, dt=grid.dt,
-            band_bins=plan.band, detect_samples=detection.n_samples, lattice_bins=plan.lattice, workers=width,
+            band_bins=plan.band, lattice_bins=plan.lattice, workers=width,
         ),
     )
