@@ -57,9 +57,6 @@ class HarmonicModulation:
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
 
-    def is_constant(self) -> bool:
-        return all(n == 0 for n in self.coeffs)
-
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)

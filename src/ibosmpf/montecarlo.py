@@ -104,7 +104,7 @@ _WELCH_ROWS = 8
 # bytes the concurrent realizations of one estimate_snr call may hold, at 48 per band bin
 # each; at 2^20 samples a worker peaks at 32.6 per band bin, nearly all of it its workspace (32.5)
 _INFLIGHT_BYTES = 2**27
-# offsets from the tone (or a probe) [Hz]: the record bins nearest them, every bin between, on both
+# offsets from the tone [Hz]: the record bins nearest them, every bin between, on both
 # sides, hold the floor, the mean of their periodogram over the bins that hold no line
 _FLOOR_SPAN = (0.5e9, 1.5e9)
 
@@ -145,10 +145,9 @@ class _Plan(NamedTuple):
     order: int  # K
     lattice: int  # c
     detect: int  # d: propagate squares |E| at every (N/d)-th grid time
-    # (spectral filter, modulation) per distinct modulator; the filter is None for an
-    # undelayed arm's 1, the modulation None for a constant m (folded into the filter),
-    # else the bin shifts {n c mod M: M_n}
-    arms: tuple[tuple[np.ndarray | complex | None, dict[int, complex] | None], ...]
+    # (spectral filter, bin shifts {n c mod M: M_n}) per distinct modulator; the filter is None
+    # for an undelayed arm's 1, and a constant m is the one shift {0: M_0}
+    arms: tuple[tuple[np.ndarray | None, dict[int, complex]], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
     work: tuple[np.ndarray, ...] | None  # a pool worker's buffers: the draw, the harmonic sum, 2^14 floats
 
@@ -197,16 +196,13 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
 
     def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
         shifts = {}
-        for n, coefficient in m.coeffs.items():
+        for n, coefficient in (m.coeffs or {0: 0.0}).items():  # an arm of no coefficients adds zeros
             shifts[n * lattice % band] = shifts.get(n * lattice % band, 0) + coefficient
         return shifts
 
-    arms = tuple(
-        (np.multiply(1.0 if f is None else f, m.coefficient(0), out=f), None) if m.is_constant() else (f, modulation(m))
-        for f, m in pairs
-    )
     return _Plan(
-        amplitude=None, band=band, order=order, lattice=lattice, detect=n, arms=arms, dispersion=dispersion,
+        amplitude=None, band=band, order=order, lattice=lattice, detect=n, dispersion=dispersion,
+        arms=tuple((f, modulation(m)) for f, m in pairs),
         work=None,  # without a workspace each call allocates its own buffers
     )
 
@@ -265,33 +261,30 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
         raise ConfigurationError("field length matches neither the grid nor the plan's band")
     band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
     draw, total, scratch = plan.work or (band, np.empty(m, complex), np.empty(2**13, complex))
-    combined = None
+    first = True
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
         arm = band if spectral_filter is None else np.multiply(band, spectral_filter, out=band if k == last else None)
-        if modulation is None:  # m is a constant, folded into the filter
-            combined = arm if combined is None else np.add(combined, arm, out=combined)
-        else:  # M_n shifted by n c bins
-            for shift, coefficient in modulation.items():
-                head, tail = arm[m - shift :], arm[: m - shift]
-                if combined is None:
-                    combined = total
-                    np.multiply(head, coefficient, out=combined[:shift])
-                    np.multiply(tail, coefficient, out=combined[shift:])
-                else:  # a chunk at a time: no M-length product per harmonic
-                    for target, source in ((combined[:shift], head), (combined[shift:], tail)):
-                        for j in range(0, source.size, scratch.size):
-                            part = source[j : j + scratch.size]
-                            target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
-    combined *= plan.dispersion
-    if d == m:  # |E|^2 into the draw's buffer, the field through the second (a constant arm's sum is the draw)
-        intensity = np.abs(np.fft.ifft(combined, norm="forward", out=total), out=draw.view(np.float64)[:m])
+        for shift, coefficient in modulation.items():  # M_n shifted by n c bins, summed into the second buffer
+            head, tail = arm[m - shift :], arm[: m - shift]
+            if first:
+                first = False
+                np.multiply(head, coefficient, out=total[:shift])
+                np.multiply(tail, coefficient, out=total[shift:])
+            else:  # a chunk at a time: no M-length product per harmonic
+                for target, source in ((total[:shift], head), (total[shift:], tail)):
+                    for j in range(0, source.size, scratch.size):
+                        part = source[j : j + scratch.size]
+                        target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
+    total *= plan.dispersion
+    if d == m:  # |E|^2 into the draw's buffer, the field through the sum's
+        intensity = np.abs(np.fft.ifft(total, norm="forward", out=total), out=draw.view(np.float64)[:m])
     else:  # time p + jR (R = d/M) is band sample j of the sum times exp(j 2 pi k p / d) at bin k
-        shifted, intensity = total if combined is draw else draw, np.empty(d)
+        intensity = np.empty(d)
         ramp = np.fft.fftfreq(m, d / (2.0 * np.pi * m))  # 2 pi k / d
         for p in range(d // m):
-            np.multiply(combined, _phasor(ramp * p), out=shifted)
-            np.abs(np.fft.ifft(shifted, norm="forward", out=shifted), out=intensity[p :: d // m])
+            np.multiply(total, _phasor(ramp * p), out=draw)
+            np.abs(np.fft.ifft(draw, norm="forward", out=draw), out=intensity[p :: d // m])
     return np.square(intensity, out=intensity)
 
 
@@ -392,15 +385,15 @@ class McEstimate:
 
 def estimate_snr(
     link: LinkConfig, grid: SimulationGrid = DEFAULT_GRID, n_realizations: int = 64, seed: int = 0,
-    welch: WelchConfig = WelchConfig(), f_m: float | None = None, probe_frequencies: tuple[float, ...] = (),
+    welch: WelchConfig = WelchConfig(), f_m: float | None = None,
 ) -> McEstimate:
     """Ensemble SNR estimate: line power over local continuum, per hertz, from each record's periodogram.
 
     ``f_m`` defaults to the passband center snapped to the nearest Welch
     bin; the snapped value is recorded and must be used for any analytic
     comparison; ``welch.nperseg`` must divide the record, which puts it on
-    the record's lattice, and sets nothing else.  Extra probe frequencies
-    yield floor-density estimates over the floor's span around each probe.
+    the record's lattice, and sets nothing else.  A tone that snaps to
+    0 Hz, the DC line's bin, is rejected.
     """
     if n_realizations < 8:
         raise ConfigurationError("at least 8 realizations are required")
@@ -410,18 +403,19 @@ def estimate_snr(
     link = link.with_modulation_frequency(f_m)
     lo, hi = link.spectrum.support()
     plan = _plan(link, grid)
+    if not plan.lattice:
+        raise ConfigurationError("f_m: the tone snaps to 0 Hz, the bin of the DC line")
     grid.validate_for(hi - lo, f_m, plan.order)
     # the synthesis amplitude, and detection at the M band samples: the intensity (|f| <= 2F < M df / 2) exactly
     plan = plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detect=plan.band)
 
     inner, outer = (round(f / grid.df) for f in _FLOOR_SPAN)
-    near = np.r_[-outer : 1 - inner, inner : outer + 1]
-    spans = np.abs([round(f / grid.df) + near for f in (f_m, *probe_frequencies)])  # |a_-k| = |a_k|
-    if not inner or spans.max() > plan.band // 2:  # 1 GHz bins hold the tone in its floor; M/2 is the last
-        raise ConfigurationError("n_samples: the record's bins hold no floor 0.5-1.5 GHz from the tone or a probe")
-    # the mean intensity repeats with the tone, so its lines, DC among them, are the bins k c (gcd(k, c) = c): no floor
-    floors = [span[np.gcd(span, plan.lattice) != plan.lattice] for span in spans]
-    values = np.empty((3 + len(probe_frequencies), n_realizations))  # line, the floor at f_m and each probe, SNR
+    span = np.abs(plan.lattice + np.r_[-outer : 1 - inner, inner : outer + 1])  # |a_-k| = |a_k|
+    if not inner or span.max() > plan.band // 2:  # 1 GHz bins hold the tone in its floor; M/2 is the last
+        raise ConfigurationError("n_samples: the record's bins hold no floor 0.5-1.5 GHz from the tone")
+    # the mean intensity repeats with the tone, so its lines, DC among them, are the bins k c: no floor
+    floor = span[span % plan.lattice != 0]
+    values = np.empty((3, n_realizations))  # line, floor, SNR
 
     def worker(first: int) -> None:  # realizations first, first + width, ... on one workspace
         own = plan._replace(work=(*np.empty((2, plan.band), complex), np.empty(2**13, complex)))
@@ -430,9 +424,9 @@ def estimate_snr(
             intensity = propagate(spectrum, link, grid, plan=own)
             # the second buffer, which held the summed spectrum, is free once |E|^2 is in the first
             coefficients = np.fft.rfft(intensity, norm="forward", out=own.work[1][: plan.band // 2 + 1])
-            values[1:-1, r] = [np.mean(abs(coefficients[bins]) ** 2) * grid.duration for bins in floors]
+            values[1, r] = np.mean(abs(coefficients[floor]) ** 2) * grid.duration
             values[0, r] = abs(coefficients[plan.lattice]) ** 2 - values[1, r] / grid.duration
-            values[-1, r] = values[0, r] / values[1, r]
+            values[2, r] = values[0, r] / values[1, r]
 
     # the draws, transforms and array arithmetic release the interpreter
     # lock, so realizations overlap on threads; the width bounds their memory
@@ -440,12 +434,11 @@ def estimate_snr(
     with ThreadPoolExecutor(max_workers=width) as pool:
         list(pool.map(worker, range(width)))  # raises what a realization raised
 
-    names = ["line_power", "noise_psd", *(f"floor@{f_probe:.6g}" for f_probe in probe_frequencies), "snr_linear"]
     return McEstimate(
         n_realizations=n_realizations,
         quantities={
             name: (float(row.mean()), float(row.std(ddof=1) / math.sqrt(n_realizations)))
-            for name, row in zip(names, values)
+            for name, row in zip(("line_power", "noise_psd", "snr_linear"), values)
         },
         metadata=dict(
             f_m=f_m, seed=seed, nperseg=welch.nperseg, dt=grid.dt,

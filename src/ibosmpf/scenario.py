@@ -10,7 +10,7 @@ are rejected rather than guessed, with a message naming the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import yaml
@@ -218,14 +218,14 @@ class OeoSpec:
 @dataclass
 class Scenario:
     link: LinkConfig
-    sweep: Optional[SweepSpec] = None
-    mc: Optional[McSpec] = None
-    oeo: Optional[OeoSpec] = None
-    rf_input_power_w: Optional[float] = None
-    expect: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-    output_format: str = "csv"
-    raw_text: str = ""
+    sweep: Optional[SweepSpec]
+    mc: Optional[McSpec]
+    oeo: Optional[OeoSpec]
+    rf_input_power_w: Optional[float]
+    expect: dict
+    output_path: Optional[str]
+    output_format: str
+    raw_text: str
 
 
 def _link(s: dict) -> LinkConfig:

@@ -24,7 +24,7 @@ from ibosmpf import (
     synthesize_field,
 )
 from ibosmpf.closed_forms import noise_psd_shared, signal_power_dsb, signal_power_ssb, snr_ssb
-from ibosmpf.engine import fundamental_line_power
+from ibosmpf.engine import fundamental_line_power, general_intensity_psd
 from ibosmpf import montecarlo
 from ibosmpf.modulation import (
     MAX_HARMONIC_ORDER,
@@ -359,20 +359,57 @@ def test_mc_snr_matches_analytic_reduced_budget():
     assert est.snr_db == pytest.approx(snr_an, abs=max(3 * est.snr_stderr_db, 0.5))
 
 
-def test_mc_continuum_converges_at_probe_frequencies():
-    grid = MID_GRID
-    welch = WelchConfig(nperseg=32768)
-    link, f_m = _retuned(reference_link(), grid, welch)
-    # probes must keep the floor-averaging window clear of the discrete
-    # lines at 0 and +-f_m, each in a record bin of its own
-    targets = np.concatenate([np.linspace(2e9, 7e9, 8), np.linspace(13e9, 26e9, 8)])
-    probes = tuple(welch.snap_frequency(f, grid.dt) for f in targets)
-    assert all(min(abs(p), abs(p - f_m)) > 1.5e9 for p in probes)
-    est = estimate_snr(link, grid, n_realizations=24, seed=17, welch=welch, probe_frequencies=probes)
-    for f_probe in probes:
-        mc_mean, mc_se = est.quantities[f"floor@{f_probe:.6g}"]
-        want = _windowed_analytic_floor(lambda f: noise_psd_shared(link, f), f_probe, grid)
-        assert abs(mc_mean - want) <= max(3 * mc_se, 0.02 * want)
+# the named links, and all_orders at a 1 ps delay, where the arms' fields correlate,
+# R0(d) = 0.76 R0(0), so that the carrier phase weighs fully
+ORACLE_LINKS = {kind: LINKS[kind] for kind in ("ssb", "pm", "polarization", "all_orders")}
+ORACLE_LINKS["all_orders_1ps"] = replace(
+    LINKS["all_orders"], interferometer=replace(LINKS["all_orders"].interferometer, delay_d=1e-12)
+)
+# Each z below is a Student t with 31 degrees of freedom.  Over root seeds 100-123
+# the 3,600 continuum z's of the five links spread by 1.04 (t_31: 1.03), the
+# heaviest |z| 5.18, and the 240 line z's by 1.03, the heaviest 3.20.  The bound
+# is Bonferroni over one run's 160 comparisons (five links, 30 bands and 2 lines
+# each) at a 0.1 % family-wise false-alarm rate: P(|t_31| > 5.43) = 0.001 / 160
+_ORACLE_Z = 5.43
+
+
+def _oracle_z(link, seed, n=32):
+    """z of the ensemble periodogram against ``general_intensity_psd``: 30 continuum bands, then the DC and f_m lines.
+
+    The public full-grid chain's realizations at 2^16 samples; a_k =
+    rfft(I, norm="forward") of each whole record, so E |a_k|^2 T is the
+    two-sided continuum at k df off the lines.  A band is 32 bins up to
+    58.6 GHz less the line bins k c; a line is its bin's |a|^2 less the noise
+    there, the mean of the 16 bins on each side (at DC, above it).
+    """
+    grid = SMALL_GRID
+    c, top = round(link.scheme.f_m / grid.df), round(60e9 / grid.df)
+    power = np.array([
+        abs(np.fft.rfft(propagate(synthesize_field(link.spectrum, grid, realization_rng(seed, r)), link, grid),
+                        norm="forward")[: top + 1]) ** 2
+        for r in range(n)
+    ])
+    bands = np.arange(1, 1 + top // 32 * 32).reshape(-1, 32)
+    decomp = general_intensity_psd(link, bands.ravel() * grid.df)
+
+    def z(values, want):
+        return (values.mean() - want) / (values.std(ddof=1) / math.sqrt(n))
+
+    off_lines = (band[band % c != 0] for band in bands)
+    zs = [z(power[:, b].mean(axis=1) * grid.duration, decomp.continuum[b - 1].mean()) for b in off_lines]
+    lines = dict(zip(np.round(decomp.line_frequencies / grid.df), decomp.line_powers))
+    for k in (0, c):
+        zs.append(z(power[:, k] - power[:, np.r_[max(k - 16, 1) : k, k + 1 : k + 17]].mean(axis=1), lines[k]))
+    return np.array(zs)
+
+
+@pytest.mark.parametrize("kind", ORACLE_LINKS)
+def test_ensemble_periodogram_matches_the_engine_continuum_and_lines(kind):
+    # the engine's one oracle on custom pairs and unbalanced splitters; the
+    # harmonics at 2 f_m and above carry at most 0.8 % of their bin's noise
+    # here, beyond what 32 realizations resolve, and are left out
+    zs = _oracle_z(ORACLE_LINKS[kind], seed=0)
+    assert zs.size == 32 and np.max(np.abs(zs)) <= _ORACLE_Z
 
 
 def test_mc_dsb_line_powers_and_fading_null():
@@ -536,7 +573,7 @@ _UNMODULATED = _retuned(reference_link(scheme_kind="unmodulated"), SMALL_GRID, B
 WORKSPACE_LAYOUTS = {
     # d = M < N: the sum in the second workspace buffer, |E|^2 in the first, the periodogram in the second
     "band-rate": LINKS["pm"],
-    # one constant arm: the sum is the draw's own buffer, |E|^2 goes to the second, the periodogram to the first
+    # one constant arm: its one shift {0: 1} sums into the second buffer as any arm's harmonics do
     "constant-arm": _UNMODULATED,
 }
 
@@ -547,7 +584,7 @@ def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, link, width):
     plan = _band_rate_plan(link, SMALL_GRID)
     assert plan.detect == plan.band == SMALL_GRID.n_samples // 4
     if link.scheme.kind == ModulationKind.UNMODULATED:
-        assert plan.arms[0][1] is None
+        assert plan.arms[0][1] == {0: 1}
     montecarlo._DROPPED.clear()
     want = _serial_quantities(link, SMALL_GRID, 8, 9, plan)  # leaves the memo warm for seed 9
     assert len(montecarlo._DROPPED) == 8
@@ -605,11 +642,11 @@ def test_band_rate_tone_bin_matches_full_grid_chain_at_full_scale(kind):
 # --- the tone-bin estimator ---------------------------------------------------------
 
 
-def _estimate_of(monkeypatch, intensity_of, n=8, probes=(), grid=SMALL_GRID, f_m=None):
+def _estimate_of(monkeypatch, intensity_of, n=8, grid=SMALL_GRID, f_m=None):
     """``estimate_snr`` of the SSB test link on ``grid``, each realization's detected intensity replaced.
 
     ``intensity_of(r, k)`` gives realization r at the M detection samples k; one worker
-    runs the realizations in order.  ``probes`` are its probe frequencies, ``f_m`` its tone.
+    runs the realizations in order.  ``f_m`` is its tone.
     """
     link, count = LINKS["ssb"], []
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
@@ -619,7 +656,7 @@ def _estimate_of(monkeypatch, intensity_of, n=8, probes=(), grid=SMALL_GRID, f_m
         return intensity_of(len(count) - 1, np.arange(plan.detect))
 
     monkeypatch.setattr(montecarlo, "propagate", replaced)
-    est = estimate_snr(link, grid, n_realizations=n, seed=0, welch=BAND_WELCH, f_m=f_m, probe_frequencies=probes)
+    est = estimate_snr(link, grid, n_realizations=n, seed=0, welch=BAND_WELCH, f_m=f_m)
     assert len(count) == n
     return est
 
@@ -648,16 +685,23 @@ def test_lattice_tone_gives_its_line_power_and_no_floor(monkeypatch, grid, c):
     assert est.mean("noise_psd") / grid.duration < (1e-15 * offset) ** 2
 
 
-def test_probe_floor_near_dc_reads_the_mirrored_bins_but_not_the_dc_line(monkeypatch):
+def test_floor_span_across_0_hz_reads_the_mirrored_bins_but_not_the_dc_line(monkeypatch):
     # a record is real, so bin -k of its two-sided periodogram holds |a_k|^2:
-    # a probe at bin 16 takes offsets -25 .. -8 through bins 9 .. 0 .. 8, which
-    # hold a small tone at bin 4 twice; bin 0 holds the DC line, no floor
-    small, offset, m, df = 0.2, 5.0, SMALL_GRID.n_samples // 4, SMALL_GRID.df
-    near = _floor_offsets(SMALL_GRID)
-    assert near.size == 36 and near.min() == -25 and near[near < 0].max() == -8
-    est = _estimate_of(monkeypatch, lambda r, k: offset + small * np.cos(2 * np.pi * 4 * k / m), probes=(16 * df,))
-    want = 2 * small**2 / 4 * SMALL_GRID.duration / (near.size - 1)
-    assert est.mean(f"floor@{16 * df:.6g}") == pytest.approx(want, rel=1e-12)
+    # a 0.98 GHz tone at bin 64 takes offsets -98 .. -33 through bins 34 .. 0 .. 31,
+    # which hold a small tone at bin 4 twice; bin 0 holds the DC line and bin 128
+    # the tone's harmonic, no floor
+    amplitude, small, offset, m = 3.0, 0.2, 5.0, MID_GRID.n_samples // 4
+    bins = np.abs(64 + _floor_offsets(MID_GRID))
+    assert bins.size == 132 and np.count_nonzero(bins == 4) == 2 and np.count_nonzero(bins % 64 == 0) == 2
+
+    def intensity(r, k):
+        return offset + amplitude * np.cos(2 * np.pi * 64 * k / m) + small * np.cos(2 * np.pi * 4 * k / m)
+
+    est = _estimate_of(monkeypatch, intensity, grid=MID_GRID, f_m=64 * MID_GRID.df)
+    assert est.metadata["lattice_bins"] == 64
+    want = 2 * small**2 / 4 * MID_GRID.duration / (bins.size - 2)
+    assert est.mean("noise_psd") == pytest.approx(want, rel=1e-12)
+    assert est.mean("line_power") == pytest.approx(amplitude**2 / 4 - want / MID_GRID.duration, rel=1e-12)
 
 
 @pytest.mark.parametrize("target", [0.6e9, 1e9])
@@ -772,6 +816,20 @@ def test_modulated_tone_off_the_lattice_is_rejected():
     assert _plan(unmodulated, SMALL_GRID).band == SMALL_GRID.n_samples // 4
 
 
+@pytest.mark.parametrize("m1_coeffs", [{0: 0.0}, {1: 0.3}], ids=["both-empty", "delayed-empty"])
+def test_an_arm_without_coefficients_adds_no_light(m1_coeffs):
+    # m(t) = 0 drops an arm's field; with both arms so, no arm writes the
+    # workspace's sum buffer, and what it held before must not show through
+    scheme = SchemeConfig(kind=ModulationKind.CUSTOM, f_m=LINKS["ssb"].scheme.f_m, m1_coeffs=m1_coeffs, m2_coeffs={})
+    link = replace(LINKS["ssb"], scheme=scheme)
+    plan = _band_rate_plan(link, SMALL_GRID)
+    plan = plan._replace(work=(np.empty(plan.band, complex), np.full(plan.band, 7.0 + 0j), np.empty(2**13, complex)))
+    spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(6, 0), plan=plan).copy()
+    intensity = propagate(spectrum.copy(), link, SMALL_GRID, plan=plan)
+    field = np.fft.ifft(m1_coeffs.get(1, 0) * np.roll(spectrum, plan.lattice) * plan.dispersion, norm="forward")
+    np.testing.assert_allclose(intensity, abs(field) ** 2, rtol=1e-12, atol=1e-12 * intensity.max())
+
+
 def _transforms(monkeypatch, run) -> dict[tuple[str, int], int]:
     """numpy.fft transforms ``run()`` makes, counted by their name and input size."""
     calls = Counter()
@@ -842,13 +900,29 @@ def test_estimate_snr_rejects_a_segment_that_does_not_divide_the_record(monkeypa
 
 def test_estimate_snr_rejects_a_floor_off_the_record(monkeypatch):
     counts = _count_calls(monkeypatch)
-    # a probe whose floor span reaches past the band's M/2 bins, 500 GHz at 2^16 samples and 3.2 nm
+    # a tone whose floor span reaches past the band's M/2 bins: an unmodulated
+    # link's band holds only its 0.2 GHz source, M = 8 bins of 61 MHz at 2^16 samples
+    narrow = replace(_UNMODULATED, spectrum=RectangularSpectrum(n0=1.0, b=0.2e9, carrier_f0=SPEC.carrier_f0))
+    assert _plan(narrow, SMALL_GRID).band == 8
     with pytest.raises(ConfigurationError, match="^n_samples: the record.s bins hold no floor"):
-        estimate_snr(LINKS["ssb"], SMALL_GRID, n_realizations=8, welch=BAND_WELCH, probe_frequencies=(499.5e9,))
+        estimate_snr(narrow, SMALL_GRID, n_realizations=8, welch=BAND_WELCH)
     # a 0.5 ns record: its 1.95 GHz bins hold nothing 0.5 GHz from the tone but the tone's own
     short = SimulationGrid(dt=0.25e-12, n_samples=2**11)
     with pytest.raises(ConfigurationError, match="^n_samples: the record.s bins hold no floor"):
         estimate_snr(reference_link(f_m=62.5e9), short, n_realizations=8, welch=WelchConfig(1024), f_m=62.5e9)
+    assert counts["synthesize_field"] == 0
+
+
+@pytest.mark.parametrize("kind", ["ssb", "unmodulated"])
+def test_estimate_snr_rejects_a_tone_that_snaps_to_0_hz(monkeypatch, kind):
+    # 1 MHz snaps to bin 0 of a 2^12-sample segment, which holds the DC line:
+    # measured there, the "line" would be the squared mean intensity
+    counts = _count_calls(monkeypatch)
+    with pytest.raises(ConfigurationError, match="^f_m:"):
+        estimate_snr(
+            reference_link(scheme_kind=kind), SMALL_GRID, n_realizations=8, seed=1, welch=WelchConfig(nperseg=2**12),
+            f_m=1e6,
+        )
     assert counts["synthesize_field"] == 0
 
 
@@ -1035,12 +1109,14 @@ def test_plan_phases_from_the_non_negative_half_equal_the_full_evaluation(link, 
     delayed = _phasor(-2.0 * np.pi * freqs * link.delay)
     delayed *= complex(link.interferometer.arm_ratio_k) * np.exp(-1j * link.carrier_phase)
     m1, m2 = build_scheme(link.scheme)
-    want = [1.0 + delayed] if m2 is m1 else [None, delayed * m2.coefficient(0) if m2.is_constant() else delayed]
-    for (got, _), filt in zip(plan.arms, want):
+    want = [(1.0 + delayed, m1)] if m2 is m1 else [(None, m1), (delayed, m2)]
+    for (got, shifts), (filt, m) in zip(plan.arms, want):
         if filt is None:  # the undelayed arm's unit filter
             assert got is None
         else:
             np.testing.assert_array_equal(got, filt)
+        if m.orders() == (0,):  # a constant arm is the one shift {0: M_0}, its filter left as it is
+            assert shifts == {0: m.coefficient(0)}
 
 
 def _traced_estimate(monkeypatch, link, grid, welch, mark):
