@@ -128,10 +128,10 @@ def _mc_setup(args, scenario: Scenario):
 _GRID_FIELDS = {"dt": "mc.dt", "n_samples": "mc.samples"}
 
 
-def _estimate(link, grid, n_realizations, seed, **kwargs):
+def _estimate(link, grid, n_realizations, seed):
     """``estimate_snr``; a grid that does not fit the link is reported against its mc field."""
     try:
-        return estimate_snr(link, grid, n_realizations=n_realizations, seed=seed, **kwargs)
+        return estimate_snr(link, grid, n_realizations=n_realizations, seed=seed)
     except ConfigurationError as exc:
         attribute, _, reason = str(exc).partition(": ")
         if attribute not in _GRID_FIELDS:
@@ -204,9 +204,11 @@ def run_snr(args, scenario: Scenario) -> int:
         grid, n_real, seed = _mc_setup(args, scenario)
         columns += ["mc_snr_dbhz", "mc_stderr_db"]
     points = list(_swept_links(scenario))
-    if use_mc:  # the ensemble measures a tone on a Welch bin: center each link there
-        snap = WelchConfig().snap_frequency
-        points = [(x, link.with_delay_for_center(snap(link.passband_center(), grid.dt))) for x, link in points]
+    if use_mc:  # the ensemble measures its tone on a Welch bin: center each link and its tone there
+        tones = [WelchConfig().snap_frequency(link.passband_center(), grid.dt) for _, link in points]
+        points = [
+            (x, link.with_delay_for_center(f).with_modulation_frequency(f)) for (x, link), f in zip(points, tones)
+        ]
     reports = _snr_reports([link for _, link in points])
     rows, failures = [], []
     for (x, link), report in zip(points, reports):
@@ -260,7 +262,7 @@ def run_passband(args, scenario: Scenario) -> int:
             )
         powers, errs = [], []
         for det, f_m in zip(detunings, tones):
-            est = _estimate(link, grid, n_real, seed, f_m=f_m)
+            est = _estimate(link.with_modulation_frequency(f_m), grid, n_real, seed)
             power = est.mean("line_power")
             if not power > 0:
                 raise DomainError(

@@ -128,8 +128,6 @@ def reference_link(
     bandwidth_nm: float = 3.2,
     gamma: float = 0.39,
     delay_s: float = DEFAULT_DELAY,
-    dispersion_s_per_m: float = DEFAULT_DISPERSION,
-    wavelength_m: float = DEFAULT_WAVELENGTH,
     n0: float = 1.0,
     f_m: float | None = None,
 ) -> LinkConfig:
@@ -138,10 +136,10 @@ def reference_link(
     Defaults give the 10 GHz passband configuration: 3.2 nm rectangular
     slice at 1550 nm, -989 ps/nm accumulated dispersion, 79.4 ps delay.
     """
-    b_hz = optical_bandwidth_to_hz(bandwidth_nm * 1e-9, wavelength_m)
-    f0 = wavelength_to_frequency(wavelength_m)
+    b_hz = optical_bandwidth_to_hz(bandwidth_nm * 1e-9, DEFAULT_WAVELENGTH)
+    f0 = wavelength_to_frequency(DEFAULT_WAVELENGTH)
     spectrum = RectangularSpectrum(n0=n0, b=b_hz, carrier_f0=f0)
-    dispersion = DispersionSpec.from_dispersion_parameter(dispersion_s_per_m, wavelength_m)
+    dispersion = DispersionSpec.from_dispersion_parameter(DEFAULT_DISPERSION, DEFAULT_WAVELENGTH)
     interferometer = InterferometerSpec(delay_d=delay_s, carrier_f0=f0)
     if f_m is None:
         f_m = center_frequency(delay_s, dispersion.phi)

@@ -46,7 +46,6 @@ _SLOT_ASSIGNMENTS = tuple(itertools.product((1, 2), repeat=4))
 
 def _term_geometry(slots: tuple[int, int, int, int]) -> tuple[int, int, int, int, int]:
     """Shift multipliers (va, vb, ua, ub) in units of d, and phase count n."""
-    a, b, c, e = slots
     da, db, dc, de = (int(i == 2) for i in slots)
     va = da - db
     vb = de - dc

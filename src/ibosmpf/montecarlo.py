@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import LinkConfig
 from .decomposition import SpectralDecomposition
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .modulation import _phasor, build_scheme
 from .spectrum import OpticalSpectrum
 
@@ -80,18 +80,6 @@ class SimulationGrid:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.dt
-
-    def validate_for(self, bandwidth: float, f_m: float, order: int) -> None:
-        """Nyquist margin and record-length checks for a planned run.
-
-        ``order`` is the largest harmonic order K over both arms: the
-        modulated field spreads K f_m beyond the source on either side.
-        Each message starts with the grid attribute it is about.
-        """
-        if self.sample_rate < 4.0 * (bandwidth + 2.0 * order * f_m):
-            raise ConfigurationError("dt: sample rate below the 4 (B + 2K f_m) Nyquist margin")
-        if f_m > 0 and self.duration < 32.0 / f_m:
-            raise ConfigurationError("n_samples: record shorter than 32 modulation periods")
 
 
 # bench default: 4 THz sample rate, 2**20 samples per realization
@@ -142,7 +130,6 @@ class _Plan(NamedTuple):
 
     amplitude: np.ndarray | None  # sqrt(G df / 2) on the band's bins; None: synthesize_field computes it per call
     band: int  # M: the field's bins are the grid's first and last M/2
-    order: int  # K
     lattice: int  # c
     detect: int  # d: propagate squares |E| at every (N/d)-th grid time
     # (spectral filter, bin shifts {n c mod M: M_n}) per distinct modulator; the filter is None
@@ -169,8 +156,9 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     occupies |f| <= F = max|support| + K f_m, K the largest harmonic order
     over both arms.  The band M is the smallest power of two with M df > 4 F,
     the width of the intensity's band |f| <= 2 F (the field alone would fit
-    in M df > 2 F).  The tone f_m = c df makes c whole cycles in the record;
-    a modulated link's tone off that lattice raises.
+    in M df > 2 F); a grid whose sample rate N df is not above 4 F raises.
+    The tone f_m = c df makes c whole cycles in the record; a modulated
+    link's tone off that lattice raises.
     """
     m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
@@ -183,6 +171,8 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     band = 2
     while band < n and band * grid.df <= 4.0 * edge:
         band *= 2
+    if band * grid.df <= 4.0 * edge:
+        raise ConfigurationError(f"dt: the sample rate must exceed 4 (max|support| + K f_m) = {4.0 * edge:g} Hz")
     h, freqs = band // 2, np.arange(band // 2 + 1) * grid.df  # |f| of bins 0 .. M/2, as fftfreq gives them
     delayed, dispersion = np.empty((2, band), complex)
     angles = (-2.0 * np.pi * freqs * link.delay, -link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
@@ -201,7 +191,7 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
         return shifts
 
     return _Plan(
-        amplitude=None, band=band, order=order, lattice=lattice, detect=n, dispersion=dispersion,
+        amplitude=None, band=band, lattice=lattice, detect=n, dispersion=dispersion,
         arms=tuple((f, modulation(m)) for f, m in pairs),
         work=None,  # without a workspace each call allocates its own buffers
     )
@@ -288,9 +278,7 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
     return np.square(intensity, out=intensity)
 
 
-def estimate_psd(
-    intensity: np.ndarray, grid: SimulationGrid, welch: WelchConfig = WelchConfig()
-) -> SpectralDecomposition:
+def estimate_psd(intensity: np.ndarray, grid: SimulationGrid, welch: WelchConfig) -> SpectralDecomposition:
     """Two-sided Welch density: Hann window, 50 % overlap, constant detrend.
 
     The segments and the scaling are those of ``scipy.signal.welch``.  The
@@ -375,7 +363,9 @@ class McEstimate:
 
     @property
     def snr_db(self) -> float:
-        return 10.0 * math.log10(self.mean("snr_linear"))
+        if not (mean := self.mean("snr_linear")) > 0:
+            raise DomainError(f"snr_linear: ensemble mean {mean:g} is not above 0; no dB level")
+        return 10.0 * math.log10(mean)
 
     @property
     def snr_stderr_db(self) -> float:
@@ -385,30 +375,31 @@ class McEstimate:
 
 def estimate_snr(
     link: LinkConfig, grid: SimulationGrid = DEFAULT_GRID, n_realizations: int = 64, seed: int = 0,
-    welch: WelchConfig = WelchConfig(), f_m: float | None = None,
+    welch: WelchConfig = WelchConfig(),
 ) -> McEstimate:
     """Ensemble SNR estimate: line power over local continuum, per hertz, from each record's periodogram.
 
-    ``f_m`` defaults to the passband center snapped to the nearest Welch
-    bin; the snapped value is recorded and must be used for any analytic
-    comparison; ``welch.nperseg`` must divide the record, which puts it on
-    the record's lattice, and sets nothing else.  A tone that snaps to
-    0 Hz, the DC line's bin, is rejected.
+    The tone is ``link.scheme.f_m`` snapped to the nearest Welch bin (pass
+    ``link.with_modulation_frequency(f)`` to measure at f); the snapped value
+    is recorded and must be used for any analytic comparison.
+    ``welch.nperseg`` must divide the record, which puts the tone on the
+    record's lattice, and sets nothing else.  A tone that snaps to 0 Hz, the
+    DC line's bin, or makes fewer than 32 cycles in the record is rejected.
     """
     if n_realizations < 8:
         raise ConfigurationError("at least 8 realizations are required")
     if grid.n_samples % welch.nperseg:
         raise ConfigurationError("welch.nperseg: the segment must divide the record's n_samples")
-    f_m = welch.snap_frequency(link.passband_center() if f_m is None else f_m, grid.dt)
+    f_m = welch.snap_frequency(link.scheme.f_m, grid.dt)
     link = link.with_modulation_frequency(f_m)
-    lo, hi = link.spectrum.support()
     plan = _plan(link, grid)
     if not plan.lattice:
         raise ConfigurationError("f_m: the tone snaps to 0 Hz, the bin of the DC line")
-    grid.validate_for(hi - lo, f_m, plan.order)
     # the synthesis amplitude, and detection at the M band samples: the intensity (|f| <= 2F < M df / 2) exactly
     plan = plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detect=plan.band)
 
+    if plan.lattice < 32:  # c: the tone's cycles in the record
+        raise ConfigurationError("n_samples: record shorter than 32 modulation periods")
     inner, outer = (round(f / grid.df) for f in _FLOOR_SPAN)
     span = np.abs(plan.lattice + np.r_[-outer : 1 - inner, inner : outer + 1])  # |a_-k| = |a_k|
     if not inner or span.max() > plan.band // 2:  # 1 GHz bins hold the tone in its floor; M/2 is the last

@@ -179,7 +179,7 @@ def test_c07_passband_shape(bandwidth_nm):
     powers = {}
     for det in detunings:
         est = estimate_snr(
-            link, GRID, n_realizations=12, seed=777, welch=welch, f_m=f_c + det
+            link.with_modulation_frequency(f_c + det), GRID, n_realizations=12, seed=777, welch=welch
         )
         powers[det] = est.mean("line_power")
     peak = powers[0.0]

@@ -243,7 +243,7 @@ def test_exit_2_names_the_field(tmp_path, capsys, command, scheme, old, new, ext
 @pytest.mark.parametrize(
     "grid, field",
     [
-        ("dt: 1 ps\n  samples: 1048576", "mc.dt"),  # below the 4 (B + 2 f_m) = 1.68 THz margin
+        ("dt: 2 ps\n  samples: 1048576", "mc.dt"),  # 500 GHz, not above the intensity's 4 (B/2 + f_m) = 840 GHz
         ("dt: 0.05 ps\n  samples: 32768", "mc.samples"),  # 1.6 ns, under 32 periods of 10 GHz
     ],
 )
@@ -261,8 +261,9 @@ def test_mc_grid_errors_name_the_field(tmp_path, capsys, command, grid, field):
 def test_mc_compare_measures_the_snapped_tone(tmp_path, monkeypatch):
     """--mc --compare holds the ensemble against the exact SNR of the tone the ensemble measures."""
 
-    def exact_snr_at_snapped_tone(link, grid, n_realizations, seed, welch=WelchConfig(), f_m=None):
-        f = welch.snap_frequency(link.passband_center() if f_m is None else f_m, grid.dt)
+    def exact_snr_at_snapped_tone(link, grid, n_realizations, seed, welch=WelchConfig()):
+        f = welch.snap_frequency(link.scheme.f_m, grid.dt)
+        assert link.scheme.f_m == f  # the CLI retunes the tone with the centre
         noise = 2.0 * noise_psd_shared(link.with_modulation_frequency(f), f)
         return McEstimate(n_realizations, {"snr_linear": (signal_power_ssb(link, f) / noise, 0.0)})
 
@@ -472,8 +473,8 @@ def test_passband_mc_tone_at_zero_names_the_sweep_end(tmp_path, capsys, start, s
 
 
 def test_passband_mc_line_power_not_above_zero_exits_3(tmp_path, capsys, monkeypatch):
-    def stopband_at_the_middle_tone(link, grid, n_realizations, seed, f_m=None):
-        mean = -2.0e-3 if abs(f_m - link.passband_center()) < 1e9 else 1.0
+    def stopband_at_the_middle_tone(link, grid, n_realizations, seed):
+        mean = -2.0e-3 if abs(link.scheme.f_m - link.passband_center()) < 1e9 else 1.0
         return McEstimate(n_realizations, {"line_power": (mean, 0.5)})
 
     monkeypatch.setattr(cli, "estimate_snr", stopband_at_the_middle_tone)
@@ -485,6 +486,27 @@ def test_passband_mc_line_power_not_above_zero_exits_3(tmp_path, capsys, monkeyp
     assert main(["passband", "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "domain error: Monte-Carlo line power at detuning 0 Hz has ensemble mean -0.002" in err
+    assert not out.exists()
+
+
+def test_snr_mc_snr_not_above_zero_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "estimate_snr", lambda *args, **kwargs: McEstimate(8, {"snr_linear": (-3.0e6, 1e7)}))
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39) + "mc:\n  samples: 65536\n  realizations: 8\n"
+    out = tmp_path / "snr.csv"
+    assert main(["snr", "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 3
+    assert "domain error: snr_linear: ensemble mean -3e+06 is not above 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["ssb", "pm"])
+def test_snr_mc_at_a_vanishing_modulation_index_exits_3(tmp_path, capsys, scheme):
+    # at gamma 1e-5 the line is far below the floor's share of its bin: with
+    # root seed 4 the ensemble's mean line, and so its mean SNR, is below 0
+    text = BASE_LINK.format(scheme=scheme, gamma=0.00001) + "mc:\n  samples: 65536\n  realizations: 8\n"
+    out = tmp_path / "snr.csv"
+    assert main(["snr", "--mc", "--seed", "4", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: snr_linear: ensemble mean -") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -458,11 +458,22 @@ def test_mc_custom_scheme_matches_engine_lines():
         dispersion=base.dispersion,
         scheme=polarization_modulator_scheme(0.6, f_m),
     )
-    est = estimate_snr(link, grid, n_realizations=12, seed=33, welch=welch, f_m=f_m)
+    est = estimate_snr(link, grid, n_realizations=12, seed=33, welch=welch)
     line_an = fundamental_line_power(link, f_m) / 2.0
     assert est.mean("line_power") == pytest.approx(
         line_an, abs=max(3 * est.stderr("line_power"), 0.03 * line_an)
     )
+
+
+def test_estimate_snr_measures_the_links_own_tone():
+    # the SSB link's passband is centred on 9.77 GHz, 10 bins of 0.98 GHz; its
+    # tone, 8.8 GHz, snaps to 9 bins, and the estimate is the serial stages' there
+    link = LINKS["ssb"].with_modulation_frequency(8.8e9)
+    tone = BAND_WELCH.snap_frequency(8.8e9, SMALL_GRID.dt)
+    est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=2, welch=BAND_WELCH)
+    assert est.metadata["f_m"] == tone == 9 * BAND_WELCH.bin_width(SMALL_GRID.dt) != link.passband_center()
+    at_tone = link.with_modulation_frequency(tone)
+    assert est.quantities == _serial_quantities(at_tone, SMALL_GRID, 8, 2, _band_rate_plan(at_tone, SMALL_GRID))
 
 
 def test_estimate_snr_deterministic():
@@ -592,9 +603,9 @@ def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, link, width):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH, f_m=link.scheme.f_m)
+        warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
         montecarlo._DROPPED.clear()
-        cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH, f_m=link.scheme.f_m)
+        cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
     finally:
         sys.setswitchinterval(interval)
     assert warm.metadata["workers"] == cold.metadata["workers"] == width
@@ -616,7 +627,7 @@ def test_detection_stride(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "propagate", recording)
     f_m = link.scheme.f_m  # on the bins of every segment below
-    a, b = (estimate_snr(link, SMALL_GRID, n_realizations=8, seed=3, welch=WelchConfig(s), f_m=f_m) for s in (4096, n))
+    a, b = (estimate_snr(link, SMALL_GRID, n_realizations=8, seed=3, welch=WelchConfig(s)) for s in (4096, n))
     assert a.metadata["f_m"] == b.metadata["f_m"] == f_m
     assert detected == [(n // 4, n // 4)] * 16
     assert a.quantities == b.quantities
@@ -646,9 +657,10 @@ def _estimate_of(monkeypatch, intensity_of, n=8, grid=SMALL_GRID, f_m=None):
     """``estimate_snr`` of the SSB test link on ``grid``, each realization's detected intensity replaced.
 
     ``intensity_of(r, k)`` gives realization r at the M detection samples k; one worker
-    runs the realizations in order.  ``f_m`` is its tone.
+    runs the realizations in order.  ``f_m``, if given, is its tone.
     """
-    link, count = LINKS["ssb"], []
+    link = LINKS["ssb"] if f_m is None else LINKS["ssb"].with_modulation_frequency(f_m)
+    count = []
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
 
     def replaced(spectrum, link, grid, *, plan):
@@ -656,7 +668,7 @@ def _estimate_of(monkeypatch, intensity_of, n=8, grid=SMALL_GRID, f_m=None):
         return intensity_of(len(count) - 1, np.arange(plan.detect))
 
     monkeypatch.setattr(montecarlo, "propagate", replaced)
-    est = estimate_snr(link, grid, n_realizations=n, seed=0, welch=BAND_WELCH, f_m=f_m)
+    est = estimate_snr(link, grid, n_realizations=n, seed=0, welch=BAND_WELCH)
     assert len(count) == n
     return est
 
@@ -712,7 +724,7 @@ def test_mc_snr_matches_analytic_for_a_tone_near_1_ghz(kind, gamma, exact, targe
     welch = WelchConfig(nperseg=32768)
     f_m = welch.snap_frequency(target, MID_GRID.dt)
     link = reference_link(scheme_kind=kind, gamma=gamma).with_delay_for_center(f_m).with_modulation_frequency(f_m)
-    est = estimate_snr(link, MID_GRID, n_realizations=12, seed=5, welch=welch, f_m=f_m)
+    est = estimate_snr(link, MID_GRID, n_realizations=12, seed=5, welch=welch)
     assert est.snr_db == pytest.approx(exact(link).snr_db_hz, abs=max(3 * est.snr_stderr_db, 0.5))
 
 
@@ -884,7 +896,7 @@ def test_band_rate_transform_counts(monkeypatch, kind):
     link, m = LINKS[kind], SMALL_GRID.n_samples // 4
 
     def ensemble():
-        estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=BAND_WELCH, f_m=link.scheme.f_m)
+        estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=BAND_WELCH)
 
     assert _transforms(monkeypatch, ensemble) == {("ifft", m): 8, ("rfft", m): 8}
 
@@ -909,7 +921,7 @@ def test_estimate_snr_rejects_a_floor_off_the_record(monkeypatch):
     # a 0.5 ns record: its 1.95 GHz bins hold nothing 0.5 GHz from the tone but the tone's own
     short = SimulationGrid(dt=0.25e-12, n_samples=2**11)
     with pytest.raises(ConfigurationError, match="^n_samples: the record.s bins hold no floor"):
-        estimate_snr(reference_link(f_m=62.5e9), short, n_realizations=8, welch=WelchConfig(1024), f_m=62.5e9)
+        estimate_snr(reference_link(f_m=62.5e9), short, n_realizations=8, welch=WelchConfig(1024))
     assert counts["synthesize_field"] == 0
 
 
@@ -920,8 +932,8 @@ def test_estimate_snr_rejects_a_tone_that_snaps_to_0_hz(monkeypatch, kind):
     counts = _count_calls(monkeypatch)
     with pytest.raises(ConfigurationError, match="^f_m:"):
         estimate_snr(
-            reference_link(scheme_kind=kind), SMALL_GRID, n_realizations=8, seed=1, welch=WelchConfig(nperseg=2**12),
-            f_m=1e6,
+            reference_link(scheme_kind=kind, f_m=1e6), SMALL_GRID, n_realizations=8, seed=1,
+            welch=WelchConfig(nperseg=2**12),
         )
     assert counts["synthesize_field"] == 0
 
@@ -1191,12 +1203,16 @@ def test_realizations_after_the_first_allocate_no_band_length_array(monkeypatch,
 def test_grid_validation():
     with pytest.raises(ConfigurationError):
         SimulationGrid(dt=0.25e-12, n_samples=1000)  # not a power of two
-    grid = SimulationGrid(dt=2e-12, n_samples=2**16)
-    with pytest.raises(ConfigurationError):
-        grid.validate_for(400e9, 10e9, 1)  # sample rate below the margin
+    # the 3.2 nm link's intensity spans |f| <= 2 F, F = 200 GHz + f_m: 4 F = 840 GHz exceeds a 500 GHz sample rate
+    coarse = SimulationGrid(dt=2e-12, n_samples=2**16)
+    link, _ = _retuned(reference_link(), coarse, BAND_WELCH)
+    for call in (lambda: _plan(link, coarse), lambda: estimate_snr(link, coarse, n_realizations=8, welch=BAND_WELCH)):
+        with pytest.raises(ConfigurationError, match="^dt:"):
+            call()
+    # 0.256 ns: the tone snaps to 3 bins of 3.9 GHz, 3 periods in the record
     fine = SimulationGrid(dt=0.25e-12, n_samples=2**10)
-    with pytest.raises(ConfigurationError):
-        fine.validate_for(400e9, 10e9, 1)  # record shorter than 32 periods
+    with pytest.raises(ConfigurationError, match="^n_samples: record shorter than 32 modulation periods"):
+        estimate_snr(reference_link(), fine, n_realizations=8, welch=WelchConfig(nperseg=1024))
 
 
 def test_nyquist_margin_counts_every_harmonic_order():
@@ -1204,18 +1220,51 @@ def test_nyquist_margin_counts_every_harmonic_order():
     welch = WelchConfig(nperseg=1024)
     f_m = welch.snap_frequency(10e9, grid.dt)
     link = reference_link(f_m=f_m).with_spectrum(RectangularSpectrum(n0=1.0, b=20e9, carrier_f0=193.4e12))
-    link = replace(
-        link,
-        scheme=SchemeConfig(kind=ModulationKind.CUSTOM, f_m=f_m, m1_coeffs={n: 0.1 for n in range(-5, 6)}),
-    )
-    # a margin of 4 (B + 2 f_m) = 160 GHz lets the grid through, but the
-    # intensity spans 2 (B/2 + 5 f_m) = 120 GHz either side of 0, past the
-    # 100 GHz Nyquist limit
-    grid.validate_for(20e9, f_m, order=1)
-    with pytest.raises(ConfigurationError, match="4 \\(B \\+ 2K f_m\\)"):
-        grid.validate_for(20e9, f_m, order=5)
-    with pytest.raises(ConfigurationError, match="Nyquist margin"):
-        estimate_snr(link, grid, n_realizations=8, welch=welch)
+
+    def up_to(order):
+        coeffs = {n: 0.1 for n in range(-order, order + 1)}
+        return replace(link, scheme=SchemeConfig(kind=ModulationKind.CUSTOM, f_m=f_m, m1_coeffs=coeffs))
+
+    # F = B/2 + K f_m: at K = 1, 4 F = 80 GHz fits in M = N/2 bins (100 GHz); at
+    # K = 5 the intensity spans 2 F = 120 GHz either side of 0, and 4 F = 240 GHz
+    # exceeds the sample rate
+    assert _plan(up_to(1), grid).band == grid.n_samples // 2
+    for call in (lambda: _plan(up_to(5), grid), lambda: estimate_snr(up_to(5), grid, n_realizations=8, welch=welch)):
+        with pytest.raises(ConfigurationError, match="^dt:"):
+            call()
+
+
+def test_public_propagate_rejects_a_grid_at_or_below_the_intensity_band():
+    # a constant link's F is its support's edge: b/2 = 2^38 Hz puts 4 F on the
+    # sample rate 2^40 Hz exactly, and M df > 4 F fails even at M = N
+    grid = SimulationGrid(dt=2.0**-40, n_samples=2**12)
+
+    def detect(b):
+        link = replace(_UNMODULATED, spectrum=RectangularSpectrum(n0=1.0, b=b, carrier_f0=SPEC.carrier_f0))
+        return propagate(synthesize_field(link.spectrum, grid, realization_rng(3, 1)), link, grid)
+
+    assert detect(2.0**39 * (1 - 2**-10)).shape == (grid.n_samples,)
+    with pytest.raises(ConfigurationError, match="^dt:"):
+        detect(2.0**39)
+    # the 3.2 nm link at 2 ps: a 500 GHz sample rate against 4 F = 840 GHz
+    coarse = SimulationGrid(dt=2e-12, n_samples=2**14)
+    link, _ = _retuned(reference_link(), coarse, BAND_WELCH)
+    with pytest.raises(ConfigurationError, match="^dt:"):
+        propagate(synthesize_field(link.spectrum, coarse, realization_rng(3, 1)), link, coarse)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here")
+@pytest.mark.parametrize("kind", ["ssb", "pm"])
+def test_band_intensity_at_a_sample_rate_just_above_the_intensity_band(kind):
+    # 1 THz against 4 F = 840 GHz at 3.2 nm: the band is the whole grid, M = N,
+    # and the intensity's |f| <= 2 F stays below the 500 GHz Nyquist limit
+    grid = SimulationGrid(dt=1e-12, n_samples=2**16)
+    link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), grid, BAND_WELCH)
+    plan = _plan(link, grid)
+    assert plan.band == grid.n_samples
+    exact = _long_double_chain(link, grid, realization_rng(3, 1))
+    band = propagate(synthesize_field(link.spectrum, grid, realization_rng(3, 1), plan=plan), link, grid, plan=plan)
+    assert np.max(np.abs(band - exact)) <= 1e-12 * exact.max()
 
 
 def test_mcestimate_requires_realizations():

@@ -78,9 +78,9 @@ def test_class_method_defined(module, cls, method):
 # package source, the package's source lines (``wc -l src/ibosmpf/*.py``) and
 # its tokens, which no reformatting changes.  Raising any ceiling needs a
 # CHANGES.md line that says why.
-SETTABLE_VALUES_CEILING = 37
-SOURCE_LINES_CEILING = 3174
-SOURCE_TOKENS_CEILING = 20678
+SETTABLE_VALUES_CEILING = 33
+SOURCE_LINES_CEILING = 3164
+SOURCE_TOKENS_CEILING = 20609
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
