@@ -245,14 +245,11 @@ def run_passband(args, scenario: Scenario) -> int:
     link = scenario.link
     f_c = link.passband_center()
     detunings = scenario.sweep.values()
-    shape = np.asarray(passband_shape(link, detunings), dtype=float)
-    shape_db = 10.0 * np.log10(np.maximum(shape, 1e-300))
     columns = ["detuning_hz", "shape_db"]
-    mc_cols = None
+    mc_cols = []
     if args.mc:
         grid, n_real, seed = _mc_setup(args, scenario)
-        welch = WelchConfig()
-        tones = [welch.snap_frequency(f_c + det, grid.dt) for det in detunings]
+        tones = [WelchConfig().snap_frequency(f_c + det, grid.dt) for det in detunings]
         if min(tones) <= 0:  # a tone snapped to 0 Hz would measure the DC line
             lowest = min(detunings)
             end = "start" if lowest == scenario.sweep.start else "stop"
@@ -272,15 +269,12 @@ def run_passband(args, scenario: Scenario) -> int:
             powers.append(power)
             errs.append(est.stderr("line_power"))
         powers, errs = np.asarray(powers), np.asarray(errs)
-        mc_cols = (10.0 * np.log10(powers / powers.max()), 10.0 / math.log(10.0) * errs / powers)
+        mc_cols = [10.0 * np.log10(powers / powers.max()), 10.0 / math.log(10.0) * errs / powers]
         columns += ["mc_shape_db", "mc_stderr_db"]
-    rows = []
-    for i, det in enumerate(detunings):
-        row = {"detuning_hz": float(det), "shape_db": float(shape_db[i])}
-        if mc_cols is not None:
-            row["mc_shape_db"] = float(mc_cols[0][i])
-            row["mc_stderr_db"] = float(mc_cols[1][i])
-        rows.append(row)
+        detunings = np.asarray(tones) - f_c  # each row at the tone it measured, the analytic shape there too
+    shape = np.asarray(passband_shape(link, detunings), dtype=float)
+    values = (detunings, 10.0 * np.log10(np.maximum(shape, 1e-300)), *mc_cols)
+    rows = [dict(zip(columns, map(float, row))) for row in zip(*values)]
     _write_table(args, scenario, "passband", columns, rows)
     return 0
 

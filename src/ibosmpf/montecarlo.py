@@ -10,11 +10,13 @@ outside its support and every arm is a harmonic sum, so a realization of
 the seeded stream is drawn straight into them, the arms, modulation (at a
 tone f_m = c df on the lattice, harmonic n shifts them by n c bins) and
 dispersion act on them, and one M-point inverse transform detects |E|^2 at
-every (N/M)-th grid time, exact samples of the band-limited intensity.  A
-modulated tone off the lattice is rejected.  All of it is circular over the
-record, so the intensity is periodic and its DFT a_k = rfft(I, norm="forward")
-holds the tone in bin c alone: the line is |a_c|^2 less the floor's share of
-that bin, the two-sided floor density the mean |a_k|^2 T 0.5-1.5 GHz from c
+every (N/M)-th grid time.  Those samples fold the intensity's bin k + jM onto
+k, and M is sized so that every fold of a bin the estimate reads lies past
+the intensity's band: those bins are exact.  A modulated tone off the
+lattice is rejected.  All of it is circular over the record, so the
+intensity is periodic and its DFT a_k = rfft(I, norm="forward") holds the
+tone in bin c alone: the line is |a_c|^2 less the floor's share of that
+bin, the two-sided floor density the mean |a_k|^2 T 0.5-1.5 GHz from c
 over the bins that hold no line (the mean intensity's lines, DC among them,
 are on the multiples of c).
 :func:`estimate_psd` (Welch), :func:`extract_line` and :func:`floor_density`
@@ -90,7 +92,7 @@ _DROPPED, _DROPPED_HELD, _DROPPED_LOCK = {}, 256, threading.Lock()
 # Welch segments per batched transform in estimate_psd
 _WELCH_ROWS = 8
 # bytes the concurrent realizations of one estimate_snr call may hold, at 48 per band bin
-# each; at 2^20 samples a worker peaks at 32.6 per band bin, nearly all of it its workspace (32.5)
+# each; at 2^20 samples (M = 2^17) a worker peaks at 33.2 per band bin, nearly all of it its workspace (33.0)
 _INFLIGHT_BYTES = 2**27
 # offsets from the tone [Hz]: the record bins nearest them, every bin between, on both
 # sides, hold the floor, the mean of their periodogram over the bins that hold no line
@@ -154,11 +156,14 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     The source has no power outside its support, every arm is a harmonic
     sum, and delay and dispersion act bin by bin, so the modulated field
     occupies |f| <= F = max|support| + K f_m, K the largest harmonic order
-    over both arms.  The band M is the smallest power of two with M df > 4 F,
-    the width of the intensity's band |f| <= 2 F (the field alone would fit
-    in M df > 2 F); a grid whose sample rate N df is not above 4 F raises.
-    The tone f_m = c df makes c whole cycles in the record; a modulated
-    link's tone off that lattice raises.
+    over both arms, and its intensity |f| <= 2 F; a grid whose sample rate
+    N df is not above 4 F raises.  The tone f_m = c df makes c whole cycles
+    in the record; a modulated link's tone off that lattice raises.  The band
+    M is the smallest power of two up to N with M df > 2 F + min(2 F, r df),
+    r = c + outer the highest bin :func:`estimate_snr` reads, outer df the
+    far end of ``_FLOOR_SPAN``: the field fits, and detection at M samples
+    folds intensity bin k + jM onto k, past 2 F for every k <= r.  Where
+    r df > 2 F the whole intensity band fits, and a floor past M/2 raises.
     """
     m1, m2 = build_scheme(link.scheme)
     order = max((abs(n) for m in (m1, m2) for n in m.orders()), default=0)
@@ -168,11 +173,12 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     if order and abs(cycles - lattice) > 4.0 * math.ulp(cycles):
         raise ConfigurationError("f_m: a modulated tone must make a whole number of cycles in the record")
     edge = max(abs(f) for f in link.spectrum.support()) + order * m1.f_m
-    band = 2
-    while band < n and band * grid.df <= 4.0 * edge:
-        band *= 2
-    if band * grid.df <= 4.0 * edge:
+    if n * grid.df <= 4.0 * edge:
         raise ConfigurationError(f"dt: the sample rate must exceed 4 (max|support| + K f_m) = {4.0 * edge:g} Hz")
+    reach = 2.0 * edge / grid.df  # in bins: the intensity's 2F, then the highest bin the estimate reads
+    band = 2
+    while band < n and band <= reach + min(reach, lattice + round(_FLOOR_SPAN[1] / grid.df)):
+        band *= 2
     h, freqs = band // 2, np.arange(band // 2 + 1) * grid.df  # |f| of bins 0 .. M/2, as fftfreq gives them
     delayed, dispersion = np.empty((2, band), complex)
     angles = (-2.0 * np.pi * freqs * link.delay, -link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
@@ -206,7 +212,7 @@ def synthesize_field(
     With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
     bins, the grid's first and last M/2, equal to those of the N-bin draw: the 2N - 2M
     normals between pass through 2^14 floats, or once drawn take their memoized end state;
-    a plan's workspace (8.1 MB at DEFAULT_GRID) holds both.
+    a plan's workspace (4.3 MB at DEFAULT_GRID) holds both.
     """
     band = grid.n_samples if plan is None else plan.band
     amplitude = _amplitude(spectrum, grid, band) if plan is None or plan.amplitude is None else plan.amplitude
@@ -395,7 +401,7 @@ def estimate_snr(
     plan = _plan(link, grid)
     if not plan.lattice:
         raise ConfigurationError("f_m: the tone snaps to 0 Hz, the bin of the DC line")
-    # the synthesis amplitude, and detection at the M band samples: the intensity (|f| <= 2F < M df / 2) exactly
+    # the synthesis amplitude, and detection at the M band samples: exact in the bins 0 .. c + outer read below
     plan = plan._replace(amplitude=_amplitude(link.spectrum, grid, plan.band), detect=plan.band)
 
     if plan.lattice < 32:  # c: the tone's cycles in the record

@@ -8,7 +8,7 @@ import pytest
 
 from ibosmpf import cli
 from ibosmpf.cli import main
-from ibosmpf.closed_forms import noise_psd_shared, signal_power_ssb
+from ibosmpf.closed_forms import noise_psd_shared, passband_shape, signal_power_ssb
 from ibosmpf.errors import ConfigurationError
 from ibosmpf.montecarlo import McEstimate, WelchConfig
 from ibosmpf.scenario import SWEEP_AXES, load_scenario
@@ -534,6 +534,38 @@ mc:
     mc_db = [float(r["mc_shape_db"]) for r in rows]
     assert max(mc_db) == pytest.approx(0.0, abs=1e-12)  # normalized to its peak
     assert all(np.isfinite(v) for v in mc_db)
+
+
+def test_passband_mc_rows_describe_the_measured_tone(tmp_path, monkeypatch):
+    # the ensemble measures each detuned tone at the nearest Welch bin, up to
+    # 61 MHz away at 0.25 ps: the row's detuning and analytic shape are that
+    # tone's, so both shape columns describe one detuning
+    tones = []
+
+    def recording(link, grid, n_realizations, seed):
+        tones.append(link.scheme.f_m)
+        return McEstimate(n_realizations, {"line_power": (1.0, 0.1)})
+
+    monkeypatch.setattr(cli, "estimate_snr", recording)
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39) + (
+        "sweep:\n  variable: detuning\n  start: -0.2 GHz\n  stop: 0.2 GHz\n  points: 3\n"
+        "mc:\n  dt: 0.25 ps\n  samples: 65536\n  realizations: 8\n  seed: 3\n"
+    )
+    scenario = write(tmp_path, "x.yaml", text)
+    link = load_scenario(scenario).link
+    f_c = link.passband_center()
+    assert main(["passband", "--scenario", scenario, "--out", str(tmp_path / "a.csv")]) == 0
+    _, nominal = read_rows(tmp_path / "a.csv")
+    assert [float(r["detuning_hz"]) for r in nominal] == [-0.2e9, 0.0, 0.2e9]
+    assert main(["passband", "--mc", "--scenario", scenario, "--out", str(tmp_path / "mc.csv")]) == 0
+    _, rows = read_rows(tmp_path / "mc.csv")
+    assert tones == [WelchConfig().snap_frequency(f_c + det, 0.25e-12) for det in (-0.2e9, 0.0, 0.2e9)]
+    for row, tone, want in zip(rows, tones, nominal):
+        detuning = float(row["detuning_hz"])
+        assert detuning == pytest.approx(tone - f_c, rel=1e-11)
+        assert abs(detuning - float(want["detuning_hz"])) > 1e6  # 8-52 MHz from the swept value here
+        shape_db = 10.0 * np.log10(passband_shape(link, detuning))
+        assert float(row["shape_db"]) == pytest.approx(shape_db, rel=1e-11, abs=1e-11)
 
 
 def test_oeo_peaks_flagged(tmp_path):

@@ -139,7 +139,7 @@ def test_propagate_mean_intensity_with_delay():
     assert abs(mean - want) <= 3 * se
 
 
-def _band_rate_plan(link, grid):
+def _estimate_plan(link, grid):
     """The plan of ``estimate_snr``'s realizations, less the synthesis amplitude: detection at the M band samples."""
     plan = _plan(link, grid)
     return plan._replace(detect=plan.band)
@@ -473,7 +473,7 @@ def test_estimate_snr_measures_the_links_own_tone():
     est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=2, welch=BAND_WELCH)
     assert est.metadata["f_m"] == tone == 9 * BAND_WELCH.bin_width(SMALL_GRID.dt) != link.passband_center()
     at_tone = link.with_modulation_frequency(tone)
-    assert est.quantities == _serial_quantities(at_tone, SMALL_GRID, 8, 2, _band_rate_plan(at_tone, SMALL_GRID))
+    assert est.quantities == _serial_quantities(at_tone, SMALL_GRID, 8, 2, _estimate_plan(at_tone, SMALL_GRID))
 
 
 def test_estimate_snr_deterministic():
@@ -483,7 +483,7 @@ def test_estimate_snr_deterministic():
     a = estimate_snr(link, grid, n_realizations=8, seed=5, welch=welch)
     b = estimate_snr(link, grid, n_realizations=8, seed=5, welch=welch)
     assert a.quantities == b.quantities
-    assert a.metadata["band_bins"] == grid.n_samples // 4
+    assert a.metadata["band_bins"] == grid.n_samples // 8
     # the tone makes a whole number of cycles in the record: its harmonics shift bins
     assert a.metadata["lattice_bins"] == round(a.metadata["f_m"] * grid.duration) > 0
     c = estimate_snr(link, grid, n_realizations=8, seed=6, welch=welch)
@@ -564,8 +564,8 @@ def _serial_quantities(link, grid, n, seed, plan):
 def test_pooled_estimate_snr_equals_serial_stage_loop(monkeypatch, kind):
     welch, link = BAND_WELCH, LINKS[kind]
     n, seed = 8, 4
-    plan = _band_rate_plan(link, SMALL_GRID)
-    assert plan.detect == SMALL_GRID.n_samples // 4
+    plan = _estimate_plan(link, SMALL_GRID)
+    assert plan.detect == SMALL_GRID.n_samples // 8
     want = _serial_quantities(link, SMALL_GRID, n, seed, plan)
 
     # more workers than this machine may have CPUs and frequent thread
@@ -592,8 +592,8 @@ WORKSPACE_LAYOUTS = {
 @pytest.mark.parametrize("width", [1, 4])
 @pytest.mark.parametrize("link", WORKSPACE_LAYOUTS.values(), ids=WORKSPACE_LAYOUTS.keys())
 def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, link, width):
-    plan = _band_rate_plan(link, SMALL_GRID)
-    assert plan.detect == plan.band == SMALL_GRID.n_samples // 4
+    plan = _estimate_plan(link, SMALL_GRID)
+    assert plan.detect == plan.band == SMALL_GRID.n_samples // 8
     if link.scheme.kind == ModulationKind.UNMODULATED:
         assert plan.arms[0][1] == {0: 1}
     montecarlo._DROPPED.clear()
@@ -613,7 +613,7 @@ def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, link, width):
 
 
 def test_detection_stride(monkeypatch):
-    # N/M = 4 at 3.2 nm: estimate_snr detects the band's M samples, every 4th
+    # N/M = 8 at 3.2 nm: estimate_snr detects the band's M samples, every 8th
     # grid time, whatever the segment, which only snaps the tone; public
     # propagate detects all N
     link = LINKS["ssb"]
@@ -629,25 +629,46 @@ def test_detection_stride(monkeypatch):
     f_m = link.scheme.f_m  # on the bins of every segment below
     a, b = (estimate_snr(link, SMALL_GRID, n_realizations=8, seed=3, welch=WelchConfig(s)) for s in (4096, n))
     assert a.metadata["f_m"] == b.metadata["f_m"] == f_m
-    assert detected == [(n // 4, n // 4)] * 16
+    assert detected == [(n // 8, n // 8)] * 16
     assert a.quantities == b.quantities
 
 
 @pytest.mark.parametrize("kind", ["ssb", "pm"])
 def test_band_rate_tone_bin_matches_full_grid_chain_at_full_scale(kind):
     # the benchmark links: one realization detected at the M band samples
-    # against the public full-grid chain's N; the intensity is band-limited
-    # below M df / 2, so both records hold the same DFT bins up to rounding
+    # against the public full-grid chain's N; M samples fold bin k + jM onto
+    # k, past 2 F for every bin the estimate reads, so both records hold the
+    # same tone and floor bins up to rounding
     grid, welch = montecarlo.DEFAULT_GRID, WelchConfig()
     link, f_m = _retuned(reference_link(scheme_kind=kind, gamma=0.39 if kind == "ssb" else 0.41), grid, welch)
-    plan = _band_rate_plan(link, grid)
-    assert plan.detect == grid.n_samples // 4
+    plan = _estimate_plan(link, grid)
+    assert plan.detect == grid.n_samples // 8
 
     def line_and_floor(detect_plan):
         spectrum = synthesize_field(link.spectrum, grid, realization_rng(1234, 0))
         return _tone_bin_line_and_floor(propagate(spectrum, link, grid, plan=detect_plan), grid, f_m)
 
     np.testing.assert_allclose(line_and_floor(plan), line_and_floor(None), rtol=1e-12, atol=0)
+
+
+# DSB on a 474 GHz source: its sidebands reach F = 246.8 GHz on both sides, so its
+# intensity reaches 2 F = 493.5 GHz, 8086 bins, 106 bins below N/8 at 2^16 samples,
+# less than the c + outer = 185 bins the estimate reads: its band is N/4
+ALIAS_EDGE = replace(LINKS["dsb"], spectrum=RectangularSpectrum(n0=1.0, b=474e9, carrier_f0=SPEC.carrier_f0))
+
+
+@pytest.mark.parametrize("link", [*LINKS.values(), ALIAS_EDGE], ids=[*LINKS.keys(), "alias_edge"])
+def test_estimate_snr_equals_the_full_grid_chain_to_rounding(link):
+    # estimate_snr detects the M band samples, which fold intensity bin k + jM
+    # onto k; M df > 2 F + (c + outer) df puts every fold of a tone or floor
+    # bin past the intensity's band |f| <= 2 F, where a band sized for the
+    # field alone (M df > 2 F) folds the edge of the intensity into them
+    if link is ALIAS_EDGE:
+        assert _plan(link, SMALL_GRID).band == SMALL_GRID.n_samples // 4
+    est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=6, welch=BAND_WELCH)
+    want = _serial_quantities(link, SMALL_GRID, 8, 6, None)  # each realization detected on all N grid times
+    for name in ("line_power", "noise_psd"):
+        assert est.mean(name) == pytest.approx(want[name][0], rel=1e-12, abs=0)
 
 
 # --- the tone-bin estimator ---------------------------------------------------------
@@ -684,7 +705,7 @@ def _estimate_of(monkeypatch, intensity_of, n=8, grid=SMALL_GRID, f_m=None):
 def test_lattice_tone_gives_its_line_power_and_no_floor(monkeypatch, grid, c):
     # a tone on bin c, its harmonic and a DC offset: the exactly periodic
     # record puts each in its own bin, DC and 2c lines the floor leaves out
-    amplitude, harmonic, offset, m = 3.0, 2.0, 5.0, grid.n_samples // 4
+    amplitude, harmonic, offset, m = 3.0, 2.0, 5.0, grid.n_samples // 8
 
     def intensity(r, k):
         return offset + amplitude * np.cos(2 * np.pi * c * k / m) + harmonic * np.cos(4 * np.pi * c * k / m)
@@ -702,7 +723,7 @@ def test_floor_span_across_0_hz_reads_the_mirrored_bins_but_not_the_dc_line(monk
     # a 0.98 GHz tone at bin 64 takes offsets -98 .. -33 through bins 34 .. 0 .. 31,
     # which hold a small tone at bin 4 twice; bin 0 holds the DC line and bin 128
     # the tone's harmonic, no floor
-    amplitude, small, offset, m = 3.0, 0.2, 5.0, MID_GRID.n_samples // 4
+    amplitude, small, offset, m = 3.0, 0.2, 5.0, MID_GRID.n_samples // 8
     bins = np.abs(64 + _floor_offsets(MID_GRID))
     assert bins.size == 132 and np.count_nonzero(bins == 4) == 2 and np.count_nonzero(bins % 64 == 0) == 2
 
@@ -729,7 +750,7 @@ def test_mc_snr_matches_analytic_for_a_tone_near_1_ghz(kind, gamma, exact, targe
 
 
 def test_white_noise_gives_its_two_sided_density(monkeypatch):
-    sigma, m = 0.7, SMALL_GRID.n_samples // 4
+    sigma, m = 0.7, SMALL_GRID.n_samples // 8
     est = _estimate_of(monkeypatch, lambda r, k: sigma * realization_rng(78, r).standard_normal(k.size), n=16)
     want = sigma**2 * SMALL_GRID.duration / m  # sigma^2 over the detection sample rate
     assert abs(est.mean("noise_psd") - want) <= 3 * est.stderr("noise_psd")
@@ -805,9 +826,9 @@ def test_band_intensity_as_accurate_as_full_length_chain(link):
 
 def test_band_size():
     n = SMALL_GRID.n_samples
-    # F = B/2 + f_m: 210 GHz at 3.2 nm and 410 GHz at 6.4 nm, against 4 F < M df
-    # with df = 61 MHz
-    for nm, band in ((3.2, n // 4), (6.4, n // 2)):
+    # F = B/2 + f_m: 210 GHz at 3.2 nm and 410 GHz at 6.4 nm, against
+    # 2 F + (c + outer) df < M df with c + outer = 160 + 25 bins of df = 61 MHz
+    for nm, band in ((3.2, n // 8), (6.4, n // 4)):
         link, _ = _retuned(reference_link(bandwidth_nm=nm), SMALL_GRID, BAND_WELCH)
         assert _plan(link, SMALL_GRID).band == band
     with pytest.raises(ConfigurationError, match="^f_m:"):
@@ -823,9 +844,10 @@ def test_modulated_tone_off_the_lattice_is_rejected():
     ):
         with pytest.raises(ConfigurationError, match="^f_m:"):
             call()
-    # a constant arm has no tone to place: the unmodulated link keeps its band at any f_m
+    # a constant arm has no tone to place: the unmodulated link takes any f_m,
+    # its nearest bin only sizing the band the estimate reads
     unmodulated = reference_link(scheme_kind="unmodulated", f_m=10e9)
-    assert _plan(unmodulated, SMALL_GRID).band == SMALL_GRID.n_samples // 4
+    assert _plan(unmodulated, SMALL_GRID).band == SMALL_GRID.n_samples // 8
 
 
 @pytest.mark.parametrize("m1_coeffs", [{0: 0.0}, {1: 0.3}], ids=["both-empty", "delayed-empty"])
@@ -834,7 +856,7 @@ def test_an_arm_without_coefficients_adds_no_light(m1_coeffs):
     # workspace's sum buffer, and what it held before must not show through
     scheme = SchemeConfig(kind=ModulationKind.CUSTOM, f_m=LINKS["ssb"].scheme.f_m, m1_coeffs=m1_coeffs, m2_coeffs={})
     link = replace(LINKS["ssb"], scheme=scheme)
-    plan = _band_rate_plan(link, SMALL_GRID)
+    plan = _estimate_plan(link, SMALL_GRID)
     plan = plan._replace(work=(np.empty(plan.band, complex), np.full(plan.band, 7.0 + 0j), np.empty(2**13, complex)))
     spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(6, 0), plan=plan).copy()
     intensity = propagate(spectrum.copy(), link, SMALL_GRID, plan=plan)
@@ -863,7 +885,7 @@ def test_shifted_band_detects_at_every_stride(kind, stride):
     # zero-padding then overwrites, for any detection length from M to N
     link = LINKS[kind]
     plan = _plan(link, SMALL_GRID)
-    assert plan.band == SMALL_GRID.n_samples // 4
+    assert plan.band == SMALL_GRID.n_samples // 8
     strided = plan._replace(detect=SMALL_GRID.n_samples // stride)
     full, got = (
         propagate(synthesize_field(link.spectrum, SMALL_GRID, realization_rng(2, 0), plan=p), link, SMALL_GRID, plan=p)
@@ -878,7 +900,7 @@ TRANSFORM_KINDS = ["ssb", "dsb", "pm", "polarization", "two_modulated_arms"]
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
 def test_band_transform_counts(monkeypatch, kind):
     # the arms shift bins, so the only transforms detect on the full grid:
-    # N/M = 4 band-length ones, one per phase ramp
+    # N/M = 8 band-length ones, one per phase ramp
     link = LINKS[kind]
     plan = _plan(link, SMALL_GRID)
 
@@ -886,14 +908,14 @@ def test_band_transform_counts(monkeypatch, kind):
         spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(1, 0), plan=plan)
         propagate(spectrum, link, SMALL_GRID, plan=plan)
 
-    assert _transforms(monkeypatch, realization) == {("ifft", SMALL_GRID.n_samples // 4): 4}
+    assert _transforms(monkeypatch, realization) == {("ifft", SMALL_GRID.n_samples // 8): 8}
 
 
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
 def test_band_rate_transform_counts(monkeypatch, kind):
     # inside estimate_snr each realization detects at the band rate and takes
     # its periodogram: one band-length inverse transform and one real one
-    link, m = LINKS[kind], SMALL_GRID.n_samples // 4
+    link, m = LINKS[kind], SMALL_GRID.n_samples // 8
 
     def ensemble():
         estimate_snr(link, SMALL_GRID, n_realizations=8, seed=1, welch=BAND_WELCH)
@@ -916,8 +938,14 @@ def test_estimate_snr_rejects_a_floor_off_the_record(monkeypatch):
     # link's band holds only its 0.2 GHz source, M = 8 bins of 61 MHz at 2^16 samples
     narrow = replace(_UNMODULATED, spectrum=RectangularSpectrum(n0=1.0, b=0.2e9, carrier_f0=SPEC.carrier_f0))
     assert _plan(narrow, SMALL_GRID).band == 8
-    with pytest.raises(ConfigurationError, match="^n_samples: the record.s bins hold no floor"):
-        estimate_snr(narrow, SMALL_GRID, n_realizations=8, welch=BAND_WELCH)
+    # a 6 GHz source: 2 F = 98 bins, below c + outer = 185, so the band is the
+    # whole intensity's, M = 256 > 4 F, and the floor past M/2 = 128 raises, as
+    # it did before; sized by 2 F + (c + outer) df alone, M = 512 would hold it
+    six = replace(narrow, spectrum=RectangularSpectrum(n0=1.0, b=6e9, carrier_f0=SPEC.carrier_f0))
+    assert _plan(six, SMALL_GRID).band == 256
+    for link in (narrow, six):
+        with pytest.raises(ConfigurationError, match="^n_samples: the record.s bins hold no floor"):
+            estimate_snr(link, SMALL_GRID, n_realizations=8, welch=BAND_WELCH)
     # a 0.5 ns record: its 1.95 GHz bins hold nothing 0.5 GHz from the tone but the tone's own
     short = SimulationGrid(dt=0.25e-12, n_samples=2**11)
     with pytest.raises(ConfigurationError, match="^n_samples: the record.s bins hold no floor"):
@@ -946,10 +974,10 @@ TINY_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**12)
 @pytest.mark.parametrize(
     "grid, nm, f_m, band",
     [
-        (SMALL_GRID, 3.2, None, 4),  # M = N/4: six full passes of the skip buffer
-        (SMALL_GRID, 6.4, None, 2),  # M = N/2
-        (SMALL_GRID, 3.2, 1600 * SMALL_GRID.df, 2),  # a tone of 97.7 GHz on the lattice widens the band: M = N/2
-        (TINY_GRID, 3.2, None, 4),  # one partial pass of the skip buffer
+        (SMALL_GRID, 3.2, None, 8),  # M = N/8: seven full passes of the skip buffer
+        (SMALL_GRID, 6.4, None, 4),  # M = N/4
+        (SMALL_GRID, 3.2, 1600 * SMALL_GRID.df, 4),  # a tone of 97.7 GHz on the lattice widens the band: M = N/4
+        (TINY_GRID, 3.2, None, 8),  # one partial pass of the skip buffer
     ],
 )
 def test_band_draw_equals_in_band_bins_of_the_full_draw(grid, nm, f_m, band):
@@ -992,7 +1020,7 @@ def _retuned_plan(grid, nm):
     return link, _plan(link, grid)
 
 
-@pytest.mark.parametrize("nm, band", [(3.2, 4), (6.4, 2)])
+@pytest.mark.parametrize("nm, band", [(3.2, 8), (6.4, 4)])
 def test_memo_miss_hit_and_full_draw_agree(nm, band):
     link, plan = _retuned_plan(SMALL_GRID, nm)
     m, n = plan.band, SMALL_GRID.n_samples
@@ -1094,7 +1122,7 @@ def test_estimate_snr_equal_with_memo_warm_and_cold():
 @pytest.mark.parametrize("kind", ["ssb", "pm", "two_modulated_arms"])
 def test_band_and_grid_length_fields_propagate_alike(kind):
     link = LINKS[kind]
-    for plan in (_plan(link, SMALL_GRID), _band_rate_plan(link, SMALL_GRID)):
+    for plan in (_plan(link, SMALL_GRID), _estimate_plan(link, SMALL_GRID)):
         band = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0), plan=plan)
         full = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0))
         assert band.size == plan.band < full.size
@@ -1160,11 +1188,11 @@ def _from_here(held):
 
 def test_one_realization_holds_band_length_buffers_only(monkeypatch):
     # measured from the built plan, as the pool starts: one worker's workspace
-    # (two band buffers, 32 bytes per band bin, and 2^14 floats of scratch, 8
-    # per bin at M = 2^14) and its realizations' temporaries peak at 40.8 bytes
-    # per band bin for SSB and 40.7 for PM (50.0 and 49.8 with Welch); 6 more
-    # would not hold a band-length float array.  A grid-length draw held 96.7
-    # (SSB) and 112.7 (PM) above its plan, without a workspace
+    # (two band buffers, 32 bytes per band bin, and 2^14 floats of scratch, 16
+    # per bin at M = 2^13) and its realizations' temporaries peak at 49.4 bytes
+    # per band bin for SSB and PM; 6.6 more would not hold a band-length float
+    # array.  A grid-length draw held 96.7 (SSB) and 112.7 (PM) above its plan
+    # at M = 2^14, without a workspace
     welch = WelchConfig(nperseg=2048)
     for kind in ("ssb", "pm"):
         link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), SMALL_GRID, welch)
@@ -1175,9 +1203,8 @@ def test_one_realization_holds_band_length_buffers_only(monkeypatch):
 @pytest.mark.parametrize("kind", ["ssb", "pm"])
 def test_realizations_after_the_first_allocate_no_band_length_array(monkeypatch, kind):
     # the workspace is allocated once per worker: from the end of realization 0
-    # on, only small arrays come and go: 0.06 bytes per band bin at M = 2^16
-    # (6.5 with Welch's rows), where one band-length array would take 8
-    # (float) or 16 (complex)
+    # on, only small arrays come and go: 0.11 bytes per band bin at M = 2^15,
+    # where one band-length array would take 8 (float) or 16 (complex)
     welch = WelchConfig(nperseg=8192)
     link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), MID_GRID, welch)
     periodograms, held = [], {}
@@ -1192,7 +1219,7 @@ def test_realizations_after_the_first_allocate_no_band_length_array(monkeypatch,
 
     monkeypatch.setattr(np.fft, "rfft", first_ends)
     est, peak, _ = _traced_estimate(monkeypatch, link, MID_GRID, welch, lambda _: periodograms.clear())
-    assert est.metadata["band_bins"] == MID_GRID.n_samples // 4
+    assert est.metadata["band_bins"] == MID_GRID.n_samples // 8
     assert len(periodograms) == 8  # one per realization
     assert peak - held["base"] < 8 * est.metadata["band_bins"]
 
@@ -1225,9 +1252,9 @@ def test_nyquist_margin_counts_every_harmonic_order():
         coeffs = {n: 0.1 for n in range(-order, order + 1)}
         return replace(link, scheme=SchemeConfig(kind=ModulationKind.CUSTOM, f_m=f_m, m1_coeffs=coeffs))
 
-    # F = B/2 + K f_m: at K = 1, 4 F = 80 GHz fits in M = N/2 bins (100 GHz); at
-    # K = 5 the intensity spans 2 F = 120 GHz either side of 0, and 4 F = 240 GHz
-    # exceeds the sample rate
+    # F = B/2 + K f_m: at K = 1, 2 F + (c + outer) df = 51.5 GHz fits in M = N/2
+    # bins (100 GHz); at K = 5 the intensity spans 2 F = 120 GHz either side of
+    # 0, and 4 F = 240 GHz exceeds the sample rate
     assert _plan(up_to(1), grid).band == grid.n_samples // 2
     for call in (lambda: _plan(up_to(5), grid), lambda: estimate_snr(up_to(5), grid, n_realizations=8, welch=welch)):
         with pytest.raises(ConfigurationError, match="^dt:"):
@@ -1256,12 +1283,13 @@ def test_public_propagate_rejects_a_grid_at_or_below_the_intensity_band():
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here")
 @pytest.mark.parametrize("kind", ["ssb", "pm"])
 def test_band_intensity_at_a_sample_rate_just_above_the_intensity_band(kind):
-    # 1 THz against 4 F = 840 GHz at 3.2 nm: the band is the whole grid, M = N,
-    # and the intensity's |f| <= 2 F stays below the 500 GHz Nyquist limit
+    # 1 THz against 4 F = 840 GHz at 3.2 nm: the intensity's |f| <= 2 F stays
+    # below the 500 GHz Nyquist limit of the grid, which public propagate
+    # detects on through N/M = 2 phase ramps of the half-grid band
     grid = SimulationGrid(dt=1e-12, n_samples=2**16)
     link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), grid, BAND_WELCH)
     plan = _plan(link, grid)
-    assert plan.band == grid.n_samples
+    assert plan.band == grid.n_samples // 2
     exact = _long_double_chain(link, grid, realization_rng(3, 1))
     band = propagate(synthesize_field(link.spectrum, grid, realization_rng(3, 1), plan=plan), link, grid, plan=plan)
     assert np.max(np.abs(band - exact)) <= 1e-12 * exact.max()

@@ -80,7 +80,7 @@ def test_class_method_defined(module, cls, method):
 # CHANGES.md line that says why.
 SETTABLE_VALUES_CEILING = 33
 SOURCE_LINES_CEILING = 3164
-SOURCE_TOKENS_CEILING = 20609
+SOURCE_TOKENS_CEILING = 20596
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
