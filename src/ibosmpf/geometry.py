@@ -52,8 +52,8 @@ class InterferometerSpec:
             raise ConfigurationError("delay must be finite")
         if self.carrier_f0 < 0 or not math.isfinite(self.carrier_f0):
             raise ConfigurationError("carrier frequency must be finite and >= 0")
-        if abs(self.arm_ratio_k) > 1.0 + 1e-12:
-            raise ConfigurationError("|arm_ratio_k| must be <= 1 for a passive splitter")
+        if not abs(self.arm_ratio_k) <= 1.0 + 1e-12:  # NaN fails this, and so is refused
+            raise ConfigurationError("|arm_ratio_k| must be finite and <= 1 for a passive splitter")
 
     @property
     def carrier_phase(self) -> float:

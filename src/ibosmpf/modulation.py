@@ -147,9 +147,7 @@ def build_scheme(cfg: SchemeConfig) -> tuple[HarmonicModulation, HarmonicModulat
     gamma = cfg.gamma
     f_m = cfg.f_m
     kind = cfg.kind
-    if kind is ModulationKind.UNMODULATED or (
-        gamma == 0.0 and kind in (ModulationKind.DSB, ModulationKind.SSB)
-    ):
+    if kind is ModulationKind.UNMODULATED:
         m = HarmonicModulation(f_m, {0: 1.0})
         return m, m
     if kind is ModulationKind.DSB:

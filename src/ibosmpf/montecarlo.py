@@ -25,18 +25,19 @@ estimate them from any record.
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
 values do not depend on the order or the threads its realizations run on.
-The 2N - 2M powerless bins' normals are drawn once per process: a memo of
-at most 256 entries (shared by the pool workers, keyed by integers) maps the
-PCG64 state ahead of them and their count to the four ints of the state
-after them, which a later link at that seed sets instead; no output
-depends on what it holds.
+The 2N - 2M powerless bins' normals are drawn once per process: a
+least-recently-used cache of 256 entries, shared by the pool workers, maps
+the pickled bit generator ahead of them and their count to the state after
+them, which a later link at that seed sets instead; no output depends on
+what it holds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,8 +88,6 @@ class SimulationGrid:
 # bench default: 4 THz sample rate, 2**20 samples per realization
 DEFAULT_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**20)
 
-# (PCG64 state ints ahead of the dropped normals, their count) -> state ints after them; oldest evicted first
-_DROPPED, _DROPPED_HELD, _DROPPED_LOCK = {}, 256, threading.Lock()
 # Welch segments per batched transform in estimate_psd
 _WELCH_ROWS = 8
 # bytes the concurrent realizations of one estimate_snr call may hold, at 48 per band bin
@@ -135,10 +134,10 @@ class _Plan(NamedTuple):
     lattice: int  # c
     detect: int  # d: propagate squares |E| at every (N/d)-th grid time
     # (spectral filter, bin shifts {n c mod M: M_n}) per distinct modulator; the filter is None
-    # for an undelayed arm's 1, and a constant m is the one shift {0: M_0}
+    # for an undelayed arm's 1, a constant m is the one shift {0: M_0}, an m of no coefficients none
     arms: tuple[tuple[np.ndarray | None, dict[int, complex]], ...]
     dispersion: np.ndarray  # exp(-j phi (2 pi f)^2 / 2) on the in-band bins
-    work: tuple[np.ndarray, ...] | None  # a pool worker's buffers: the draw, the harmonic sum, 2^14 floats
+    work: tuple[np.ndarray, ...] | None  # a pool worker's buffers: the draw, the harmonic sum, propagate's 2^13 complex
 
 
 def _amplitude(spectrum: OpticalSpectrum, grid: SimulationGrid, band: int) -> np.ndarray:
@@ -192,7 +191,7 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
 
     def modulation(m):  # f_m t = c k / M at band time k: harmonic n moves bin j to j + n c
         shifts = {}
-        for n, coefficient in (m.coeffs or {0: 0.0}).items():  # an arm of no coefficients adds zeros
+        for n, coefficient in m.coeffs.items():
             shifts[n * lattice % band] = shifts.get(n * lattice % band, 0) + coefficient
         return shifts
 
@@ -203,6 +202,18 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _state_after(stream: bytes, count: int) -> dict:
+    """State the pickled bit generator ``stream`` reaches past ``count`` normals, drawn 2^14 at a time and dropped.
+
+    ``stream`` is ``pickle.dumps`` of a generator of this process: no outside bytes reach ``pickle.loads``.
+    """
+    rng, chunk = np.random.Generator(pickle.loads(stream)), np.empty(2**14)
+    for start in range(0, count, chunk.size):
+        rng.standard_normal(out=chunk[: count - start])
+    return rng.bit_generator.state
+
+
 def synthesize_field(
     spectrum: OpticalSpectrum, grid: SimulationGrid, rng: np.random.Generator, *, plan: _Plan | None = None
 ) -> np.ndarray:
@@ -210,29 +221,17 @@ def synthesize_field(
 
     S is in FFT bin order, the field ``numpy.fft.ifft(S, norm="forward")``.
     With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
-    bins, the grid's first and last M/2, equal to those of the N-bin draw: the 2N - 2M
-    normals between pass through 2^14 floats, or once drawn take their memoized end state;
-    a plan's workspace (4.3 MB at DEFAULT_GRID) holds both.
+    bins, the grid's first and last M/2, equal to those of the N-bin draw: the stream
+    skips the 2N - 2M normals between to the state :func:`_state_after` caches for it, and
+    a plan's workspace (4.3 MB at DEFAULT_GRID) holds the draw.
     """
     band = grid.n_samples if plan is None else plan.band
     amplitude = _amplitude(spectrum, grid, band) if plan is None or plan.amplitude is None else plan.amplitude
-    xhat, _, scratch = (plan and plan.work) or (np.empty(band, complex), None, np.empty(2**13, complex))
+    xhat = plan.work[0] if plan and plan.work else np.empty(band, complex)
     normals, skip = xhat.view(np.float64), 2 * (grid.n_samples - band)  # real and imaginary part per bin
     rng.standard_normal(out=normals[:band])
-    state = rng.bit_generator.state if skip and type(rng.bit_generator) is np.random.PCG64 else None
-    key = state and (*state["state"].values(), state["has_uint32"], state["uinteger"], skip)
-    if (after := _DROPPED.get(key)) is not None:  # into the stream's own state dict: its four ints
-        state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"] = after
-        rng.bit_generator.state = state
-    else:
-        for start in range(0, skip, 2**14):  # the powerless bins between: drawn into the scratch, then dropped
-            rng.standard_normal(out=scratch.view(np.float64)[: skip - start])
-        if key is not None:
-            with _DROPPED_LOCK:
-                after = rng.bit_generator.state
-                _DROPPED[key] = (*after["state"].values(), after["has_uint32"], after["uinteger"])
-                while len(_DROPPED) > _DROPPED_HELD:
-                    del _DROPPED[next(iter(_DROPPED))]
+    if skip:  # the powerless bins between
+        rng.bit_generator.state = _state_after(pickle.dumps(rng.bit_generator), skip)
     rng.standard_normal(out=normals[band:])
     for part in (xhat.real, xhat.imag):  # through the float views: no complex copy of the amplitude
         np.multiply(part, amplitude, out=part)
@@ -246,7 +245,8 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
     overwritten and may hold the result: pass a copy to keep it.  The differential delay is
     an exact frequency-domain phase in one spectral filter per distinct arm modulator;
     dispersion is one all-pass product.  Both, and the modulation (bin shifts of a tone that
-    must be on the lattice), run on the M in-band bins.  Detection on the ``plan.detect`` samples d
+    must be on the lattice), run on the M in-band bins: each harmonic of each arm adds its
+    shifted product into one zeroed sum, 2^13 bins at a time.  Detection on the ``plan.detect`` samples d
     (M inside ``estimate_snr``, N without a plan) takes d/M M-point inverse transforms behind
     phase ramps: within 7.8e-16 of the peak of one zero-padded d-point transform at 2^20 samples.
     """
@@ -257,21 +257,15 @@ def propagate(spectrum: np.ndarray, link: LinkConfig, grid: SimulationGrid, *, p
         raise ConfigurationError("field length matches neither the grid nor the plan's band")
     band = spectrum if spectrum.size == m else np.concatenate((spectrum[:half], spectrum[n - half :]))
     draw, total, scratch = plan.work or (band, np.empty(m, complex), np.empty(2**13, complex))
-    first = True
+    total.fill(0)
     last = len(plan.arms) - 1
     for k, (spectral_filter, modulation) in enumerate(plan.arms):
         arm = band if spectral_filter is None else np.multiply(band, spectral_filter, out=band if k == last else None)
-        for shift, coefficient in modulation.items():  # M_n shifted by n c bins, summed into the second buffer
-            head, tail = arm[m - shift :], arm[: m - shift]
-            if first:
-                first = False
-                np.multiply(head, coefficient, out=total[:shift])
-                np.multiply(tail, coefficient, out=total[shift:])
-            else:  # a chunk at a time: no M-length product per harmonic
-                for target, source in ((total[:shift], head), (total[shift:], tail)):
-                    for j in range(0, source.size, scratch.size):
-                        part = source[j : j + scratch.size]
-                        target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
+        for shift, coefficient in modulation.items():  # M_n shifted by n c bins, a chunk at a time into the sum
+            for target, source in ((total[:shift], arm[m - shift :]), (total[shift:], arm[: m - shift])):
+                for j in range(0, source.size, scratch.size):
+                    part = source[j : j + scratch.size]
+                    target[j : j + part.size] += np.multiply(part, coefficient, out=scratch[: part.size])
     total *= plan.dispersion
     if d == m:  # |E|^2 into the draw's buffer, the field through the sum's
         intensity = np.abs(np.fft.ifft(total, norm="forward", out=total), out=draw.view(np.float64)[:m])

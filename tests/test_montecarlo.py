@@ -1,4 +1,6 @@
+import functools
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -361,15 +363,16 @@ def test_mc_snr_matches_analytic_reduced_budget():
 
 # the named links, and all_orders at a 1 ps delay, where the arms' fields correlate,
 # R0(d) = 0.76 R0(0), so that the carrier phase weighs fully
-ORACLE_LINKS = {kind: LINKS[kind] for kind in ("ssb", "pm", "polarization", "all_orders")}
+ORACLE_LINKS = {kind: LINKS[kind] for kind in ("ssb", "dsb", "pm", "polarization", "all_orders")}
 ORACLE_LINKS["all_orders_1ps"] = replace(
     LINKS["all_orders"], interferometer=replace(LINKS["all_orders"].interferometer, delay_d=1e-12)
 )
 # Each z below is a Student t with 31 degrees of freedom.  Over root seeds 100-123
-# the 3,600 continuum z's of the five links spread by 1.04 (t_31: 1.03), the
-# heaviest |z| 5.18, and the 240 line z's by 1.03, the heaviest 3.20.  The bound
-# is Bonferroni over one run's 160 comparisons (five links, 30 bands and 2 lines
-# each) at a 0.1 % family-wise false-alarm rate: P(|t_31| > 5.43) = 0.001 / 160
+# the 3,600 continuum z's of the five links other than DSB spread by 1.04 (t_31:
+# 1.03), the heaviest |z| 5.18, and the 240 line z's by 1.03, the heaviest 3.20.
+# The bound is Bonferroni at P(|t_31| > 5.43) = 0.001 / 160 per comparison; one
+# run makes 192 (six links, 30 bands and 2 lines each), a 0.12 % family-wise
+# false-alarm rate.  DSB at seed 0 reaches |z| 2.56 and adds 0.24 s (2-core Xeon)
 _ORACLE_Z = 5.43
 
 
@@ -596,15 +599,16 @@ def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, link, width):
     assert plan.detect == plan.band == SMALL_GRID.n_samples // 8
     if link.scheme.kind == ModulationKind.UNMODULATED:
         assert plan.arms[0][1] == {0: 1}
-    montecarlo._DROPPED.clear()
-    want = _serial_quantities(link, SMALL_GRID, 8, 9, plan)  # leaves the memo warm for seed 9
-    assert len(montecarlo._DROPPED) == 8
+    montecarlo._state_after.cache_clear()
+    want = _serial_quantities(link, SMALL_GRID, 8, 9, plan)  # leaves the cache warm for seed 9
+    assert montecarlo._state_after.cache_info().currsize == 8
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: width)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
-        montecarlo._DROPPED.clear()
+        assert montecarlo._state_after.cache_info().hits == 8
+        montecarlo._state_after.cache_clear()
         cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
     finally:
         sys.setswitchinterval(interval)
@@ -1000,7 +1004,7 @@ def test_band_draw_equals_in_band_bins_of_the_full_draw(grid, nm, f_m, band):
     np.testing.assert_array_equal(full[in_band], got)
 
 
-# --- the memo of dropped stretches ---------------------------------------------------
+# --- the cache of dropped stretches --------------------------------------------------
 
 
 class _CountingGenerator:
@@ -1025,44 +1029,49 @@ def test_memo_miss_hit_and_full_draw_agree(nm, band):
     link, plan = _retuned_plan(SMALL_GRID, nm)
     m, n = plan.band, SMALL_GRID.n_samples
     assert m == n // band
-    montecarlo._DROPPED.clear()
+    montecarlo._state_after.cache_clear()
     miss = _CountingGenerator(realization_rng(7, 3))
     got_miss = synthesize_field(link.spectrum, SMALL_GRID, miss, plan=plan)
-    assert len(montecarlo._DROPPED) == 1
+    assert montecarlo._state_after.cache_info()[:2] == (0, 1)  # hits, misses
     hit = _CountingGenerator(realization_rng(7, 3))
     got_hit = synthesize_field(link.spectrum, SMALL_GRID, hit, plan=plan)
-    full = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(7, 3))
+    assert montecarlo._state_after.cache_info()[:2] == (1, 1)
+    full_rng = realization_rng(7, 3)
+    full = synthesize_field(link.spectrum, SMALL_GRID, full_rng)
     np.testing.assert_array_equal(got_miss, got_hit)
     np.testing.assert_array_equal(got_hit, full[np.r_[0 : m // 2, n - m // 2 : n]])
-    # both leave the stream at the same place, past all 2N normals
-    assert miss.rng.bit_generator.state == hit.rng.bit_generator.state
-    # the miss draws every normal; the hit only the 2M of the in-band bins
-    assert sum(miss.drawn) == 2 * n
-    assert hit.drawn == [m, m]
+    # both leave the stream where the full draw does, past all 2N normals
+    assert miss.rng.bit_generator.state == hit.rng.bit_generator.state == full_rng.bit_generator.state
+    # the caller's stream draws only the 2M normals of the in-band bins; the cache skips the rest
+    assert miss.drawn == hit.drawn == [m, m]
 
 
-def test_memo_key_is_exact_integers_and_skips_other_generators():
+def test_memo_key_is_the_pickled_stream_and_its_count_for_every_generator():
     link, plan = _retuned_plan(TINY_GRID, 3.2)
     m, n = plan.band, TINY_GRID.n_samples
-    montecarlo._DROPPED.clear()
+    montecarlo._state_after.cache_clear()
     for seed in (1, 2):
         synthesize_field(link.spectrum, TINY_GRID, realization_rng(seed, 0), plan=plan)
-    (key1, after1), (key2, _) = montecarlo._DROPPED.items()
-    assert key1 != key2 and all(type(v) is int for key in (key1, key2) for v in key)
-    assert key1[-1] == 2 * (n - m)  # the count of dropped normals is part of the key
-    # the stored state is the one the stream reaches past the head and the dropped stretch
+    assert montecarlo._state_after.cache_info()[:2] == (0, 2)  # hits, misses
+    # the key is the stream ahead of the dropped stretch, pickled, and the count of its
+    # normals; the value the state the stream reaches past them
     rng = realization_rng(1, 0)
-    rng.standard_normal(m + 2 * (n - m))
-    state = rng.bit_generator.state
-    assert after1 == (state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"])
-    # another bit generator bypasses the memo and still draws the in-band bins of its N-bin draw
-    other = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(np.random.MT19937(5)), plan=plan)
-    full = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(np.random.MT19937(5)))
-    np.testing.assert_array_equal(other, full[np.r_[0 : m // 2, n - m // 2 : n]])
-    assert len(montecarlo._DROPPED) == 2
-    # a draw without a plan (all N bins) drops nothing and leaves the memo alone
+    rng.standard_normal(m)
+    stream = pickle.dumps(rng.bit_generator)
+    rng.standard_normal(2 * (n - m))
+    assert montecarlo._state_after(stream, 2 * (n - m)) == rng.bit_generator.state
+    assert montecarlo._state_after.cache_info()[:2] == (1, 2)
+    # every bit generator takes the cache and draws the in-band bins of its N-bin draw
+    for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
+        band_rng, full_rng = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+        other = synthesize_field(link.spectrum, TINY_GRID, band_rng, plan=plan)
+        full = synthesize_field(link.spectrum, TINY_GRID, full_rng)
+        np.testing.assert_array_equal(other, full[np.r_[0 : m // 2, n - m // 2 : n]])
+        assert pickle.dumps(band_rng.bit_generator) == pickle.dumps(full_rng.bit_generator)
+    # a draw without a plan (all N bins) drops nothing and leaves the cache alone
     synthesize_field(link.spectrum, TINY_GRID, realization_rng(3, 0))
-    assert len(montecarlo._DROPPED) == 2
+    info = montecarlo._state_after.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
     # a tone off the lattice builds no plan to draw with
     with pytest.raises(ConfigurationError, match="^f_m:"):
         _plan(reference_link(f_m=10e9), TINY_GRID)
@@ -1072,14 +1081,15 @@ def test_memo_holds_at_most_its_bound_under_concurrent_workers(monkeypatch):
     link, plan = _retuned_plan(TINY_GRID, 3.2)
     want = [synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 0)) for s in range(40)]
     in_band = np.r_[0 : plan.band // 2, TINY_GRID.n_samples - plan.band // 2 : TINY_GRID.n_samples]
-    monkeypatch.setattr(montecarlo, "_DROPPED_HELD", 3)
-    montecarlo._DROPPED.clear()
+    # the module's function under a bound of 3, so that the 40 streams evict often
+    cache = functools.lru_cache(maxsize=3)(montecarlo._state_after.__wrapped__)
+    monkeypatch.setattr(montecarlo, "_state_after", cache)
     got, sizes = {}, []
 
     def worker(first):  # each stream twice, so hits, misses and evictions interleave across threads
         for j, s in enumerate([*range(first, 40, 4)] * 2):
             got[s, j] = synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 0), plan=plan)
-            sizes.append(len(montecarlo._DROPPED))
+            sizes.append(cache.cache_info().currsize)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1092,18 +1102,21 @@ def test_memo_holds_at_most_its_bound_under_concurrent_workers(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(got) == 80 and max(sizes) <= 3 and len(montecarlo._DROPPED) <= 3
+    info = cache.cache_info()
+    assert len(got) == 80 and max(sizes) <= 3 and info.currsize <= info.maxsize == 3 and info.hits + info.misses == 80
     for (s, _), field in got.items():
         np.testing.assert_array_equal(field, want[s][in_band])
-    # at the module's own bound the oldest entries go first
+    # at the module's own bound the least recently used entries go first
     monkeypatch.undo()
-    montecarlo._DROPPED.clear()
-    for s in range(montecarlo._DROPPED_HELD + 5):
+    montecarlo._state_after.cache_clear()
+    held = montecarlo._state_after.cache_info().maxsize
+    for s in range(held + 5):
         synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 1), plan=plan)
-    assert len(montecarlo._DROPPED) == montecarlo._DROPPED_HELD
-    rng = realization_rng(5, 1)
-    rng.standard_normal(plan.band)
-    assert rng.bit_generator.state["state"]["state"] == next(iter(montecarlo._DROPPED))[0]
+    info = montecarlo._state_after.cache_info()
+    assert (info.misses, info.currsize) == (held + 5, held)
+    for s in (5, 4):  # stream 5 the oldest held, stream 4 evicted
+        synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 1), plan=plan)
+    assert montecarlo._state_after.cache_info()[:2] == (1, held + 6)  # hits, misses
 
 
 def test_estimate_snr_equal_with_memo_warm_and_cold():
@@ -1111,11 +1124,12 @@ def test_estimate_snr_equal_with_memo_warm_and_cold():
     links = [_retuned(reference_link(scheme_kind=k, gamma=0.41), SMALL_GRID, welch)[0] for k in ("ssb", "pm")]
     cold = []
     for link in links:
-        montecarlo._DROPPED.clear()
+        montecarlo._state_after.cache_clear()
         cold.append(estimate_snr(link, SMALL_GRID, n_realizations=8, seed=12, welch=welch).quantities)
-    montecarlo._DROPPED.clear()
+    montecarlo._state_after.cache_clear()
     warm = [estimate_snr(link, SMALL_GRID, n_realizations=8, seed=12, welch=welch).quantities for link in links]
-    assert len(montecarlo._DROPPED) == 8  # the PM link found the SSB link's eight streams
+    info = montecarlo._state_after.cache_info()
+    assert (info.hits, info.currsize) == (8, 8)  # the PM link found the SSB link's eight streams
     assert warm == cold and cold[0] != cold[1]
 
 

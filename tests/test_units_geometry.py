@@ -107,5 +107,8 @@ def test_interferometer_validation():
     f0 = wavelength_to_frequency(BENCH_LAMBDA)
     spec = InterferometerSpec(delay_d=BENCH_DELAY, carrier_f0=f0)
     assert spec.carrier_phase == pytest.approx(2 * math.pi * f0 * BENCH_DELAY)
-    with pytest.raises(ConfigurationError):
-        InterferometerSpec(delay_d=BENCH_DELAY, carrier_f0=f0, arm_ratio_k=1.5)
+    # a NaN part makes abs(k) NaN, which fails every comparison: a '> 1' test would
+    # let it through, and the balanced-arm forms would take it for k = 1
+    for k in (1.5, complex(math.nan, 0.0), complex(1.0, math.nan)):
+        with pytest.raises(ConfigurationError, match="arm_ratio_k"):
+            InterferometerSpec(delay_d=BENCH_DELAY, carrier_f0=f0, arm_ratio_k=k)
