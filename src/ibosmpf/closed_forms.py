@@ -60,11 +60,7 @@ def fringed_noise_spectrum(
     ``carrier_phase`` may be arrays over a batch's points, one per f.
     """
     f = np.asarray(f, dtype=float)
-    s0 = spectrum.intensity_autoconvolution(f)
-    if np.all(np.equal(delay, 0.0)):
-        # all shifts coincide: |H|^2 = 16 |R0|^2
-        return 16.0 * s0
-    main = (4.0 + 2.0 * np.cos(2.0 * np.pi * f * delay)) * s0
+    main = (4.0 + 2.0 * np.cos(2.0 * np.pi * f * delay)) * spectrum.intensity_autoconvolution(f)
     cc_d = spectrum.cross_spectrum(f, delay)
     cc_2d = spectrum.cross_spectrum(f, 2.0 * delay)
     fringe = np.exp(-2j * np.pi * f * delay)
@@ -168,8 +164,10 @@ def signal_power_dsb(link: LinkConfig, f_m=None):
 
 def dsb_fading_null_frequency(phi: float, order: int = 0) -> float:
     """RF frequency of the dispersion-fading null cos(2 pi^2 phi f^2) = 0."""
-    if phi <= 0:
+    if not phi > 0:
         raise NoPassbandError("fading nulls at positive RF need phi > 0")
+    if not order >= 0:
+        raise ConfigurationError("fading-null order must be >= 0")
     return math.sqrt((0.5 + order) / (2.0 * math.pi * phi))
 
 
@@ -328,8 +326,8 @@ def snr_ssb(link: LinkConfig) -> SnrReport:
 
 def noise_figure(p_in_w: float, snr_db_hz: float) -> float:
     """NF = 10 lg[(P_in / k_B T_s) / SNR] with T_s = 290 K."""
-    if p_in_w <= 0:
-        raise ConfigurationError("input RF power must be positive")
+    if not p_in_w > 0:
+        raise ConfigurationError("input RF power p_in_w must be positive")
     return 10.0 * math.log10(p_in_w / (K_B * T_STANDARD)) - snr_db_hz
 
 

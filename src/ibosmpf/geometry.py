@@ -79,15 +79,15 @@ def delay_for_center(f_c: float, phi: float) -> float:
     """Differential delay that centers the passband at ``f_c``."""
     if phi == 0.0:
         raise NoPassbandError("phi = 0 gives no bandpass response")
-    if f_c < 0:
-        raise ConfigurationError("passband center must be >= 0")
+    if not f_c >= 0:
+        raise ConfigurationError("passband center f_c must be >= 0")
     return 2.0 * math.pi * phi * f_c
 
 
 def optical_fsr(wavelength: float, delay: float) -> float:
     """Interferometer fringe period in wavelength, lambda^2 / (c d)."""
-    if delay <= 0:
+    if not delay > 0:
         raise ConfigurationError("delay must be positive for an optical FSR")
-    if wavelength <= 0:
+    if not wavelength > 0:
         raise ConfigurationError("wavelength must be positive")
     return wavelength**2 / (C * delay)

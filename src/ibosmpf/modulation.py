@@ -201,6 +201,6 @@ def gamma_from_csr(csr_db: float) -> float:
 
 def csr_from_gamma(gamma: float) -> float:
     """Carrier-to-sideband ratio in dB from the modulation index."""
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive to define a CSR")
+    if not 0 < gamma < math.inf:
+        raise ConfigurationError("gamma must be positive and finite to define a CSR")
     return 20.0 * math.log10(2.0 / gamma)

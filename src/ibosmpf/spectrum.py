@@ -4,10 +4,10 @@ The source field is a stationary circular complex Gaussian process whose
 double-sided baseband PSD G(f) [W/Hz] fully determines its statistics.  Two
 models are provided: an ideal rectangular slice (closed forms throughout)
 and a tabulated PSD interpreted as a piecewise-linear density with zero
-extension.  For that interpolant the autocorrelation and the intensity
-autoconvolution are exact; the cross spectrum (and with it the engine
-continuum) is a Gauss-Legendre quadrature whose panels ignore the grid's
-kinks, so its error grows with the raggedness of the samples; it
+extension.  Each model has one transform of its own, exact for its PSD:
+the autocorrelation and the cross spectrum.  The intensity autoconvolution
+is the cross spectrum at zero shift for every model.  The engine's
+quadrature, :func:`spectral_correlation`, needs only a model's PSD; it
 integrates each |f| once, magnitudes equal up to rounding sharing one row,
 and takes negative f from the mirror identity CC(-f, s) = exp(-j 2 pi f s) CC(f, s).
 
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import band_correlation
+from ._quad import _NODES, _WEIGHTS, band_correlation
 from .errors import ConfigurationError
 
 _SINC_SERIES_CUTOFF = 1e-4
@@ -66,7 +66,8 @@ class OpticalSpectrum:
         raise NotImplementedError
 
     def intensity_autoconvolution(self, f):
-        raise NotImplementedError
+        """S0(f), the cross spectrum at zero shift (real for a real PSD)."""
+        return self.cross_spectrum(f, 0.0).real
 
     def cross_spectrum(self, f, shift):
         raise NotImplementedError
@@ -105,11 +106,6 @@ class RectangularSpectrum(OpticalSpectrum):
         out = np.asarray(self.n0 * self.b * sinc(np.pi * self.b * lag), dtype=complex)
         return out if lag.ndim else complex(out)
 
-    def intensity_autoconvolution(self, f):
-        f = np.asarray(f, dtype=float)
-        out = self.n0**2 * np.clip(self.b - np.abs(f), 0.0, None)
-        return out if out.ndim else float(out)
-
     def cross_spectrum(self, f, shift):
         f = np.asarray(f, dtype=float)
         width = np.clip(self.b - np.abs(f), 0.0, None)
@@ -119,7 +115,7 @@ class RectangularSpectrum(OpticalSpectrum):
             * sinc(np.pi * width * shift)
             * np.exp(1j * np.pi * f * shift)
         )
-        out = np.where(width > 0, out, 0.0 + 0.0j)
+        out = np.where(width == 0, 0.0 + 0.0j, out)  # a NaN f stays NaN
         return out if out.ndim else complex(out)
 
     def support(self) -> tuple[float, float]:
@@ -133,9 +129,13 @@ class RectangularSpectrum(OpticalSpectrum):
 class TabulatedSpectrum(OpticalSpectrum):
     """PSD samples on a uniform grid, linearly interpolated, zero-extended.
 
-    The stored model is the hat-basis expansion of the samples, so the
-    autocorrelation below is the exact Fourier transform of the interpolant
-    (including the half-triangle roll-offs one grid step beyond each end).
+    The stored model is the hat-basis expansion G(v) = sum_k v_k h((v -
+    grid_k) / step) of the samples, h the unit triangle, including the
+    half-triangle roll-offs one grid step beyond each end.  Both transforms
+    are exact for it: the autocorrelation is step sinc^2(pi step u) times
+    the samples' Fourier series, and the cross spectrum a sum over sample
+    lags m of an FFT correlation of the samples times the phase-weighted
+    overlap of two hats f / step - m steps apart (see :meth:`cross_spectrum`).
     """
 
     grid: np.ndarray  # uniformly spaced baseband frequencies [Hz]
@@ -197,40 +197,28 @@ class TabulatedSpectrum(OpticalSpectrum):
         return complex(out[0]) if scalar else out
 
     @cached_property
-    def _hat_correlation_coeffs(self) -> np.ndarray:
-        # c[m] = sum_k v[k] v[k-m], m = -(N-1)..(N-1), as a real-FFT product
-        # zero-padded to the next power of two
-        size = 2 * self.values.size - 1
-        n_fft = 1 << (size - 1).bit_length()
-        product = np.fft.rfft(self.values, n_fft) * np.fft.rfft(self.values[::-1], n_fft)
-        return np.fft.irfft(product, n_fft)[:size]
-
-    def intensity_autoconvolution(self, f):
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        step = self.step
-        coeffs = self._hat_correlation_coeffs
-        n = self.values.size
-        out = np.zeros(f.shape)
-        m_center = f / step
-        for offset in range(-2, 3):
-            m = np.floor(m_center).astype(int) + offset
-            s = m_center - m
-            kernel = _hat_autocorrelation(s)
-            idx = m + (n - 1)
-            valid = (idx >= 0) & (idx < coeffs.size) & (kernel > 0)
-            out[valid] += coeffs[idx[valid]] * kernel[valid]
-        out *= step
-        return float(out[0]) if scalar else out
+    def _reversed_transform(self) -> np.ndarray:
+        """FFT of the reversed samples, zero-padded past the 2N - 1 lags to a power of two."""
+        return np.fft.fft(self.values[::-1], 1 << (2 * self.values.size - 1).bit_length())
 
     def cross_spectrum(self, f, shift):
-        # one quadrature per distinct shift (a batch of operating points has
-        # one delay each), over the distinct |f| of that shift
-        f, shift = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(shift, dtype=float))
+        # With a = step * s, CC(f, s) = step sum_m c_m(s) K(f / step - m, a):
+        # c_m(s) = sum_k v_k v_{k-m} exp(j 2 pi s grid_k), one FFT correlation
+        # per distinct shift (a batch of operating points has one delay
+        # each), and K (see _hat_overlaps) vanishes for |t| >= 2, so each f
+        # takes the four m from floor(f / step) - 1 to floor(f / step) + 2.
+        f, shift = np.broadcast_arrays(f, shift)
         out = np.empty(f.shape, dtype=complex)
+        step, lags, reversed_ = self.step, 2 * self.values.size - 1, self._reversed_transform
         for value in np.unique(shift):
             at = shift == value
-            out[at] = spectral_correlation(self, f[at], float(value))[0]
+            tilted = np.fft.fft(self.values * np.exp(2j * np.pi * value * self.grid), reversed_.size)
+            coeffs = np.fft.ifft(tilted * reversed_)
+            coeffs[lags:] = 0.0  # the padding, read for every |m| > N - 1
+            x = f[at] / step
+            base = np.floor(x)
+            rows = coeffs[np.clip(base[:, None] + np.arange(-1, 3) + lags // 2, -1, lags).astype(int)]
+            out[at] = step * np.sum(rows * _hat_overlaps(x - base, step * value), axis=-1)
         return out if out.ndim else complex(out)
 
     def support(self) -> tuple[float, float]:
@@ -242,14 +230,25 @@ class TabulatedSpectrum(OpticalSpectrum):
         return TabulatedSpectrum(grid=self.grid, values=self.values / scale, carrier_f0=self.carrier_f0)
 
 
-def _hat_autocorrelation(s: np.ndarray) -> np.ndarray:
-    """Autocorrelation of the unit triangular hat, support |s| <= 2."""
-    s = np.abs(s)
-    out = np.zeros(s.shape)
-    inner = s <= 1.0
-    outer = (s > 1.0) & (s < 2.0)
-    out[inner] = 2.0 / 3.0 - s[inner] ** 2 + s[inner] ** 3 / 2.0
-    out[outer] = (2.0 - s[outer]) ** 3 / 6.0
+def _hat_overlaps(frac, a):
+    """K(frac - j, a) for j = -1, 0, 1, 2 along a last axis, for 0 <= frac <= 1.
+
+    K(t, a) = int h(y) h(y - t) exp(j 2 pi a y) dy, h(y) = max(0, 1 - |y|).
+    On h's support [-1, 1] each of the four integrands is a quadratic times
+    the phasor between consecutive points of {-1, frac - 1, 0, frac, 1},
+    the kinks of h and of h(y - t) alike, so one 16-point Gauss-Legendre
+    rule on each of the four gaps, split into panels of under 1.5 phasor
+    cycles, serves all four and is exact up to rounding.
+    """
+    kinks = np.stack(np.broadcast_arrays(-1.0, frac - 1.0, 0.0, frac, 1.0), axis=-1)
+    panels = int(abs(a) / 1.5) + 1
+    half = np.diff(kinks)[:, None, :, None] / (2 * panels)
+    t = frac[:, None, None, None] - np.arange(-1, 3)[:, None, None]
+    out = 0.0
+    for p in range(panels):
+        y = kinks[:, None, :-1, None] + half * (2 * p + 1 + _NODES)
+        hats = np.maximum(1.0 - np.abs(y), 0.0) * np.maximum(1.0 - np.abs(y - t), 0.0)
+        out += np.sum(half * _WEIGHTS * hats * np.exp(2j * np.pi * a * y), axis=(-2, -1))
     return out
 
 

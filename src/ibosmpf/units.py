@@ -13,13 +13,13 @@ from .errors import ConfigurationError
 
 def optical_bandwidth_to_hz(delta_lambda: float, wavelength: float) -> float:
     """Convert a wavelength span (m) around ``wavelength`` (m) to hertz."""
-    if wavelength <= 0:
+    if not wavelength > 0:
         raise ConfigurationError("wavelength must be positive")
     return C * delta_lambda / wavelength**2
 
 
 def wavelength_to_frequency(wavelength: float) -> float:
-    if wavelength <= 0:
+    if not wavelength > 0:
         raise ConfigurationError("wavelength must be positive")
     return C / wavelength
 

@@ -32,6 +32,7 @@ from ibosmpf.engine import general_intensity_psd
 from ibosmpf.freq_domain import freq_domain_noise_psd, freq_domain_signal_power
 from ibosmpf.montecarlo import DEFAULT_GRID
 from ibosmpf.pm import pm_decomposition, snr_pm
+from ibosmpf.spectrum import TabulatedSpectrum
 from ibosmpf.units import dbm_to_watts
 from tests.test_freq_domain import random_ssb_link
 
@@ -126,16 +127,15 @@ def test_c04_cross_path_equivalence():
     _report("C4", f"time vs frequency domain on 50 random configs, worst rel err {worst:.2e}")
 
 
-def test_c05_general_evaluator_oracle_equivalence():
+def _engine_against_closed_forms(kinds, spectrum=None):
+    """Worst relative miss of the engine against the closed forms on a
+    1024-point grid: continuum over its peak, each line over itself."""
     grid = np.linspace(-440e9, 440e9, 1024)
     worst = 0.0
-    for kind, gamma in (
-        ("unmodulated", 0.0),
-        ("ssb", 0.39),
-        ("dsb", 0.39),
-        ("pm", 0.41),
-    ):
+    for kind, gamma in kinds:
         link = reference_link(scheme_kind=kind, gamma=gamma)
+        if spectrum is not None:
+            link = link.with_spectrum(spectrum)
         engine = general_intensity_psd(link, grid)
         if kind == "pm":
             reference = pm_decomposition(link, grid)
@@ -147,8 +147,24 @@ def test_c05_general_evaluator_oracle_equivalence():
         for f, w in zip(reference.line_frequencies, reference.line_powers):
             err = abs(engine.line_power_at(f) - w) / max(w, 1e-12 * peak_line)
             worst = max(worst, float(err))
+    return worst
+
+
+def test_c05_general_evaluator_oracle_equivalence():
+    worst = _engine_against_closed_forms((("unmodulated", 0.0), ("ssb", 0.39), ("dsb", 0.39), ("pm", 0.41)))
     assert worst <= 1e-6
     _report("C5", f"engine vs closed forms, 4 schemes, 1024-point grids, worst {worst:.2e}")
+
+
+def test_c05_on_a_smooth_tabulated_source():
+    # the closed forms transform the hat expansion exactly and the engine
+    # integrates its PSD by quadrature: two computations of one spectrum
+    b = reference_link().spectrum.b
+    grid = np.linspace(-b, b, 4096)
+    gaussian = TabulatedSpectrum(grid=grid, values=np.exp(-0.5 * (grid / (0.2 * b)) ** 2))
+    worst = _engine_against_closed_forms((("ssb", 0.39), ("dsb", 0.39), ("pm", 0.41)), gaussian)
+    assert worst <= 1e-6
+    _report("C5", f"engine vs closed forms, 4096-point tabulated Gaussian, 3 schemes, worst {worst:.2e}")
 
 
 @pytest.mark.slow

@@ -489,7 +489,7 @@ def test_reported_powers_match_link_evaluation_tabulated(kind):
         assert report.noise_psd_at_signal == pytest.approx(total, rel=1e-12, abs=0.0)
         for name, value in parts.items():
             # On the Gaussian source the PM interferometric cross part is a
-            # residue of cancelling quadrature terms, about 1e-7 of the total:
+            # residue of cancelling terms, about 1e-7 of the total:
             # a 1-ulp change of the PSD samples moves it by about 1e-10 of
             # itself, so each part is held to 1e-12 of the total there.
             tol = 1e-12 * (abs(total) if entry_scale == "total" else abs(value))

@@ -156,6 +156,67 @@ def test_tabulated_cross_spectrum_matches_rect():
         assert np.max(np.abs(got - want)) < 3e-3 * N0**2 * B
 
 
+def _hat_sources():
+    from ibosmpf import reference_link
+
+    link = reference_link()
+    b = link.spectrum.b
+    ragged = np.linspace(-200e9, 200e9, 1024)
+    smooth = np.linspace(-b, b, 4096)
+    return link.delay, {
+        "ragged": TabulatedSpectrum(grid=ragged, values=np.random.default_rng(0).uniform(0.5, 1.5, ragged.size)),
+        "rectangle": tabulate(link.spectrum, 4096),
+        "gaussian": TabulatedSpectrum(grid=smooth, values=np.exp(-0.5 * (smooth / (0.2 * b)) ** 2)),
+    }
+
+
+def _cc_piecewise(spec: TabulatedSpectrum, g: float, shift: float) -> complex:
+    """CC(g, shift) of the interpolant: a 16-point Gauss-Legendre rule on each
+    gap between the kinks of G(v) and G(v - g), in panels of at most one
+    cycle of exp(j 2 pi v shift), so the rule is exact up to rounding."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    lo, hi = spec.support()
+    ends = np.concatenate(([lo], spec.grid, [hi]))
+    kinks = np.unique(np.clip(np.concatenate((ends, ends + g)), max(lo, lo + g), min(hi, hi + g)))
+    gaps = np.diff(kinks)
+    if not gaps.size:
+        return 0j
+    panels = int(np.ceil(abs(shift) * gaps.max())) + 1
+    total = 0j
+    for p in range(panels):
+        half = gaps[:, None] / (2 * panels)
+        v = kinks[:-1, None] + half * (2 * p + 1 + nodes)
+        total += np.sum(half * weights * spec.psd(v) * spec.psd(v - g) * np.exp(2j * np.pi * shift * v))
+    return total
+
+
+@pytest.mark.parametrize("name", ["ragged", "rectangle", "gaussian"])
+def test_tabulated_transforms_are_exact_for_the_interpolant(name):
+    # shifts 0, +-d and +-2d of the reference link, and one s with
+    # step * s = 15.3 (fifteen phasor cycles per grid step); f on and off
+    # the grid, of both signs, and past the S0 support
+    d, sources = _hat_sources()
+    spec = sources[name]
+    f = np.array([0.0, 3.3e9, -17.1e9, 95.55e9, -250e9, 399e9, 900e9])
+    scale = spec.intensity_autoconvolution(0.0)
+    for shift in (0.0, d, -d, 2 * d, -2 * d, 15.3 / spec.step):
+        got = spec.cross_spectrum(f, shift)
+        want = np.array([_cc_piecewise(spec, g, shift) for g in f])
+        assert np.max(np.abs(got - want)) <= 1e-11 * scale, shift
+        assert np.max(np.abs(spec.cross_spectrum(f, -shift) - got.conj())) <= 1e-11 * scale, shift
+        if not shift:
+            assert np.max(np.abs(spec.intensity_autoconvolution(f) - want.real)) <= 1e-11 * scale
+    assert got[-1] == 0.0
+
+
+def test_rect_autoconvolution_is_the_exact_triangle():
+    # S0 is the cross spectrum at shift 0, where sinc(0) = 1 and exp(0) = 1
+    # leave n0^2 (b - |f|) bit for bit
+    spec = make_rect()
+    f = np.linspace(-1.2 * B, 1.2 * B, 101)
+    np.testing.assert_array_equal(spec.intensity_autoconvolution(f), N0**2 * np.clip(B - np.abs(f), 0.0, None))
+
+
 # --- invariants ----------------------------------------------------------
 
 

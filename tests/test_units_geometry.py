@@ -8,7 +8,10 @@ from ibosmpf import (
     DomainError,
     NoPassbandError,
     center_frequency,
+    csr_from_gamma,
     delay_for_center,
+    dsb_fading_null_frequency,
+    noise_figure,
     optical_fsr,
     phi_from_dispersion,
 )
@@ -112,3 +115,25 @@ def test_interferometer_validation():
     for k in (1.5, complex(math.nan, 0.0), complex(1.0, math.nan)):
         with pytest.raises(ConfigurationError, match="arm_ratio_k"):
             InterferometerSpec(delay_d=BENCH_DELAY, carrier_f0=f0, arm_ratio_k=k)
+
+
+@pytest.mark.parametrize(
+    "helper,args,argument",
+    [
+        (optical_fsr, (math.nan, 1e-10), "wavelength"),
+        (optical_fsr, (1.55e-6, math.nan), "delay"),
+        (noise_figure, (math.nan, 90.0), "p_in_w"),
+        (csr_from_gamma, (math.nan,), "gamma"),
+        (csr_from_gamma, (math.inf,), "gamma"),
+        (dsb_fading_null_frequency, (math.nan,), "phi"),
+        (dsb_fading_null_frequency, (1e-21, -1), "order"),
+        (delay_for_center, (math.nan, 1e-21), "f_c"),
+        (wavelength_to_frequency, (math.nan,), "wavelength"),
+        (optical_bandwidth_to_hz, (1e-9, math.nan), "wavelength"),
+    ],
+)
+def test_scalar_helpers_reject_nan_and_infinity(helper, args, argument):
+    # NaN fails every comparison, so each check is written to pass only for
+    # a valid value; a bare math-domain ValueError is not one of the errors
+    with pytest.raises((ConfigurationError, DomainError), match=argument):
+        helper(*args)
