@@ -65,6 +65,7 @@ def _fmt(value) -> str:
 
 
 def _write_table(args, scenario: Scenario, command: str, columns: list[str], rows: list[dict]) -> None:
+    """Write ``rows``, each keyed by ``columns`` in order, as the table of ``command``."""
     fmt = args.format or scenario.output_format
     path = args.out or scenario.output_path
     seed = _effective_seed(args, scenario)
@@ -77,7 +78,7 @@ def _write_table(args, scenario: Scenario, command: str, columns: list[str], row
             f"# seed: {seed if seed is not None else '-'}",
             ",".join(columns),
         ]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        lines += [",".join(map(_fmt, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -89,7 +90,7 @@ def _write_table(args, scenario: Scenario, command: str, columns: list[str], row
                 "seed": seed,
             },
             "columns": columns,
-            "rows": [{c: row[c] for c in columns} for row in rows],
+            "rows": rows,
         }
         text = _indented_json(payload) + "\n"
     if path:
@@ -171,10 +172,8 @@ def run_response(args, scenario: Scenario) -> int:
         if not np.all(values > 0):
             raise DomainError("absolute response underflows to 0; no dB level")
         values = 10.0 * np.log10(values)
-    rows = [
-        {"f_m_hz": float(f), "signal_power_db": float(v), "scheme": scenario.link.scheme.kind.value}
-        for f, v in zip(f_grid, values)
-    ]
+    kind = scheme.kind.value
+    rows = [{"f_m_hz": float(f), "signal_power_db": float(v), "scheme": kind} for f, v in zip(f_grid, values)]
     _write_table(args, scenario, "response", ["f_m_hz", "signal_power_db", "scheme"], rows)
     return 0
 

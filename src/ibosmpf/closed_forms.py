@@ -80,14 +80,17 @@ def _shared_arm(link: LinkConfig | LinkBatch, what: str) -> dict:
 
 
 def _continuum_terms(link: LinkConfig | LinkBatch, arm: dict, f) -> dict:
-    """Per cyclic order s: |C_s(v)|^2 times the fringed spectrum at f + s f_m."""
+    """Per cyclic order s: |C_s(v)|^2 times the fringed spectrum at f + s f_m.
+
+    Every order's frequencies go through one fringed spectrum, so each
+    cross-spectrum shift is transformed once for all of them.
+    """
     f_m = link.scheme.f_m
     x = f_m * (2.0 * np.pi * link.phi * f)  # f_m v
-    return {
-        s: np.abs(cyclic_series(arm, s, x)) ** 2
-        * np.real(fringed_noise_spectrum(link.spectrum, link.delay, link.carrier_phase, f + s * f_m))
-        for s in cyclic_orders(arm)
-    }
+    orders = cyclic_orders(arm)
+    shifted = np.stack([f + s * f_m for s in orders])
+    fringed = np.real(fringed_noise_spectrum(link.spectrum, link.delay, link.carrier_phase, shifted))
+    return {s: np.abs(cyclic_series(arm, s, x)) ** 2 * row for s, row in zip(orders, fringed)}
 
 
 def _line_weights(link: LinkConfig | LinkBatch, arm: dict, orders, f_m) -> np.ndarray:

@@ -13,6 +13,12 @@ y5 y5* share a node set each (stacked, see :mod:`ibosmpf._quad`), each still
 its own product; no identity between pairings is used.  The comb and the
 dispersion phases, linear in v, are the quadrature's phasors times constants.
 
+Each quadrature is sized for its own integrand (see :mod:`ibosmpf._quad`).
+x carries the comb at d, so a noise product of two bands oscillates at
+most at 2 |d|: a twin's tilt exp(-+j 2 pi v_m v) meets its partner's
+exp(+-j 2 pi v_m (v - g)) and leaves a constant in v.  The signal
+integrand y2 keeps its tilt, at |d| + |v_m|.
+
 This is a second, independent implementation of the same physics as the
 closed forms in :mod:`ibosmpf.closed_forms`; the two must agree to 1e-9.
 """
@@ -30,7 +36,7 @@ from .modulation import ModulationKind
 
 
 def _bands(link: LinkConfig, f_m: float):
-    """``band``, D = exp(-j phi (2 pi f_m)^2 / 2), v_m, the two supports and the cycle rate.
+    """``band``, D = exp(-j phi (2 pi f_m)^2 / 2), v_m and the two supports.
 
     ``band(offset)`` is x(v) = G(v - offset) |L(v - offset)|^2 (x1, x3 at 0, f_m);
     ``band(offset, c, tilt)`` stacks [x, c x exp(j 2 pi tilt v)]: y2 = x1 T(v + f_m)
@@ -52,7 +58,7 @@ def _bands(link: LinkConfig, f_m: float):
 
     lo, hi = spectrum.support()
     dispersion = np.exp(-0.5j * link.phi * (2.0 * math.pi * f_m) ** 2)
-    return band, dispersion, v_m, (lo, hi), (lo + f_m, hi + f_m), 2.0 * abs(d) + 2.0 * abs(v_m)
+    return band, dispersion, v_m, (lo, hi), (lo + f_m, hi + f_m)
 
 
 def _require_ssb(link: LinkConfig) -> float:
@@ -65,9 +71,10 @@ def _require_ssb(link: LinkConfig) -> float:
 def freq_domain_signal_power(link: LinkConfig) -> float:
     """Detected RF power at +-f_m via the spectral-component pairing."""
     gamma = _require_ssb(link)
-    band, dispersion, v_m, sup1, _, rate = _bands(link, link.scheme.f_m)
-    # int y2(v) dv: row 1 of [x1, y2] against a unit weight at zero shift
-    q = band_correlation(band(0.0, dispersion, -v_m), lambda v, _: np.ones_like(v), sup1, sup1, 0.0, rate)
+    band, dispersion, v_m, sup1, _ = _bands(link, link.scheme.f_m)
+    # int y2(v) dv: row 1 of [x1, y2] against a unit weight at zero shift, at y2's |d| + |v_m|
+    w = band(0.0, dispersion, -v_m)
+    q = band_correlation(w, lambda v, _: np.ones_like(v), sup1, sup1, 0.0, abs(link.delay) + abs(v_m))
     return 2.0 * (gamma / 2.0) ** 2 * abs(q[1, 0]) ** 2
 
 
@@ -78,7 +85,8 @@ def freq_domain_noise_psd(link: LinkConfig, f):
     if not np.all(np.isfinite(f)):
         raise ConfigurationError("noise frequency f must be finite")
     f_m, shifts, g2 = link.scheme.f_m, f.ravel(), (gamma / 2.0) ** 2
-    band, dispersion, v_m, sup1, sup3, rate = _bands(link, f_m)
+    band, dispersion, v_m, sup1, sup3 = _bands(link, f_m)
+    rate = 2.0 * abs(link.delay)  # two combs at d; the twins' tilts cancel to a constant in v
     x1, x3, dc = band(0.0), band(f_m), dispersion.conj()
     x1x1, y2y2 = band_correlation(band(0.0, dispersion, -v_m), band(0.0, dc, v_m), sup1, sup1, shifts, rate)
     x3x3, y5y5 = band_correlation(band(f_m, dispersion, v_m), band(f_m, dc, -v_m), sup3, sup3, shifts, rate)

@@ -111,16 +111,16 @@ def _continuum_terms(link: LinkConfig | LinkBatch, f) -> dict:
     v = 2.0 * np.pi * link.phi * f
     tables = _harmonic_tables(v, omega, j0, j1)
     phases = _carrier_phases(theta0)
-    cross: dict = {}  # (k, ua - ub) -> CC(f - k f_m, ua d - ub d), evaluated once
+    cross: dict = {}  # (k, m) -> CC(f - k f_m, m d), m = ua - ub: one call per shift for all its k
+    for m in {ua - ub for _, _, ua, ub, _, _ in _TERMS}:
+        ks = sorted({k for _, _, ua, ub, _, mf in _TERMS if ua - ub == m for k in tables[mf]})
+        cross.update(zip([(k, m) for k in ks], spectrum.cross_spectrum(np.stack([f - k * f_m for k in ks]), m * d)))
     bases: dict = {}  # (k, ua, ub) -> transform of R0(u + ua d) R0*(u + ub d) at f - k f_m
     totals: dict = {}
     for va, vb, ua, ub, n, mf in _TERMS:
         for k, coeff in tables[mf].items():
             if (k, ua, ub) not in bases:
-                f_k = f - k * f_m
-                if (k, ua - ub) not in cross:
-                    cross[(k, ua - ub)] = spectrum.cross_spectrum(f_k, ua * d - ub * d)
-                bases[(k, ua, ub)] = np.exp(2j * np.pi * f_k * (ub * d)) * cross[(k, ua - ub)]
+                bases[(k, ua, ub)] = np.exp(2j * np.pi * (f - k * f_m) * (ub * d)) * cross[(k, ua - ub)]
             label = _physical_group(ua, ub, k)
             totals[label] = totals.get(label, 0.0) + coeff * phases[n] * bases[(k, ua, ub)]
     return totals

@@ -124,6 +124,8 @@ def _number(where: str, raw: Any) -> float:
 def _value(where: str, raw: Any, rule: tuple, seen: dict):
     """``raw`` parsed by the kind of ``rule`` and checked against its range."""
     kind, _, bounds = rule
+    if isinstance(raw, (dict, list)):  # libyaml nests without limit: its repr could recurse past Python's
+        raise ConfigurationError(f"field {where}: must be a single value, got a {type(raw).__name__}")
     if isinstance(kind, dict):
         parts = raw.split() if isinstance(raw, str) else ()
         if len(parts) != 2 or parts[1].lower() not in kind:
@@ -269,7 +271,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     # ValueError: text that is not UTF-8, or an integer or date too big for Python
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"scenario parse error: {exc}") from exc

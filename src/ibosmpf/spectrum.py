@@ -107,15 +107,11 @@ class RectangularSpectrum(OpticalSpectrum):
         return out if lag.ndim else complex(out)
 
     def cross_spectrum(self, f, shift):
-        f = np.asarray(f, dtype=float)
+        f, shift = np.asarray(f, dtype=float), _finite(shift)
         width = np.clip(self.b - np.abs(f), 0.0, None)
-        out = (
-            self.n0**2
-            * width
-            * sinc(np.pi * width * shift)
-            * np.exp(1j * np.pi * f * shift)
-        )
-        out = np.where(width == 0, 0.0 + 0.0j, out)  # a NaN f stays NaN
+        # off the band (an infinite f too) the width is 0 and the phase 1; a NaN f stays NaN
+        phase = np.exp(1j * np.pi * np.where(width == 0, 0.0, f) * shift)
+        out = self.n0**2 * width * sinc(np.pi * width * shift) * phase
         return out if out.ndim else complex(out)
 
     def support(self) -> tuple[float, float]:
@@ -207,7 +203,7 @@ class TabulatedSpectrum(OpticalSpectrum):
         # per distinct shift (a batch of operating points has one delay
         # each), and K (see _hat_overlaps) vanishes for |t| >= 2, so each f
         # takes the four m from floor(f / step) - 1 to floor(f / step) + 2.
-        f, shift = np.broadcast_arrays(f, shift)
+        f, shift = np.broadcast_arrays(f, _finite(shift))
         out = np.empty(f.shape, dtype=complex)
         step, lags, reversed_ = self.step, 2 * self.values.size - 1, self._reversed_transform
         for value in np.unique(shift):
@@ -228,6 +224,14 @@ class TabulatedSpectrum(OpticalSpectrum):
     def with_unit_scale(self) -> "TabulatedSpectrum":
         scale = float(self.values.max())
         return TabulatedSpectrum(grid=self.grid, values=self.values / scale, carrier_f0=self.carrier_f0)
+
+
+def _finite(shift):
+    """A cross-spectrum shift as an array; a NaN or infinite one is a :class:`ConfigurationError`."""
+    shift = np.asarray(shift, dtype=float)
+    if not np.all(np.isfinite(shift)):
+        raise ConfigurationError(f"cross-spectrum shift must be finite, got {shift[~np.isfinite(shift)][0]}")
+    return shift
 
 
 def _hat_overlaps(frac, a):

@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,3 +114,17 @@ def test_cli_contract_holds_for_generated_scenarios(tmp_path_factory, case):
     assert code in (0, 2, 3, 4)
     if code == 2:
         assert any(name in err.getvalue() for name in ("field ", "--seed", "--tol-db", "scenario", "i/o error"))
+
+
+@pytest.mark.parametrize("field", ["link.scheme", "link.bandwidth", "link.gamma", "rf_input_power", "outputs.path"])
+def test_deeply_nested_values_exit_2(tmp_path, capsys, field):
+    # libyaml parses 2,000 levels of nesting that the pure-Python parser
+    # refuses with RecursionError; the schema rejects a nested value unread
+    data = copy.deepcopy(BASES["snr"])
+    section, _, key = field.rpartition(".")
+    (data.setdefault(section, {}) if section else data)[key] = "NESTED"
+    nested = "[" * 2000 + "{a: 1}" + "]" * 2000
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data).replace("NESTED", nested), encoding="utf-8")
+    assert main(["snr", "--scenario", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"field {field}: must be a single value" in capsys.readouterr().err

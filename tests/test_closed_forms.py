@@ -286,6 +286,27 @@ def test_snr_ssb_on_tabulated_spectrum():
     assert r_tab.snr_db_hz == pytest.approx(r_rect.snr_db_hz, abs=0.1)
 
 
+@pytest.mark.parametrize("kind, shifts", [("ssb", 3), ("pm", 5)])
+def test_tabulated_report_transforms_each_shift_once(monkeypatch, kind, shifts):
+    # every order's frequencies share one call per shift (0, +-d, +-2d), and
+    # a tabulated source makes one FFT correlation per distinct shift of a call
+    from ibosmpf.pm import snr_pm
+    from ibosmpf.spectrum import TabulatedSpectrum, tabulate
+
+    link = reference_link(scheme_kind=kind, gamma=0.39 if kind == "ssb" else 0.41)
+    link = link.with_spectrum(tabulate(link.spectrum, 1024))
+    seen = []
+    original = TabulatedSpectrum.cross_spectrum
+
+    def counting(self, f, shift):
+        seen.extend(np.unique(np.broadcast_to(shift, np.shape(f))))
+        return original(self, f, shift)
+
+    monkeypatch.setattr(TabulatedSpectrum, "cross_spectrum", counting)
+    (snr_ssb if kind == "ssb" else snr_pm)(link)
+    assert len(seen) == len(set(seen)) == shifts
+
+
 def test_snr_periodicity_in_fringe_argument():
     base = reference_link()
     f_c = base.passband_center()

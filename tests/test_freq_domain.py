@@ -64,6 +64,21 @@ def test_randomized_cross_path_equality():
             )
 
 
+@pytest.mark.parametrize("ratio", [0.2, 0.6, 1.7, 4.0, 8.0])
+def test_drawn_links_with_the_tone_off_the_passband_center(ratio):
+    # f_m = ratio f_c moves v_m = 2 pi phi f_m off d: the signal quadrature
+    # oscillates at |d| + |v_m|, the noise quadratures still at 2 |d|
+    rng = np.random.default_rng(round(10 * ratio))
+    for _ in range(8):
+        link = random_ssb_link(rng)
+        f_c = link.passband_center()
+        link = link.with_modulation_frequency(ratio * f_c)
+        assert freq_domain_signal_power(link) == pytest.approx(signal_power_ssb(link), rel=1e-9)
+        freqs = (f_c, 0.35 * f_c, link.scheme.f_m)
+        for value, f in zip(freq_domain_noise_psd(link, np.array(freqs)), freqs):
+            assert value == pytest.approx(noise_psd_shared(link, f), rel=1e-9)
+
+
 def test_zero_gamma_noise_reduces_to_fringed_spectrum():
     link = reference_link(gamma=0.0)
     link = link.with_modulation_frequency(link.passband_center())

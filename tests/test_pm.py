@@ -251,12 +251,13 @@ def test_snr_pm_evaluates_each_source_value_once(monkeypatch, link):
     _count_calls(monkeypatch, RectangularSpectrum, ("autocorrelation", "cross_spectrum"), calls)
     pm.snr_pm(link)
     # frozen: 17 distinct (order k, shift ua - ub) cross spectra over the 36
-    # (term, k) pairs of the continuum; 6 lag arrays (orders +-1, shifts
-    # -1, 0, +1) for the +-f_m line weights, each its own mirror's mirror
+    # (term, k) pairs of the continuum, in one call per shift (0, +-d,
+    # +-2d); 6 lag arrays (orders +-1, shifts -1, 0, +1) for the +-f_m line
+    # weights, each its own mirror's mirror
     assert calls == {
         "pm_line_weights": 1,
         "pm_continuum_grouped": 1,
-        "cross_spectrum": 17,
+        "cross_spectrum": 5,
         "autocorrelation": 6,
     }
 

@@ -19,6 +19,7 @@ rows of the same integrand passed as complex.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +49,8 @@ def _row(w, i):
 def _freq_domain_cases():
     """The six pairings one by one, then the two stacked quadratures."""
     f_m = LINK.scheme.f_m
-    band, dispersion, v_m, sup1, sup3, rate = _bands(LINK, f_m)
+    band, dispersion, v_m, sup1, sup3 = _bands(LINK, f_m)
+    rate = 2.0 * LINK.delay  # the noise quadratures' rate
     x1, x3 = band(0.0), band(f_m)
     x1_y2, x1_y2c = band(0.0, dispersion, -v_m), band(0.0, dispersion.conj(), v_m)
     x3_y5, x3_y5c = band(f_m, dispersion, v_m), band(f_m, dispersion.conj(), -v_m)
@@ -301,6 +303,32 @@ def test_phasor_matches_a_per_node_exponential():
         exact = np.exp(2j * np.pi * rate * v)
         assert np.max(np.abs(plus - exact)) <= 1e-12
         assert np.max(np.abs(minus - exact.conj())) <= 1e-12
+
+
+def test_phasor_factors_match_exponentials_on_500_panels_and_more():
+    # panels of 1.5 cycles, the widest step the recurrence takes: every
+    # _RESEED-th panel factor is the exponential of its centre itself, each
+    # other one departs from its seed's phase by the exact advance to within
+    # 1e-13 (2.9e-14 measured), and the node factors are exponentials too
+    rng = np.random.default_rng(7)
+    for n_panels in (500, 643, 1001):
+        width = rng.uniform(50e9, 800e9, 5)
+        lo = rng.uniform(-400e9, 0.0, 5)
+        rate = 1.5 * n_panels / width.max()
+        half = 0.5 / n_panels
+        centers = (2.0 * np.arange(n_panels) + 1.0) * half
+        panel, node = _quad._phasors(rate, lo, width, centers)
+        angle = 2.0 * np.pi * rate
+        seeds = np.exp(1j * angle * (lo[:, None] + width[:, None] * centers[:: _quad._RESEED]))
+        assert np.array_equal(panel[:, :: _quad._RESEED], seeds)
+        steps = np.arange(n_panels) % _quad._RESEED
+        for i in range(lo.size):
+            # the exact advance in cycles, reduced modulo 1 before the exponential
+            cycles = [Fraction(rate) * Fraction(width[i]) * Fraction(int(k), n_panels) for k in steps]
+            advance = np.exp(2j * np.pi * np.array([float(c - int(c)) for c in cycles]))
+            assert np.max(np.abs(panel[i] - np.repeat(seeds[i], _quad._RESEED)[:n_panels] * advance)) <= 1e-13
+        exact = np.exp(1j * angle * (half * width)[:, None] * _quad._NODES)
+        assert np.max(np.abs(node - exact)) <= 1e-15
 
 
 @pytest.mark.parametrize("name", SPECTRA)

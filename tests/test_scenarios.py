@@ -45,6 +45,13 @@ def test_readme_lists_every_scenario_and_its_table():
         assert first == f"# ibosmpf {command} --scenario scenarios/{path.name}"
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+def test_libyaml_parses_every_scenario_as_the_python_parser_does():
+    for path in SCENARIOS:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text), path.name
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
 def test_scenario_runs(tmp_path, path):
     scenario = load_scenario(str(path))

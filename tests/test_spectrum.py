@@ -245,6 +245,21 @@ def test_rect_autoconvolution_even_nonnegative_supported(f, b):
         assert s == 0.0
 
 
+@pytest.mark.parametrize("model", ["rectangular", "tabulated"])
+@pytest.mark.parametrize("shift", [np.nan, np.inf, [0.0, -np.inf]])
+def test_a_non_finite_shift_is_named(model, shift):
+    spec = make_rect() if model == "rectangular" else tabulate(make_rect(), 256)
+    with pytest.raises(ConfigurationError, match="shift must be finite"):
+        spec.cross_spectrum(1e9, shift)
+
+
+def test_rect_autoconvolution_at_an_infinite_frequency_is_zero():
+    # no 0 * inf in the phase: the CI run turns a RuntimeWarning into an error
+    spec = make_rect()
+    assert spec.intensity_autoconvolution(np.inf) == spec.intensity_autoconvolution(-np.inf) == 0.0
+    assert np.isnan(spec.cross_spectrum(np.nan, 7.94e-11))
+
+
 def test_tabulated_hermitian_for_asymmetric_spectrum():
     grid = np.linspace(-200e9, 200e9, 257)
     values = np.exp(-(((grid - 30e9) / 80e9) ** 2))
