@@ -26,7 +26,6 @@ from .closed_forms import (
     snr_sweep,
 )
 from .errors import ConfigurationError, DomainError
-from .modulation import ModulationKind
 from .montecarlo import SimulationGrid, WelchConfig, estimate_snr
 from .oeo import noise_to_signal_ratio, oeo_phase_noise
 from .scenario import SWEEP_AXES, Scenario, load_scenario
@@ -125,29 +124,20 @@ def _mc_setup(args, scenario: Scenario):
     return grid, scenario.mc.realizations, _effective_seed(args, scenario)
 
 
-# SimulationGrid attribute that the grid checks' messages start with -> scenario field
-_GRID_FIELDS = {"dt": "mc.dt", "n_samples": "mc.samples"}
+def _snapped_tones(tones, grid, sweep):
+    """Each tone at the Welch bin the ensemble measures it on; none may land at or below 0 Hz.
 
-
-def _estimate(link, grid, n_realizations, seed):
-    """``estimate_snr``; a grid that does not fit the link is reported against its mc field."""
-    try:
-        return estimate_snr(link, grid, n_realizations=n_realizations, seed=seed)
-    except ConfigurationError as exc:
-        attribute, _, reason = str(exc).partition(": ")
-        if attribute not in _GRID_FIELDS:
-            raise
-        raise ConfigurationError(f"field {_GRID_FIELDS[attribute]}: {reason}") from None
-
-
-def _snr_reports(links):
-    """``snr_sweep`` over ``links``, each link's scheme checked against its scenario field first."""
-    for link in links:
-        if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
-            raise ConfigurationError(f"field link.scheme: no SNR form for {link.scheme.kind.value}")
-        if link.scheme.gamma <= 0:  # a gamma sweep's start and stop are checked > 0 on load
-            raise ConfigurationError("field link.gamma: the SNR needs a modulation index > 0 (gamma or csr)")
-    return snr_sweep(links)
+    ``sweep`` is the scenario's sweep when it sets the tones, else None: the
+    message names the sweep end with the lowest tone, or else ``link.delay``.
+    """
+    snapped = [WelchConfig().snap_frequency(f, grid.dt) for f in tones]
+    if min(snapped) <= 0:  # a tone snapped to 0 Hz would measure the DC line
+        field = "link.delay" if sweep is None else f"sweep.{'start' if sweep.start <= sweep.stop else 'stop'}"
+        raise ConfigurationError(
+            f"field {field}: the Monte-Carlo tone at {min(snapped):g} Hz, the Welch bin nearest "
+            f"{min(tones):g} Hz, is at or below 0 Hz"
+        )
+    return snapped
 
 
 def _check_axis(command: str, scenario: Scenario) -> None:
@@ -159,12 +149,7 @@ def _check_axis(command: str, scenario: Scenario) -> None:
 
 
 def run_response(args, scenario: Scenario) -> int:
-    scheme = scenario.link.scheme
-    if scheme.kind is ModulationKind.UNMODULATED:
-        raise ConfigurationError("field link.scheme: an unmodulated link has no frequency response")
-    if scheme.gamma <= 0:
-        raise ConfigurationError("field link.gamma: the response needs a modulation index > 0 (gamma or csr)")
-    f_grid = scenario.sweep.values()
+    f_grid = scenario.sweep.values
     normalize = not getattr(args, "absolute", False)
     values = frequency_response_sweep(scenario.link, f_grid, normalize_db=normalize)
     if not normalize:
@@ -172,20 +157,20 @@ def run_response(args, scenario: Scenario) -> int:
         if not np.all(values > 0):
             raise DomainError("absolute response underflows to 0; no dB level")
         values = 10.0 * np.log10(values)
-    kind = scheme.kind.value
+    kind = scenario.link.scheme.kind.value
     rows = [{"f_m_hz": float(f), "signal_power_db": float(v), "scheme": kind} for f, v in zip(f_grid, values)]
     _write_table(args, scenario, "response", ["f_m_hz", "signal_power_db", "scheme"], rows)
     return 0
 
 
 def _swept_links(scenario: Scenario):
-    """(x, link) pairs along the scenario's snr sweep axis."""
+    """(x, link) pairs along the scenario's snr sweep axis; x is None for the one point of no sweep."""
     sweep = scenario.sweep
     link = scenario.link
     if sweep is None:
-        yield link.passband_center(), link
+        yield None, link
         return
-    for x in sweep.values():
+    for x in sweep.values:
         if sweep.variable == "gamma":
             yield float(x), replace(link, scheme=replace(link.scheme, gamma=float(x)))
         elif sweep.variable == "f_c":
@@ -204,22 +189,24 @@ def run_snr(args, scenario: Scenario) -> int:
         columns += ["mc_snr_dbhz", "mc_stderr_db"]
     points = list(_swept_links(scenario))
     if use_mc:  # the ensemble measures its tone on a Welch bin: center each link and its tone there
-        tones = [WelchConfig().snap_frequency(link.passband_center(), grid.dt) for _, link in points]
+        tone_sweep = scenario.sweep if getattr(scenario.sweep, "variable", None) == "f_c" else None
+        tones = _snapped_tones([link.passband_center() for _, link in points], grid, tone_sweep)
         points = [
             (x, link.with_delay_for_center(f).with_modulation_frequency(f)) for (x, link), f in zip(points, tones)
         ]
-    reports = _snr_reports([link for _, link in points])
+    reports = snr_sweep([link for _, link in points])
     rows, failures = [], []
     for (x, link), report in zip(points, reports):
+        x = scenario.link.passband_center() if x is None else x  # once snr_sweep has checked gamma
         row = {
-            "x": float(x),
+            "x": x,
             "snr_exact_dbhz": report.snr_db_hz,
             "snr_paper_approx_dbhz": report.snr_approx_db_hz,
         }
         if scenario.rf_input_power_w is not None:
             row["nf_db"] = noise_figure(scenario.rf_input_power_w, report.snr_db_hz)
         if use_mc:
-            est = _estimate(link, grid, n_real, seed)
+            est = estimate_snr(link, grid, n_realizations=n_real, seed=seed)
             row["mc_snr_dbhz"] = est.snr_db
             row["mc_stderr_db"] = est.snr_stderr_db
             if args.compare and abs(est.snr_db - report.snr_db_hz) > args.tol_db:
@@ -243,22 +230,15 @@ def run_snr(args, scenario: Scenario) -> int:
 def run_passband(args, scenario: Scenario) -> int:
     link = scenario.link
     f_c = link.passband_center()
-    detunings = scenario.sweep.values()
+    detunings = scenario.sweep.values
     columns = ["detuning_hz", "shape_db"]
     mc_cols = []
     if args.mc:
         grid, n_real, seed = _mc_setup(args, scenario)
-        tones = [WelchConfig().snap_frequency(f_c + det, grid.dt) for det in detunings]
-        if min(tones) <= 0:  # a tone snapped to 0 Hz would measure the DC line
-            lowest = min(detunings)
-            end = "start" if lowest == scenario.sweep.start else "stop"
-            raise ConfigurationError(
-                f"field sweep.{end}: detuning {lowest:g} Hz puts the Monte-Carlo tone at "
-                f"{min(tones):g} Hz, at or below 0 Hz (the passband center is {f_c:g} Hz)"
-            )
+        tones = _snapped_tones(f_c + detunings, grid, scenario.sweep)
         powers, errs = [], []
         for det, f_m in zip(detunings, tones):
-            est = _estimate(link.with_modulation_frequency(f_m), grid, n_real, seed)
+            est = estimate_snr(link.with_modulation_frequency(f_m), grid, n_realizations=n_real, seed=seed)
             power = est.mean("line_power")
             if not power > 0:
                 raise DomainError(
@@ -284,10 +264,10 @@ def run_oeo(args, scenario: Scenario) -> int:
     spec = scenario.oeo
     delta = spec.delta
     if spec.from_link:
-        delta = noise_to_signal_ratio(_snr_reports([scenario.link])[0])
+        delta = noise_to_signal_ratio(snr_sweep([scenario.link])[0])
     tau = spec.tau
     if scenario.sweep is not None:
-        f_offsets = scenario.sweep.values()
+        f_offsets = scenario.sweep.values
     else:
         f_max = spec.f_max if spec.f_max is not None else 3.0 / tau
         f_offsets = np.linspace(0.0, f_max, spec.points)[1:]
@@ -315,7 +295,11 @@ def main(argv=None) -> int:
         _check_axis(args.command, scenario)
         return _RUNNERS[args.command](args, scenario)
     except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        # a library check leads with the argument it rejects: name that argument's scenario field
+        fields = {"dt": "mc.dt", "n_samples": "mc.samples", "scheme": "link.scheme", "gamma": "link.gamma"}
+        argument, _, reason = str(exc).partition(": ")
+        message = f"field {fields[argument]}: {reason}" if argument in fields else exc
+        print(f"configuration error: {message}", file=sys.stderr)
         return 2
     except (DomainError, ArithmeticError) as exc:  # ArithmeticError: float overflow or 0 division
         print(f"domain error: {exc}", file=sys.stderr)

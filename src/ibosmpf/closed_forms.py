@@ -237,24 +237,24 @@ def _snr_forms(kind: ModulationKind):
 def snr_sweep(links) -> list[SnrReport]:
     """SNR reports at the passband centers of SSB or PM ``links``, in their order.
 
-    Each link's passband and gamma are checked on its own.  Links that share
-    the spectrum object, phi, scheme kind and splitter form one
-    :class:`~ibosmpf.config.LinkBatch`, built once at their centers (f_m =
-    f_c) on the unit-PSD copy of the spectrum, so the ratio has no PSD level
-    in it; its closed forms are evaluated once, as arrays over its points.
-    Every power is quadratic in the PSD, so the reported ones are those unit
-    values times the square of the PSD scale; a squared scale that
-    overflows, a gamma whose square underflows and an SNR that
-    underflows raise :class:`DomainError`.
+    Each link's scheme, gamma and passband are checked on its own, in that
+    order.  Links that share the spectrum object, phi, scheme kind and
+    splitter form one :class:`~ibosmpf.config.LinkBatch`, built once at
+    their centers (f_m = f_c) on the unit-PSD copy of the spectrum, so the
+    ratio has no PSD level in it; its closed forms are evaluated once, as
+    arrays over its points.  Every power is quadratic in the PSD, so the
+    reported ones are those unit values times the square of the PSD scale;
+    a squared scale that overflows, a gamma whose square underflows and an
+    SNR that underflows raise :class:`DomainError`.
     """
     batches: dict = {}
     for i, link in enumerate(links):
         if link.scheme.kind not in (ModulationKind.SSB, ModulationKind.PM):
-            raise ConfigurationError(f"no SNR closed form for scheme {link.scheme.kind.value}")
-        link.passband_center()  # raises without a positive passband
+            raise ConfigurationError(f"scheme: no SNR closed form for {link.scheme.kind.value}")
         gamma = link.scheme.gamma
         if gamma <= 0:
-            raise ConfigurationError("SNR needs gamma > 0")
+            raise ConfigurationError("gamma: the SNR needs a modulation index > 0")
+        link.passband_center()  # raises without a positive passband
         if gamma**2 == 0:  # the compact form divides by it
             raise DomainError(f"gamma = {gamma:g} underflows: gamma**2 is 0")
         # the same spectrum object: a bandwidth sweep's points each have their own
@@ -342,10 +342,15 @@ def frequency_response_sweep(
     """Signal power versus RF frequency for the configured scheme.
 
     Returns dB relative to the curve maximum when ``normalize_db`` is set,
-    otherwise absolute powers.
+    otherwise absolute powers.  An unmodulated link, and a DSB, SSB or PM
+    link at gamma 0, raise :class:`ConfigurationError`.
     """
     f_grid = np.asarray(f_grid, dtype=float)
     kind = link.scheme.kind
+    if kind is ModulationKind.UNMODULATED:
+        raise ConfigurationError("scheme: an unmodulated link has no frequency response")
+    if kind is not ModulationKind.CUSTOM and link.scheme.gamma <= 0:
+        raise ConfigurationError(f"gamma: the {kind.value} response needs a modulation index > 0")
     if kind is ModulationKind.SSB:
         power = signal_power_ssb(link, f_grid)
     elif kind is ModulationKind.DSB:
@@ -354,12 +359,10 @@ def frequency_response_sweep(
         from .pm import signal_power_pm
 
         power = signal_power_pm(link, f_grid)
-    elif kind is ModulationKind.CUSTOM:
+    else:
         from .engine import fundamental_line_power
 
         power = fundamental_line_power(link, f_grid)
-    else:
-        raise ConfigurationError(f"no frequency response for scheme {kind}")
     if not normalize_db:
         return power
     peak = power.max()

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Optional
 
+import numpy as np
 import yaml
 
 from .config import LinkConfig
@@ -99,7 +101,7 @@ _SCHEMA = {
     },
     "oeo": {
         "tau": (_TIME, _REQUIRED, _POSITIVE),
-        "delta": (_TIME, None, _POSITIVE),
+        "delta": (_TIME, None, _POSITIVE),  # per-hertz noise-to-signal ratio
         "from_link": (bool, False, None),
         "f_max": (_FREQ, None, _POSITIVE),
         "points": (int, 2001, (2, _MAX_POINTS)),
@@ -186,43 +188,11 @@ def _read(name: str, raw: Any, seen: dict) -> dict:
 
 
 @dataclass
-class SweepSpec:
-    variable: str
-    start: float
-    stop: float
-    points: int
-
-    def values(self):
-        import numpy as np
-
-        if self.points == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.points)
-
-
-@dataclass
-class McSpec:
-    dt: float
-    samples: int
-    realizations: int
-    seed: int
-
-
-@dataclass
-class OeoSpec:
-    tau: float
-    delta: Optional[float]  # per-hertz noise-to-signal ratio [s]
-    from_link: bool
-    f_max: Optional[float]
-    points: int
-
-
-@dataclass
 class Scenario:
     link: LinkConfig
-    sweep: Optional[SweepSpec]
-    mc: Optional[McSpec]
-    oeo: Optional[OeoSpec]
+    sweep: Optional[SimpleNamespace]  # a section's _SCHEMA keys; the sweep's points also as ``values``
+    mc: Optional[SimpleNamespace]
+    oeo: Optional[SimpleNamespace]
     rf_input_power_w: Optional[float]
     expect: dict
     output_path: Optional[str]
@@ -286,11 +256,12 @@ def load_scenario(path: str) -> Scenario:
     sweep = mc = oeo = rf_power = None
     if "sweep" in data:
         s = _read("sweep", data["sweep"], {"center_wavelength": link["center_wavelength"]})
-        sweep = SweepSpec(s["variable"], s["start"], s["stop"], s["points"])
+        del s["center_wavelength"]
+        sweep = SimpleNamespace(**s, values=np.linspace(s["start"], s["stop"], s["points"]))
     if "mc" in data:
-        mc = McSpec(**_read("mc", data["mc"], {}))
+        mc = SimpleNamespace(**_read("mc", data["mc"], {}))
     if "oeo" in data:
-        oeo = OeoSpec(**_read("oeo", data["oeo"], {}))
+        oeo = SimpleNamespace(**_read("oeo", data["oeo"], {}))
         if oeo.delta is None and not oeo.from_link:
             raise ConfigurationError("field oeo: provide delta or from_link: true")
     if "rf_input_power" in data:

@@ -231,6 +231,9 @@ def test_extreme_operating_point_exit_3(tmp_path, capsys, command, scheme, old, 
         ("snr", "ssb", "gamma: 0.39", "csr: 2 dB", "", "link.csr"),
         ("response", "dsb", "gamma: 0.39", "gamma: 0", SWEEP_F_M, "link.gamma"),
         ("response", "unmodulated", "", "", SWEEP_F_M, "link.scheme"),
+        ("snr", "dsb", "", "", "", "link.scheme"),
+        # gamma is checked before the passband, which a delay of 0 does not have
+        ("snr", "ssb", "delay: 79.4 ps\n  gamma: 0.39", "delay: 0 ps\n  gamma: 0", "", "link.gamma"),
     ],
 )
 def test_exit_2_names_the_field(tmp_path, capsys, command, scheme, old, new, extra, field):
@@ -255,6 +258,30 @@ def test_mc_grid_errors_name_the_field(tmp_path, capsys, command, grid, field):
     out = tmp_path / "out.csv"
     assert main([command, "--mc", "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 2
     assert f"field {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MC_SMALL = "mc:\n  samples: 65536\n  realizations: 8\n"
+
+
+@pytest.mark.parametrize(
+    "command,extra,field",
+    [
+        ("snr", "", "link.delay"),
+        ("snr", "sweep:\n  variable: gamma\n  start: 0.2\n  stop: 0.4\n  points: 2\n", "link.delay"),
+        ("snr", "sweep:\n  variable: f_c\n  start: 50 MHz\n  stop: 10 GHz\n  points: 3\n", "sweep.start"),
+        ("snr", "sweep:\n  variable: f_c\n  start: 10 GHz\n  stop: 50 MHz\n  points: 3\n", "sweep.stop"),
+        ("passband", "sweep:\n  variable: detuning\n  start: 0 GHz\n  stop: 1 GHz\n  points: 3\n", "sweep.start"),
+    ],
+)
+def test_mc_at_a_center_that_snaps_to_0_hz_exits_2(tmp_path, capsys, command, extra, field):
+    # a 50 MHz center snaps to the 0 Hz bin (122 MHz wide at 0.25 ps), where the ensemble sees the DC line
+    text = BASE_LINK.format(scheme="ssb", gamma=0.39).replace("delay: 79.4 ps", "center_frequency: 50 MHz")
+    out = tmp_path / "out.csv"
+    argv = [command, "--mc", "--scenario", write(tmp_path, "x.yaml", text + extra + MC_SMALL), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"field {field}:" in err and "tone at 0 Hz" in err
     assert not out.exists()
 
 
@@ -307,7 +334,7 @@ def test_response_csv_deterministic_and_notched(tmp_path):
     out2 = str(tmp_path / "b.csv")
     assert main(["response", "--scenario", scenario, "--out", out1]) == 0
     assert main(["response", "--scenario", scenario, "--out", out2]) == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
     header, rows = read_rows(out1)
     assert header == ["f_m_hz", "signal_power_db", "scheme"]
     assert rows[0]["scheme"] == "dsb"
@@ -316,7 +343,7 @@ def test_response_csv_deterministic_and_notched(tmp_path):
     at_4g = db[np.argmin(np.abs(f - 4e9))]
     near_null = db[np.abs(f - 7.9427e9) < 0.1e9]
     assert near_null.min() <= at_4g - 20.0
-    head = open(out1).read().splitlines()[:4]
+    head = Path(out1).read_text().splitlines()[:4]
     assert head[0].startswith("# ibosmpf")
     assert head[2].startswith("# scenario sha256: ")
 
@@ -410,7 +437,7 @@ def test_snr_with_mc_columns(tmp_path):
     )
     out = str(tmp_path / "mc.csv")
     assert main(["snr", "--scenario", scenario, "--out", out, "--mc", "--seed", "9"]) == 0
-    assert any(line == "# seed: 9" for line in open(out).read().splitlines()[:4])
+    assert any(line == "# seed: 9" for line in Path(out).read_text().splitlines()[:4])
     assert main(["snr", "--scenario", scenario, "--out", out, "--mc"]) == 0
     header, rows = read_rows(out)
     assert header[-2:] == ["mc_snr_dbhz", "mc_stderr_db"]
@@ -418,7 +445,7 @@ def test_snr_with_mc_columns(tmp_path):
     # loose sanity: the tiny-budget MC lands within a few dB of analytic
     assert abs(float(rows[0]["mc_snr_dbhz"]) - float(rows[0]["snr_exact_dbhz"])) < 3.0
     # seed appears in the header comment
-    assert any(line == "# seed: 7" for line in open(out).read().splitlines()[:4])
+    assert any(line == "# seed: 7" for line in Path(out).read_text().splitlines()[:4])
 
 
 # --- passband / oeo --------------------------------------------------------------
@@ -602,7 +629,7 @@ def test_json_mirrors_csv(tmp_path):
     assert main(["response", "--scenario", scenario, "--out", out_csv]) == 0
     assert main(["response", "--scenario", scenario, "--out", out_json, "--format", "json"]) == 0
     _, rows = read_rows(out_csv)
-    payload = json.loads(open(out_json).read())
+    payload = json.loads(Path(out_json).read_text())
     assert payload["meta"]["tool"] == "ibosmpf"
     assert len(payload["rows"]) == len(rows) == 3
     for csv_row, json_row in zip(rows, payload["rows"]):

@@ -425,8 +425,16 @@ def test_single_point_sweep():
 
 
 def test_response_rejects_unmodulated():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^scheme: "):
         frequency_response_sweep(reference_link(scheme_kind="unmodulated"), np.array([1e9, 2e9]))
+
+
+@pytest.mark.parametrize("normalize_db", [True, False])
+@pytest.mark.parametrize("kind", ["dsb", "ssb", "pm"])
+def test_response_rejects_gamma_0(kind, normalize_db):
+    # once zeros (absolute) or a DomainError (normalized); the CLI names link.gamma
+    with pytest.raises(ConfigurationError, match=f"^gamma: the {kind} response"):
+        frequency_response_sweep(reference_link(scheme_kind=kind, gamma=0.0), np.array([1e9, 2e9]), normalize_db)
 
 
 def _custom_link():

@@ -144,3 +144,17 @@ def test_hermitian_check_covers_every_point(monkeypatch, kind):
     with pytest.raises(DomainError, match="not Hermitian"):
         snr_sweep(links)
     snr_sweep(links[:2] + links[3:])
+
+
+@pytest.mark.parametrize(
+    "link,match",
+    [
+        (reference_link(scheme_kind="dsb"), "scheme: "),
+        (reference_link(scheme_kind="ssb", gamma=0.0), "gamma: "),
+        (reference_link(scheme_kind="ssb", gamma=0.0, delay_s=0.0), "gamma: "),  # before the passband
+    ],
+    ids=["dsb", "gamma-0", "gamma-0-no-passband"],
+)
+def test_rejections_lead_with_the_argument(link, match):
+    with pytest.raises(ConfigurationError, match=f"^{match}"):
+        snr_sweep([reference_link(), link])
