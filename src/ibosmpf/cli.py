@@ -188,13 +188,14 @@ def run_snr(args, scenario: Scenario) -> int:
         grid, n_real, seed = _mc_setup(args, scenario)
         columns += ["mc_snr_dbhz", "mc_stderr_db"]
     points = list(_swept_links(scenario))
+    reports = snr_sweep([link for _, link in points])  # its checks come first, with or without --mc
     if use_mc:  # the ensemble measures its tone on a Welch bin: center each link and its tone there
         tone_sweep = scenario.sweep if getattr(scenario.sweep, "variable", None) == "f_c" else None
         tones = _snapped_tones([link.passband_center() for _, link in points], grid, tone_sweep)
         points = [
             (x, link.with_delay_for_center(f).with_modulation_frequency(f)) for (x, link), f in zip(points, tones)
         ]
-    reports = snr_sweep([link for _, link in points])
+        reports = snr_sweep([link for _, link in points])
     rows, failures = [], []
     for (x, link), report in zip(points, reports):
         x = scenario.link.passband_center() if x is None else x  # once snr_sweep has checked gamma

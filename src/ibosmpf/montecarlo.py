@@ -25,19 +25,15 @@ estimate them from any record.
 Reproducibility: realization r of root seed s draws from the stream
 seeded by (s, r), and writes only its own result slot, so an ensemble's
 values do not depend on the order or the threads its realizations run on.
-The 2N - 2M powerless bins' normals are drawn once per process: a
-least-recently-used cache of 256 entries, shared by the pool workers, maps
-the pickled bit generator ahead of them and their count to the state after
-them, which a later link at that seed sets instead; no output depends on
-what it holds.
+The stream fills the synthesized bins in FFT order, a real and an imaginary
+normal per bin, so a value follows from (s, r) and its bin's place in the
+buffer: the N-bin draw and the M-bin band draw share their first M/2 bins.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -202,37 +198,21 @@ def _plan(link: LinkConfig, grid: SimulationGrid) -> _Plan:
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _state_after(stream: bytes, count: int) -> dict:
-    """State the pickled bit generator ``stream`` reaches past ``count`` normals, drawn 2^14 at a time and dropped.
-
-    ``stream`` is ``pickle.dumps`` of a generator of this process: no outside bytes reach ``pickle.loads``.
-    """
-    rng, chunk = np.random.Generator(pickle.loads(stream)), np.empty(2**14)
-    for start in range(0, count, chunk.size):
-        rng.standard_normal(out=chunk[: count - start])
-    return rng.bit_generator.state
-
-
 def synthesize_field(
     spectrum: OpticalSpectrum, grid: SimulationGrid, rng: np.random.Generator, *, plan: _Plan | None = None
 ) -> np.ndarray:
     """Spectrum S of a complex envelope with PSD G: per-bin circular Gaussian draws.
 
-    S is in FFT bin order, the field ``numpy.fft.ifft(S, norm="forward")``.
-    With a ``plan`` (whose link's spectrum is ``spectrum``) S is its M in-band
-    bins, the grid's first and last M/2, equal to those of the N-bin draw: the stream
-    skips the 2N - 2M normals between to the state :func:`_state_after` caches for it, and
-    a plan's workspace (4.3 MB at DEFAULT_GRID) holds the draw.
+    S is in FFT bin order, the field ``numpy.fft.ifft(S, norm="forward")``, and
+    the stream fills its bins in that order, two normals per bin.  With a ``plan``
+    (whose link's spectrum is ``spectrum``) S is its M in-band bins, the grid's
+    first and last M/2, drawn as the stream's first 2M normals; a plan's workspace
+    (4.3 MB at DEFAULT_GRID) holds the draw.
     """
     band = grid.n_samples if plan is None else plan.band
     amplitude = _amplitude(spectrum, grid, band) if plan is None or plan.amplitude is None else plan.amplitude
     xhat = plan.work[0] if plan and plan.work else np.empty(band, complex)
-    normals, skip = xhat.view(np.float64), 2 * (grid.n_samples - band)  # real and imaginary part per bin
-    rng.standard_normal(out=normals[:band])
-    if skip:  # the powerless bins between
-        rng.bit_generator.state = _state_after(pickle.dumps(rng.bit_generator), skip)
-    rng.standard_normal(out=normals[band:])
+    rng.standard_normal(out=xhat.view(np.float64))  # real and imaginary part per bin
     for part in (xhat.real, xhat.imag):  # through the float views: no complex copy of the amplitude
         np.multiply(part, amplitude, out=part)
     return xhat
@@ -361,16 +341,18 @@ class McEstimate:
     def stderr(self, name: str) -> float:
         return self.quantities[name][1]
 
-    @property
-    def snr_db(self) -> float:
+    def _snr_mean(self) -> float:
         if not (mean := self.mean("snr_linear")) > 0:
             raise DomainError(f"snr_linear: ensemble mean {mean:g} is not above 0; no dB level")
-        return 10.0 * math.log10(mean)
+        return mean
+
+    @property
+    def snr_db(self) -> float:
+        return 10.0 * math.log10(self._snr_mean())
 
     @property
     def snr_stderr_db(self) -> float:
-        mean, err = self.quantities["snr_linear"]
-        return 10.0 / math.log(10.0) * err / mean
+        return 10.0 / math.log(10.0) * self.stderr("snr_linear") / self._snr_mean()
 
 
 def estimate_snr(

@@ -285,6 +285,17 @@ def test_mc_at_a_center_that_snaps_to_0_hz_exits_2(tmp_path, capsys, command, ex
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mc", [[], ["--mc"]], ids=["plain", "mc"])
+@pytest.mark.parametrize("scheme,gamma,field", [("ssb", 0, "link.gamma"), ("dsb", 0.39, "link.scheme")])
+def test_snr_reports_the_same_first_error_with_and_without_mc(tmp_path, capsys, mc, scheme, gamma, field):
+    # a delay of 0 has no positive-frequency passband, which snr checks after the scheme and gamma
+    text = BASE_LINK.format(scheme=scheme, gamma=gamma).replace("delay: 79.4 ps", "delay: 0 ps") + MC_SMALL
+    out = tmp_path / "out.csv"
+    assert main(["snr", *mc, "--scenario", write(tmp_path, "x.yaml", text), "--out", str(out)]) == 2
+    assert f"field {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_compare_measures_the_snapped_tone(tmp_path, monkeypatch):
     """--mc --compare holds the ensemble against the exact SNR of the tone the ensemble measures."""
 

@@ -1,6 +1,4 @@
-import functools
 import math
-import pickle
 import sys
 import threading
 import tracemalloc
@@ -15,6 +13,7 @@ from scipy.stats import kurtosis, skew
 
 from ibosmpf import (
     ConfigurationError,
+    DomainError,
     McEstimate,
     RectangularSpectrum,
     SimulationGrid,
@@ -147,12 +146,16 @@ def _estimate_plan(link, grid):
     return plan._replace(detect=plan.band)
 
 
-def _reference_chain(link, grid, rng):
-    """Field spectrum and intensity computed factor by factor, without a plan (five FFTs)."""
+def _scattered(band, n):
+    """The N-bin spectrum of a band draw: its first and last M/2 bins in place, zeros between."""
+    spectrum, half = np.zeros(n, complex), band.size // 2
+    spectrum[:half], spectrum[n - half :] = band[:half], band[half:]
+    return spectrum
+
+
+def _reference_chain(link, grid, spectrum):
+    """Intensity of an N-bin field spectrum computed factor by factor, without a plan (five FFTs)."""
     freqs = grid.frequencies()
-    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=float) * grid.df)
-    noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128)
-    spectrum = amplitude * noise * math.sqrt(0.5)
     field = np.fft.ifft(spectrum, norm="forward")
     delayed = np.fft.ifft(np.fft.fft(field) * np.exp(-2j * np.pi * freqs * link.delay))
     m1, m2 = build_scheme(link.scheme)
@@ -166,7 +169,7 @@ def _reference_chain(link, grid, rng):
         k * np.exp(-1j * link.carrier_phase)
     )
     dispersion = np.exp(-1j * link.phi * 0.5 * (2.0 * np.pi * freqs) ** 2)
-    return spectrum, np.abs(np.fft.ifft(np.fft.fft(combined) * dispersion)) ** 2
+    return np.abs(np.fft.ifft(np.fft.fft(combined) * dispersion)) ** 2
 
 
 def _polarization_link():
@@ -219,14 +222,18 @@ LINKS = {
 def test_plan_matches_reference_chain(link):
     # a carrier phase away from 0 and pi checks the arm_ratio_k exp(-j theta) folding
     assert abs(math.sin(link.carrier_phase)) > 0.1
-    spectrum_want, intensity_want = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
+    n, freqs = SMALL_GRID.n_samples, SMALL_GRID.frequencies()
+    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=float) * SMALL_GRID.df)
+    noise = realization_rng(3, 1).standard_normal(2 * n).view(np.complex128)
     plan = _plan(link, SMALL_GRID)
-    n, half = SMALL_GRID.n_samples, plan.band // 2
     assert plan.band < n
-    for kwargs, bins in (({}, slice(None)), ({"plan": plan}, np.r_[0:half, n - half : n])):
+    for kwargs in ({}, {"plan": plan}):
         spectrum = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), **kwargs)
-        np.testing.assert_allclose(spectrum, spectrum_want[bins], rtol=1e-12, atol=0)
-        # the bin shifts use exact roots of unity where the reference chain rounds 2 pi n f_m t
+        if not kwargs:
+            np.testing.assert_allclose(spectrum, amplitude * noise * math.sqrt(0.5), rtol=1e-12, atol=0)
+        # the same field on all N bins; the bin shifts use exact roots of unity
+        # where the reference chain rounds 2 pi n f_m t
+        intensity_want = _reference_chain(link, SMALL_GRID, _scattered(spectrum, n))
         intensity = propagate(spectrum, link, SMALL_GRID, **kwargs)
         assert np.max(np.abs(intensity - intensity_want)) <= 1e-12 * intensity_want.max()
 
@@ -549,12 +556,18 @@ def _tone_bin_line_and_floor(intensity, grid, f_m):
     return abs(coefficients[c]) ** 2 - floor / grid.duration, floor
 
 
-def _serial_quantities(link, grid, n, seed, plan):
-    """``estimate_snr``'s quantities from a serial loop over the public stages and one periodogram each."""
+def _serial_quantities(link, grid, n, seed, plan, *, grid_length=False):
+    """``estimate_snr``'s quantities from a serial loop over the public stages and one periodogram each.
+
+    With ``grid_length`` each drawn field is scattered onto all N bins and detected on all N grid times.
+    """
     lines, floors = np.empty(n), np.empty(n)
     for r in range(n):
         spectrum = synthesize_field(link.spectrum, grid, realization_rng(seed, r), plan=plan)
-        intensity = propagate(spectrum, link, grid, plan=plan)
+        if grid_length:
+            intensity = propagate(_scattered(spectrum, grid.n_samples), link, grid)
+        else:
+            intensity = propagate(spectrum, link, grid, plan=plan)
         lines[r], floors[r] = _tone_bin_line_and_floor(intensity, grid, link.scheme.f_m)
 
     def stats(values):
@@ -599,21 +612,16 @@ def test_pooled_workspaces_equal_serial_stage_loop(monkeypatch, link, width):
     assert plan.detect == plan.band == SMALL_GRID.n_samples // 8
     if link.scheme.kind == ModulationKind.UNMODULATED:
         assert plan.arms[0][1] == {0: 1}
-    montecarlo._state_after.cache_clear()
-    want = _serial_quantities(link, SMALL_GRID, 8, 9, plan)  # leaves the cache warm for seed 9
-    assert montecarlo._state_after.cache_info().currsize == 8
+    want = _serial_quantities(link, SMALL_GRID, 8, 9, plan)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: width)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        warm = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
-        assert montecarlo._state_after.cache_info().hits == 8
-        montecarlo._state_after.cache_clear()
-        cold = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
+        est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=9, welch=BAND_WELCH)
     finally:
         sys.setswitchinterval(interval)
-    assert warm.metadata["workers"] == cold.metadata["workers"] == width
-    assert warm.quantities == cold.quantities == want
+    assert est.metadata["workers"] == width
+    assert est.quantities == want
 
 
 def test_detection_stride(monkeypatch):
@@ -670,7 +678,8 @@ def test_estimate_snr_equals_the_full_grid_chain_to_rounding(link):
     if link is ALIAS_EDGE:
         assert _plan(link, SMALL_GRID).band == SMALL_GRID.n_samples // 4
     est = estimate_snr(link, SMALL_GRID, n_realizations=8, seed=6, welch=BAND_WELCH)
-    want = _serial_quantities(link, SMALL_GRID, 8, 6, None)  # each realization detected on all N grid times
+    # the same fields, each detected on all N grid times
+    want = _serial_quantities(link, SMALL_GRID, 8, 6, _estimate_plan(link, SMALL_GRID), grid_length=True)
     for name in ("line_power", "noise_psd"):
         assert est.mean(name) == pytest.approx(want[name][0], rel=1e-12, abs=0)
 
@@ -781,13 +790,11 @@ def test_snr_bias_at_2_16_samples_is_a_small_fraction_of_its_standard_error():
 # --- band-limited propagation ------------------------------------------------------
 
 
-def _long_double_chain(link, grid, rng):
-    """Intensity of ``_reference_chain`` on the same draw, in long double through scipy.fft."""
+def _long_double_chain(link, grid, spectrum):
+    """Intensity of ``_reference_chain`` on the same N-bin spectrum, in long double through scipy.fft."""
     ld = np.longdouble
     freqs = np.fft.fftfreq(grid.n_samples, ld(grid.dt))
-    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=ld) * (ld(grid.df) / 2))
-    noise = rng.standard_normal(2 * grid.n_samples).view(np.complex128).astype(np.clongdouble)
-    field = scipy.fft.ifft(noise * amplitude, norm="forward")
+    field = scipy.fft.ifft(spectrum.astype(np.clongdouble), norm="forward")
     delayed = scipy.fft.ifft(scipy.fft.fft(field) * np.exp(-2j * np.pi * freqs * ld(link.delay)))
     m1, m2 = build_scheme(link.scheme)
     k = np.clongdouble(link.interferometer.arm_ratio_k)
@@ -802,18 +809,16 @@ def _long_double_chain(link, grid, rng):
     return out.real**2 + out.imag**2
 
 
-def _band_intensity(link, grid, rng):
-    plan = _plan(link, grid)
-    assert plan.band < grid.n_samples
-    return propagate(synthesize_field(link.spectrum, grid, rng, plan=plan), link, grid, plan=plan)
-
-
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here")
 @pytest.mark.parametrize("link", LINKS.values(), ids=LINKS.keys())
 def test_band_intensity_as_accurate_as_full_length_chain(link):
-    exact = _long_double_chain(link, SMALL_GRID, realization_rng(3, 1))
-    _, full = _reference_chain(link, SMALL_GRID, realization_rng(3, 1))
-    band = _band_intensity(link, SMALL_GRID, realization_rng(3, 1))
+    plan = _plan(link, SMALL_GRID)
+    assert plan.band < SMALL_GRID.n_samples
+    drawn = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(3, 1), plan=plan)
+    spectrum = _scattered(drawn, SMALL_GRID.n_samples)  # the same field on all N bins
+    exact = _long_double_chain(link, SMALL_GRID, spectrum)
+    full = _reference_chain(link, SMALL_GRID, spectrum)
+    band = propagate(drawn, link, SMALL_GRID, plan=plan)
 
     def errors(intensity):
         error = np.abs(intensity - exact)
@@ -975,162 +980,67 @@ def test_estimate_snr_rejects_a_tone_that_snaps_to_0_hz(monkeypatch, kind):
 TINY_GRID = SimulationGrid(dt=0.25e-12, n_samples=2**12)
 
 
-@pytest.mark.parametrize(
-    "grid, nm, f_m, band",
-    [
-        (SMALL_GRID, 3.2, None, 8),  # M = N/8: seven full passes of the skip buffer
-        (SMALL_GRID, 6.4, None, 4),  # M = N/4
-        (SMALL_GRID, 3.2, 1600 * SMALL_GRID.df, 4),  # a tone of 97.7 GHz on the lattice widens the band: M = N/4
-        (TINY_GRID, 3.2, None, 8),  # one partial pass of the skip buffer
-    ],
-)
-def test_band_draw_equals_in_band_bins_of_the_full_draw(grid, nm, f_m, band):
-    link = reference_link(bandwidth_nm=nm, f_m=f_m)
-    if f_m is None:
-        link, _ = _retuned(link, grid, BAND_WELCH)
-    plan = _plan(link, grid)
-    m, n = plan.band, grid.n_samples
-    assert m == n // band
-    noise = realization_rng(7, 3).standard_normal(2 * n).view(np.complex128)
-    in_band = np.r_[0 : m // 2, n - m // 2 : n]
-    freqs = grid.frequencies()
-    amplitude = np.sqrt(np.asarray(link.spectrum.psd(freqs), dtype=float) * (0.5 * grid.df))
-    got = synthesize_field(link.spectrum, grid, realization_rng(7, 3), plan=plan)
-    assert got.shape == (m,)
-    np.testing.assert_array_equal(got, noise[in_band] * amplitude[in_band])
-    # without a plan: all N bins, the in-band ones the same values
-    full = synthesize_field(link.spectrum, grid, realization_rng(7, 3))
-    np.testing.assert_array_equal(full, noise * amplitude)
-    np.testing.assert_array_equal(full[in_band], got)
-
-
-# --- the cache of dropped stretches --------------------------------------------------
-
-
 class _CountingGenerator:
     """A generator that records how many normals each ``standard_normal`` call draws."""
 
     def __init__(self, rng):
         self.rng, self.drawn = rng, []
-        self.bit_generator = rng.bit_generator
 
     def standard_normal(self, *, out):
         self.drawn.append(out.size)
         return self.rng.standard_normal(out=out)
 
 
-def _retuned_plan(grid, nm):
-    link, _ = _retuned(reference_link(bandwidth_nm=nm), grid, BAND_WELCH)
-    return link, _plan(link, grid)
+def _band_amplitude(link, grid, m):
+    """sqrt(G df / 2) at the grid's first and last m/2 bins, from the N-bin frequencies."""
+    n = grid.n_samples
+    amplitude = np.sqrt(np.asarray(link.spectrum.psd(grid.frequencies()), dtype=float) * (0.5 * grid.df))
+    return amplitude[np.r_[0 : m // 2, n - m // 2 : n]]
 
 
-@pytest.mark.parametrize("nm, band", [(3.2, 8), (6.4, 4)])
-def test_memo_miss_hit_and_full_draw_agree(nm, band):
-    link, plan = _retuned_plan(SMALL_GRID, nm)
-    m, n = plan.band, SMALL_GRID.n_samples
+@pytest.mark.parametrize(
+    "grid, nm, f_m, band",
+    [
+        (SMALL_GRID, 3.2, None, 8),  # M = N/8
+        (SMALL_GRID, 6.4, None, 4),  # M = N/4
+        (SMALL_GRID, 3.2, 1600 * SMALL_GRID.df, 4),  # a tone of 97.7 GHz on the lattice widens the band: M = N/4
+        (TINY_GRID, 3.2, None, 8),
+    ],
+)
+def test_band_draw_takes_the_streams_first_normals(grid, nm, f_m, band):
+    link = reference_link(bandwidth_nm=nm, f_m=f_m)
+    if f_m is None:
+        link, _ = _retuned(link, grid, BAND_WELCH)
+    plan = _plan(link, grid)
+    m, n = plan.band, grid.n_samples
     assert m == n // band
-    montecarlo._state_after.cache_clear()
-    miss = _CountingGenerator(realization_rng(7, 3))
-    got_miss = synthesize_field(link.spectrum, SMALL_GRID, miss, plan=plan)
-    assert montecarlo._state_after.cache_info()[:2] == (0, 1)  # hits, misses
-    hit = _CountingGenerator(realization_rng(7, 3))
-    got_hit = synthesize_field(link.spectrum, SMALL_GRID, hit, plan=plan)
-    assert montecarlo._state_after.cache_info()[:2] == (1, 1)
-    full_rng = realization_rng(7, 3)
-    full = synthesize_field(link.spectrum, SMALL_GRID, full_rng)
-    np.testing.assert_array_equal(got_miss, got_hit)
-    np.testing.assert_array_equal(got_hit, full[np.r_[0 : m // 2, n - m // 2 : n]])
-    # both leave the stream where the full draw does, past all 2N normals
-    assert miss.rng.bit_generator.state == hit.rng.bit_generator.state == full_rng.bit_generator.state
-    # the caller's stream draws only the 2M normals of the in-band bins; the cache skips the rest
-    assert miss.drawn == hit.drawn == [m, m]
+    # the band's bins, first M/2 then last M/2, take the stream's first 2M normals in one call
+    stream, ahead = _CountingGenerator(realization_rng(7, 3)), realization_rng(7, 3)
+    got = synthesize_field(link.spectrum, grid, stream, plan=plan)
+    assert got.shape == (m,) and stream.drawn == [2 * m]
+    noise = ahead.standard_normal(2 * m).view(np.complex128)
+    np.testing.assert_array_equal(got, noise * _band_amplitude(link, grid, m))
+    assert stream.rng.bit_generator.state == ahead.bit_generator.state
+    # without a plan: all N bins take the first 2N normals, so the first M/2 are the band draw's
+    full = synthesize_field(link.spectrum, grid, realization_rng(7, 3))
+    noise = realization_rng(7, 3).standard_normal(2 * n).view(np.complex128)
+    np.testing.assert_array_equal(full, noise * _band_amplitude(link, grid, n))
+    np.testing.assert_array_equal(full[: m // 2], got[: m // 2])
+    # a plan whose band is N draws exactly the grid-length draw
+    whole = synthesize_field(link.spectrum, grid, realization_rng(7, 3), plan=plan._replace(band=n))
+    np.testing.assert_array_equal(whole, full)
 
 
-def test_memo_key_is_the_pickled_stream_and_its_count_for_every_generator():
-    link, plan = _retuned_plan(TINY_GRID, 3.2)
-    m, n = plan.band, TINY_GRID.n_samples
-    montecarlo._state_after.cache_clear()
-    for seed in (1, 2):
-        synthesize_field(link.spectrum, TINY_GRID, realization_rng(seed, 0), plan=plan)
-    assert montecarlo._state_after.cache_info()[:2] == (0, 2)  # hits, misses
-    # the key is the stream ahead of the dropped stretch, pickled, and the count of its
-    # normals; the value the state the stream reaches past them
-    rng = realization_rng(1, 0)
-    rng.standard_normal(m)
-    stream = pickle.dumps(rng.bit_generator)
-    rng.standard_normal(2 * (n - m))
-    assert montecarlo._state_after(stream, 2 * (n - m)) == rng.bit_generator.state
-    assert montecarlo._state_after.cache_info()[:2] == (1, 2)
-    # every bit generator takes the cache and draws the in-band bins of its N-bin draw
+def test_band_draw_rule_holds_for_every_bit_generator():
+    link, _ = _retuned(reference_link(), TINY_GRID, BAND_WELCH)
+    plan = _plan(link, TINY_GRID)
+    m = plan.band
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
-        band_rng, full_rng = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
-        other = synthesize_field(link.spectrum, TINY_GRID, band_rng, plan=plan)
-        full = synthesize_field(link.spectrum, TINY_GRID, full_rng)
-        np.testing.assert_array_equal(other, full[np.r_[0 : m // 2, n - m // 2 : n]])
-        assert pickle.dumps(band_rng.bit_generator) == pickle.dumps(full_rng.bit_generator)
-    # a draw without a plan (all N bins) drops nothing and leaves the cache alone
-    synthesize_field(link.spectrum, TINY_GRID, realization_rng(3, 0))
-    info = montecarlo._state_after.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
-    # a tone off the lattice builds no plan to draw with
-    with pytest.raises(ConfigurationError, match="^f_m:"):
-        _plan(reference_link(f_m=10e9), TINY_GRID)
-
-
-def test_memo_holds_at_most_its_bound_under_concurrent_workers(monkeypatch):
-    link, plan = _retuned_plan(TINY_GRID, 3.2)
-    want = [synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 0)) for s in range(40)]
-    in_band = np.r_[0 : plan.band // 2, TINY_GRID.n_samples - plan.band // 2 : TINY_GRID.n_samples]
-    # the module's function under a bound of 3, so that the 40 streams evict often
-    cache = functools.lru_cache(maxsize=3)(montecarlo._state_after.__wrapped__)
-    monkeypatch.setattr(montecarlo, "_state_after", cache)
-    got, sizes = {}, []
-
-    def worker(first):  # each stream twice, so hits, misses and evictions interleave across threads
-        for j, s in enumerate([*range(first, 40, 4)] * 2):
-            got[s, j] = synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 0), plan=plan)
-            sizes.append(cache.cache_info().currsize)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    info = cache.cache_info()
-    assert len(got) == 80 and max(sizes) <= 3 and info.currsize <= info.maxsize == 3 and info.hits + info.misses == 80
-    for (s, _), field in got.items():
-        np.testing.assert_array_equal(field, want[s][in_band])
-    # at the module's own bound the least recently used entries go first
-    monkeypatch.undo()
-    montecarlo._state_after.cache_clear()
-    held = montecarlo._state_after.cache_info().maxsize
-    for s in range(held + 5):
-        synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 1), plan=plan)
-    info = montecarlo._state_after.cache_info()
-    assert (info.misses, info.currsize) == (held + 5, held)
-    for s in (5, 4):  # stream 5 the oldest held, stream 4 evicted
-        synthesize_field(link.spectrum, TINY_GRID, realization_rng(s, 1), plan=plan)
-    assert montecarlo._state_after.cache_info()[:2] == (1, held + 6)  # hits, misses
-
-
-def test_estimate_snr_equal_with_memo_warm_and_cold():
-    welch = WelchConfig(nperseg=4096)
-    links = [_retuned(reference_link(scheme_kind=k, gamma=0.41), SMALL_GRID, welch)[0] for k in ("ssb", "pm")]
-    cold = []
-    for link in links:
-        montecarlo._state_after.cache_clear()
-        cold.append(estimate_snr(link, SMALL_GRID, n_realizations=8, seed=12, welch=welch).quantities)
-    montecarlo._state_after.cache_clear()
-    warm = [estimate_snr(link, SMALL_GRID, n_realizations=8, seed=12, welch=welch).quantities for link in links]
-    info = montecarlo._state_after.cache_info()
-    assert (info.hits, info.currsize) == (8, 8)  # the PM link found the SSB link's eight streams
-    assert warm == cold and cold[0] != cold[1]
+        got = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(bit_generator(5)), plan=plan)
+        noise = np.random.Generator(bit_generator(5)).standard_normal(2 * m).view(np.complex128)
+        np.testing.assert_array_equal(got, noise * _band_amplitude(link, TINY_GRID, m))
+        full = synthesize_field(link.spectrum, TINY_GRID, np.random.Generator(bit_generator(5)))
+        np.testing.assert_array_equal(full[: m // 2], got[: m // 2])
 
 
 @pytest.mark.parametrize("kind", ["ssb", "pm", "two_modulated_arms"])
@@ -1138,7 +1048,7 @@ def test_band_and_grid_length_fields_propagate_alike(kind):
     link = LINKS[kind]
     for plan in (_plan(link, SMALL_GRID), _estimate_plan(link, SMALL_GRID)):
         band = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0), plan=plan)
-        full = synthesize_field(link.spectrum, SMALL_GRID, realization_rng(4, 0))
+        full = _scattered(band, SMALL_GRID.n_samples)  # the same field on all N bins
         assert band.size == plan.band < full.size
         np.testing.assert_array_equal(
             propagate(band, link, SMALL_GRID, plan=plan), propagate(full, link, SMALL_GRID, plan=plan)
@@ -1304,8 +1214,9 @@ def test_band_intensity_at_a_sample_rate_just_above_the_intensity_band(kind):
     link, _ = _retuned(reference_link(scheme_kind=kind, gamma=0.41), grid, BAND_WELCH)
     plan = _plan(link, grid)
     assert plan.band == grid.n_samples // 2
-    exact = _long_double_chain(link, grid, realization_rng(3, 1))
-    band = propagate(synthesize_field(link.spectrum, grid, realization_rng(3, 1), plan=plan), link, grid, plan=plan)
+    drawn = synthesize_field(link.spectrum, grid, realization_rng(3, 1), plan=plan)
+    exact = _long_double_chain(link, grid, _scattered(drawn, grid.n_samples))
+    band = propagate(drawn, link, grid, plan=plan)
     assert np.max(np.abs(band - exact)) <= 1e-12 * exact.max()
 
 
@@ -1314,6 +1225,16 @@ def test_mcestimate_requires_realizations():
         McEstimate(n_realizations=4, quantities={})
     with pytest.raises(ConfigurationError):
         estimate_snr(reference_link(), SMALL_GRID, n_realizations=4, seed=0)
+
+
+@pytest.mark.parametrize("mean", [0.0, -2.0, math.nan])
+def test_snr_in_db_needs_a_positive_mean(mean):
+    est = McEstimate(n_realizations=8, quantities={"snr_linear": (mean, 1.0)})
+    for name in ("snr_db", "snr_stderr_db"):
+        with pytest.raises(DomainError, match="^snr_linear: ensemble mean"):
+            getattr(est, name)
+    positive = McEstimate(n_realizations=8, quantities={"snr_linear": (100.0, 1.0)})
+    assert positive.snr_stderr_db == pytest.approx(0.1 / math.log(10.0), rel=1e-15)
 
 
 def test_synthesis_nyquist_guard():

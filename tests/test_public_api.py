@@ -79,8 +79,8 @@ def test_class_method_defined(module, cls, method):
 # its tokens, which no reformatting changes.  Raising any ceiling needs a
 # CHANGES.md line that says why.
 SETTABLE_VALUES_CEILING = 33
-SOURCE_LINES_CEILING = 3146
-SOURCE_TOKENS_CEILING = 20505
+SOURCE_LINES_CEILING = 3129
+SOURCE_TOKENS_CEILING = 20392
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
